@@ -22,14 +22,17 @@ impl Client {
     /// Connects to a running server.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        // Request/response lines are small and latency-bound: never let
+        // Nagle hold one back waiting for the peer's delayed ACK.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
 
-    /// Sends one raw request line (newline appended).
+    /// Sends one raw request line (newline appended) as a single write —
+    /// a separate write for the terminator would be a second segment.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Receives one response line; `None` on server EOF.

@@ -335,7 +335,9 @@ impl Server {
         }
     }
 
-    /// Tallies one answered request into its op's latency bucket.
+    /// Tallies one answered request into its op's latency bucket. Called
+    /// before the reply is queued, so a client holding its answer finds it
+    /// counted in a `stats` it asks for next.
     fn record_op(&self, op: OpKind, started_ms: u64) {
         let elapsed = self.clock.now_ms().saturating_sub(started_ms);
         let m = &self.metrics.ops[op as usize];
@@ -441,6 +443,8 @@ impl Server {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nonblocking(false);
+                        // Replies are latency-bound lines, written whole.
+                        let _ = stream.set_nodelay(true);
                         let token = stream.try_clone().ok().map(|h| self.register_conn(h));
                         scope.spawn(move || {
                             self.serve_connection(engine, universe, stream);
@@ -513,11 +517,11 @@ impl Server {
         let writer = std::thread::spawn(move || {
             let mut w = write_half;
             let mut died = false;
-            while let Ok(line) = rx.recv() {
-                if w.write_all(line.as_bytes())
-                    .and_then(|()| w.write_all(b"\n"))
-                    .is_err()
-                {
+            while let Ok(mut line) = rx.recv() {
+                // One write per reply: a separate terminator write would
+                // sit behind Nagle until the client's delayed ACK.
+                line.push('\n');
+                if w.write_all(line.as_bytes()).is_err() {
                     died = true;
                     break;
                 }
@@ -622,8 +626,8 @@ impl Server {
                             .unwrap_or_else(|_| error_response(id, "encoding failed"))
                     }
                 };
-                let _ = tx.send(response);
                 self.record_op(OpKind::Route, started);
+                let _ = tx.send(response);
                 false
             }
             Request::Health { id } => {
@@ -646,16 +650,18 @@ impl Server {
                     "shapes".to_string(),
                     Value::UInt(engine.shape_count() as u64),
                 ));
+                self.record_op(OpKind::Health, started);
                 let _ = tx.send(
                     serde_json::to_string(&Value::Object(obj))
                         .unwrap_or_else(|_| error_response(id, "encoding failed")),
                 );
-                self.record_op(OpKind::Health, started);
                 false
             }
             Request::Stats { id } => {
-                let _ = tx.send(stats_response(id, &self.stats(), self.queue.cap()));
+                // Snapshot first: a stats reply does not count itself.
+                let response = stats_response(id, &self.stats(), self.queue.cap());
                 self.record_op(OpKind::Stats, started);
+                let _ = tx.send(response);
                 false
             }
             Request::Audit { id } => {
@@ -663,6 +669,7 @@ impl Server {
                 // other control ops: it bypasses admission so operators
                 // can probe safety even when the query queue is saturated.
                 let report = ir_audit::audit_world(engine.world());
+                self.record_op(OpKind::Audit, started);
                 let _ = tx.send(audit_response(
                     id,
                     report.certificate.certified,
@@ -670,7 +677,6 @@ impl Server {
                     report.warnings(),
                     &report.certificate.blockers,
                 ));
-                self.record_op(OpKind::Audit, started);
                 false
             }
             Request::Save { id } => {
@@ -690,8 +696,8 @@ impl Server {
                     self.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     error_response(id, "snapshot save failed")
                 };
-                let _ = tx.send(response);
                 self.record_op(OpKind::Save, started);
+                let _ = tx.send(response);
                 false
             }
             Request::Shutdown { id } => {
@@ -701,11 +707,11 @@ impl Server {
                 }
                 obj.push(("status".to_string(), Value::String("ok".into())));
                 obj.push(("state".to_string(), Value::String("draining".into())));
+                self.record_op(OpKind::Shutdown, started);
                 let _ = tx.send(
                     serde_json::to_string(&Value::Object(obj))
                         .unwrap_or_else(|_| error_response(id, "encoding failed")),
                 );
-                self.record_op(OpKind::Shutdown, started);
                 self.initiate_drain();
                 true
             }
@@ -743,8 +749,8 @@ impl Server {
         };
         if let Err(job) = self.queue.try_push(job) {
             self.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(shed_response(job.id, self.cfg.retry_after_ms));
             self.record_op(op, started_ms);
+            let _ = tx.send(shed_response(job.id, self.cfg.retry_after_ms));
         }
     }
 
@@ -755,6 +761,7 @@ impl Server {
         if job.cancel.load(Ordering::Relaxed) || job.deadline_ms.is_some_and(|d| now >= d) {
             self.metrics.deadline_aborts.fetch_add(1, Ordering::Relaxed);
             self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+            self.record_op(job.op, job.started_ms);
             let _ = job.reply.send(degraded_response(
                 job.id,
                 job.prefix,
@@ -762,7 +769,6 @@ impl Server {
                 None,
                 None,
             ));
-            self.record_op(job.op, job.started_ms);
             return;
         }
         // Quarantined prefixes answer degraded immediately. Only resident
@@ -782,6 +788,7 @@ impl Server {
                 .quarantine_refusals
                 .fetch_add(1, Ordering::Relaxed);
             self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+            self.record_op(job.op, job.started_ms);
             let _ = job.reply.send(degraded_response(
                 job.id,
                 job.prefix,
@@ -789,7 +796,6 @@ impl Server {
                 None,
                 None,
             ));
-            self.record_op(job.op, job.started_ms);
             return;
         }
         let activations = job
@@ -837,8 +843,8 @@ impl Server {
                 ok_response(job.id, &answer)
             }
         };
-        let _ = job.reply.send(response);
         self.record_op(job.op, job.started_ms);
+        let _ = job.reply.send(response);
     }
 
     /// Tallies the incremental delta auditor's verdict on an answered

@@ -314,3 +314,31 @@ fn save_publishes_through_the_atomic_path() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A served reply must not wait out a delayed ACK: with Nagle on and the
+/// line terminator in a write of its own, every request/response pair on
+/// loopback took ≈ 40–90 ms for a microsecond lookup.
+#[test]
+fn sequential_requests_do_not_wait_out_delayed_acks() {
+    let (world, prefixes) = tiny_fixture();
+    let asn = world.graph.nodes()[0].asn;
+    let mut round_trips = Vec::with_capacity(50);
+    with_server(ServeConfig::default(), |_, addr| {
+        let mut c = Client::connect(addr).expect("connect");
+        for i in 0..50 {
+            let line = route_line(Some(i), prefixes[0], asn);
+            let sent = std::time::Instant::now();
+            let reply = c.request(&line).unwrap().unwrap();
+            round_trips.push(sent.elapsed());
+            assert_eq!(status_of(&reply), "ok", "got: {reply}");
+        }
+    });
+    // Judged after the drain: a failed assertion inside the scope would
+    // leave the server thread running and hang the test instead.
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median route round trip {median:?}"
+    );
+}
