@@ -188,6 +188,14 @@ impl RouteColumns {
         self.age[i] = age;
     }
 
+    /// Logical table equality: the same slots are occupied and hold equal
+    /// routes, ages included. Vacant slots keep whatever their other
+    /// columns last held, so this is not a plain column compare.
+    pub fn same_routes(&self, other: &RouteColumns) -> bool {
+        self.path == other.path
+            && (0..self.path.len()).all(|i| self.path[i].is_empty() || self.get(i) == other.get(i))
+    }
+
     /// Occupied slots (O(len) over one column).
     pub fn occupied(&self) -> usize {
         self.path.iter().filter(|p| !p.is_empty()).count()
@@ -298,6 +306,25 @@ mod tests {
         cols.set(2, Some(r(9)));
         cols.set(2, None);
         assert_eq!(cols.get(2), None);
+    }
+
+    #[test]
+    fn same_routes_compares_occupied_slots_only() {
+        let mut a = RouteColumns::new(3);
+        let mut b = RouteColumns::new(3);
+        a.set(0, Some(r(9)));
+        b.set(0, Some(r(9)));
+        // Slot 1 is vacant on both sides but carries different leftovers.
+        a.set(1, Some(r(4)));
+        a.set(1, None);
+        assert!(a.same_routes(&b) && b.same_routes(&a));
+        let mut older = r(9);
+        older.age = 1;
+        b.set(0, Some(older));
+        assert!(!a.same_routes(&b), "ages are part of the state");
+        b.set(0, Some(r(9)));
+        b.set(2, Some(r(9)));
+        assert!(!a.same_routes(&b), "occupancy differs");
     }
 
     #[test]

@@ -69,6 +69,11 @@ impl ExtensionCheck<'_> {
 /// implementation overrides only the direction it cares about (ROV and
 /// enforce-first-AS are import-side; an export-side extension could model
 /// egress filtering).
+///
+/// A verdict must be a pure function of the [`ExtensionCheck`]: the engine
+/// caches import results in the adj-RIB-in, replays them in warm forks, and
+/// proves oscillations periodic on the premise that the same route state
+/// yields the same next wave.
 pub trait PolicyExtension: Send + Sync {
     /// Stable identifier used in sweep output and fixtures.
     fn name(&self) -> &'static str;

@@ -50,8 +50,8 @@ pub use path::{AsPath, Segment};
 pub use patharena::{ArenaStats, PathArena, PathId};
 pub use route::Route;
 pub use sim::{
-    hijack_origination, ActivationOrder, Announcement, Convergence, Delta, EngineStats, PrefixSim,
-    PropagationEngine, SimContext, StepBudget,
+    hijack_origination, ActivationOrder, Announcement, Convergence, Delta, EngineStats,
+    Oscillation, PrefixSim, PropagationEngine, SimContext, StepBudget,
 };
 pub use sweep::SweepSim;
 pub use universe::{snapshot_staging_path, RoutingUniverse, UniverseResilience};

@@ -141,20 +141,59 @@ struct ExtraOrigin {
     at: Timestamp,
 }
 
-/// Result of running one event (announce/withdraw) to fixpoint.
+/// Result of running one event (announce/withdraw) to fixpoint. All three
+/// counters count work **executed**: rounds the event engine fast-forwarded
+/// through a detected oscillation are reported in
+/// [`Oscillation::rounds_skipped`], not here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Convergence {
-    /// Work performed: full sweeps for the sweep engine, worklist
-    /// activations for the event-driven engine.
+    /// Rounds run: full sweeps for the sweep engine, waves for the
+    /// event-driven engine (on a dispute wheel, the round the event stopped
+    /// at — one past the last wave executed).
     pub rounds: usize,
-    /// Whether a fixpoint was reached (false = work cap hit; policy
-    /// dispute).
+    /// Whether a fixpoint was reached (false = round cap reached, outright
+    /// or by fast-forward; policy dispute).
     pub converged: bool,
     /// ASes whose selection was recomputed during this event.
     pub activations: usize,
     /// Import policy evaluations performed during this event.
     pub imports: usize,
 }
+
+/// Cycle witness of an event that ended on a dispute wheel: the
+/// wave-barrier state recurred, so [`PrefixSim`] jumped to the state the
+/// round cap would have produced instead of executing the rounds in
+/// between. See [`PrefixSim::last_oscillation`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Oscillation {
+    /// Waves after which the barrier state (best table, adj-RIB-in, pending
+    /// wave) repeats.
+    pub period: usize,
+    /// Round of the snapshot the recurrence was proven against: the
+    /// trajectory was periodic by this round at the latest.
+    pub entered_by_round: usize,
+    /// Rounds up to the cap that were not executed.
+    /// `Convergence::rounds + rounds_skipped` is the round count the cap
+    /// burn would have reported.
+    pub rounds_skipped: usize,
+    /// ASes whose selected route changed within one period, ascending.
+    pub flapping: Vec<Asn>,
+}
+
+/// State of the oscillation probe inside [`PrefixSim::run_event`]: the
+/// wave-barrier state at `round`, plus the ASes that re-selected since.
+struct CycleProbe {
+    round: usize,
+    best: RouteColumns,
+    rib: RouteColumns,
+    pending: Vec<u64>,
+    flapped: BitWorklist,
+}
+
+/// First round the oscillation probe snapshots at. Convergence is far
+/// shorter (a certified 50k-AS world settles a prefix in 9 waves; free
+/// order never leaves round 1), so converging events never pay for it.
+const PROBE_ARM_ROUND: usize = 16;
 
 /// Cooperative work budget for one simulation's worklist runs — the
 /// serving plane's deadline mechanism. A budget bounds an event's
@@ -881,11 +920,15 @@ pub struct PrefixSim<'w> {
     /// the world's safety certificate — see
     /// [`PrefixSim::grant_certificate_token`]. Never copied by forks.
     cert_token: bool,
-    /// Current-wave worklist, reused across events (generation-reset, not
-    /// reallocated). Taken out of `self` while an event runs.
+    /// Current-wave worklist, reused across events (never reallocated).
+    /// Taken out of `self` while an event runs; empty between events
+    /// unless the last one stopped at the round cap, in which case it holds
+    /// the wave still pending at that barrier.
     wave: BitWorklist,
     /// Next-wave worklist; same lifecycle as `wave`.
     next: BitWorklist,
+    /// Cycle witness of the most recent event, if it was fast-forwarded.
+    last_oscillation: Option<Oscillation>,
 }
 
 impl<'w> PrefixSim<'w> {
@@ -936,6 +979,7 @@ impl<'w> PrefixSim<'w> {
             cert_token: false,
             wave: BitWorklist::new(n),
             next: BitWorklist::new(n),
+            last_oscillation: None,
         }
     }
 
@@ -951,6 +995,14 @@ impl<'w> PrefixSim<'w> {
     /// to the dispute-wheel work cap.
     pub fn budget_tripped(&self) -> bool {
         self.budget_tripped
+    }
+
+    /// The cycle witness of the most recent event: `Some` when that event
+    /// ended `converged == false` on a proven oscillation and was
+    /// fast-forwarded to the round cap's state, `None` when it converged
+    /// (or a [`StepBudget`] cut it short first).
+    pub fn last_oscillation(&self) -> Option<&Oscillation> {
+        self.last_oscillation.as_ref()
     }
 
     /// The scheduling discipline currently in force. It may be stricter
@@ -1569,9 +1621,29 @@ impl<'w> PrefixSim<'w> {
     /// oracle, not merely *a* fixpoint.
     ///
     /// Both worklists are [`BitWorklist`]s owned by the sim and reused
-    /// across events: a generation bump (not a word-array clear) hides
-    /// whatever a capped previous event left behind, so an abandoned wave
-    /// can never leak seeds into a later `run_recovery`.
+    /// across events. An event that stops at the round cap leaves its
+    /// pending wave in `self.wave`, and the next event runs it together
+    /// with its own seeds: those ASes still owe a re-selection, and the
+    /// oracle — which re-evaluates everyone — would perform it. An event
+    /// cut short mid-wave (budget, runaway free order) has no barrier state
+    /// to hand on; a generation bump (not a word-array clear) discards its
+    /// leftovers so they can never leak into a later event.
+    ///
+    /// **Oscillation fast-forward.** A dispute wheel never empties the
+    /// worklist; the sweep oracle (and this engine before) burns all
+    /// `2n + 16` rounds and reports whatever state the cap fired on. Within
+    /// one event the clock, announcement, overlay, downed links, filters
+    /// and defenses are constant and the seeds' forced re-export is spent
+    /// in round 1, so the next wave is a pure function of the barrier state
+    /// (`best`, `rib`, pending wave). Once that triple equals its value λ
+    /// rounds earlier — compared slot for slot, ages included; nothing is
+    /// decided by a hash — the trajectory is periodic, and the state after
+    /// the cap is the state after `(cap − r) mod λ` more rounds: run exactly
+    /// those and stop. Snapshots are taken Brent-style at power-of-two
+    /// rounds from [`PROBE_ARM_ROUND`] on. A full period has executed by
+    /// the time the jump happens, so `pre_event` (age normalization,
+    /// `routes_retained`) and the path arena already hold everything the
+    /// skipped rounds would have added.
     fn run_event(&mut self, seeds: [Option<NodeIdx>; 2]) -> Convergence {
         self.stats.events += 1;
         self.stats.ases_seeded += seeds.iter().flatten().count();
@@ -1580,13 +1652,17 @@ impl<'w> PrefixSim<'w> {
         // anything a safe configuration needs, small enough to report a
         // dispute wheel promptly.
         let cap = 2 * n + 16;
+        // Last round to execute: the cap, until a proven oscillation pulls
+        // it in.
+        let mut last_round = cap;
+        let mut probe: Option<CycleProbe> = None;
+        let mut oscillation: Option<Oscillation> = None;
         let mut force = seeds;
         // Take the worklists out of `self` so `push_exports` can borrow the
         // rest of the sim mutably; restored below (the `'event` break lands
         // there too).
         let mut wave = std::mem::take(&mut self.wave);
         let mut next = std::mem::take(&mut self.next);
-        wave.reset();
         next.reset();
         for s in seeds.into_iter().flatten() {
             wave.insert(s);
@@ -1602,7 +1678,7 @@ impl<'w> PrefixSim<'w> {
         let budget_cancel = self.budget.cancel.clone();
         'event: while !wave.is_empty() {
             rounds += 1;
-            if rounds > cap {
+            if rounds > last_round {
                 converged = false;
                 break;
             }
@@ -1617,10 +1693,13 @@ impl<'w> PrefixSim<'w> {
                     converged = false;
                     self.budget_tripped = true;
                     self.stats.deadline_aborts += 1;
+                    oscillation = None;
+                    wave.reset();
                     break 'event;
                 }
                 if activations > cap.saturating_mul(n.max(1)) {
                     converged = false;
+                    wave.reset();
                     break 'event;
                 }
                 let new_best = self.select_at(x);
@@ -1640,15 +1719,26 @@ impl<'w> PrefixSim<'w> {
                 if !keep {
                     pre_event.entry(x).or_insert(old);
                     self.best.set(x, new_best);
+                    if let Some(p) = probe.as_mut() {
+                        p.flapped.insert(x);
+                    }
                 }
                 if !keep || forced {
                     imports += self.push_exports(x, &mut wave, &mut next);
                 }
             }
             std::mem::swap(&mut wave, &mut next);
+            if rounds < PROBE_ARM_ROUND || oscillation.is_some() || wave.is_empty() {
+                continue;
+            }
+            if let Some(osc) = self.probe_barrier(&mut probe, &wave, rounds, cap) {
+                last_round = cap - osc.rounds_skipped;
+                oscillation = Some(osc);
+            }
         }
         self.wave = wave;
         self.next = next;
+        self.last_oscillation = oscillation;
         // Age normalization: an AS that ends the event on the same session
         // and path it started on keeps the original installation age, even
         // if it flipped through other routes transiently. The same pass
@@ -1678,6 +1768,55 @@ impl<'w> PrefixSim<'w> {
             activations,
             imports,
         }
+    }
+
+    /// Wave-barrier check of a long-running event (round ≥
+    /// [`PROBE_ARM_ROUND`], `wave` = the pending set): has this state been
+    /// seen before? Compares against the last snapshot — pending words
+    /// first, they almost always differ, and the route columns only when
+    /// those match — and returns the witness on a recurrence; otherwise
+    /// re-snapshots at power-of-two rounds. Kept out of line: converging
+    /// events never get here.
+    #[cold]
+    fn probe_barrier(
+        &self,
+        probe: &mut Option<CycleProbe>,
+        wave: &BitWorklist,
+        rounds: usize,
+        cap: usize,
+    ) -> Option<Oscillation> {
+        match probe.take() {
+            Some(mut p)
+                if wave.same_pending(&p.pending)
+                    && self.best.same_routes(&p.best)
+                    && self.rib.same_routes(&p.rib) =>
+            {
+                let period = rounds - p.round;
+                let graph = &self.ctx.world.graph;
+                let mut flapping: Vec<Asn> =
+                    std::iter::from_fn(|| p.flapped.pop_first().map(|x| graph.asn(x))).collect();
+                flapping.sort_unstable();
+                return Some(Oscillation {
+                    period,
+                    entered_by_round: p.round,
+                    // The cap's state recurs `(cap − rounds) mod period`
+                    // rounds from here; everything beyond is skipped.
+                    rounds_skipped: (cap - rounds) / period * period,
+                    flapping,
+                });
+            }
+            _ if rounds.is_power_of_two() => {
+                *probe = Some(CycleProbe {
+                    round: rounds,
+                    best: self.best.clone(),
+                    rib: self.rib.clone(),
+                    pending: wave.pending_words(),
+                    flapped: BitWorklist::new(self.best.len()),
+                });
+            }
+            kept => *probe = kept,
+        }
+        None
     }
 
     /// Best route at `x` per the decision process over the origination and
@@ -1937,8 +2076,11 @@ impl<'w> PrefixSim<'w> {
             // Certificate tokens are per-delta-set: every fork must earn
             // its own from a certifier before applying preference edits.
             cert_token: false,
-            wave: BitWorklist::new(n),
+            // A capped base hands its pending wave to the fork, as it would
+            // to its own next event.
+            wave: self.wave.clone(),
             next: BitWorklist::new(n),
+            last_oscillation: None,
         }
     }
 

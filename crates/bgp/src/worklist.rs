@@ -28,7 +28,7 @@ const WORD_BITS: usize = u64::BITS as usize;
 
 /// A set of node indices with `BTreeSet`-ordered pop, backed by a
 /// generation-tagged bitset. Capacity is fixed at construction.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct BitWorklist {
     /// One bit per node; valid only where `word_gen` matches `gen`.
     words: Vec<u64>,
@@ -113,6 +113,26 @@ impl BitWorklist {
     /// Whether no index is pending.
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The pending set as plain bitset words, one per 64 indices (words of
+    /// a stale generation read as empty) — the worklist third of the
+    /// oscillation probe's state snapshot.
+    pub(crate) fn pending_words(&self) -> Vec<u64> {
+        self.live_words().collect()
+    }
+
+    /// Whether the pending set equals a [`BitWorklist::pending_words`]
+    /// snapshot of a worklist of the same capacity.
+    pub(crate) fn same_pending(&self, words: &[u64]) -> bool {
+        self.live_words().eq(words.iter().copied())
+    }
+
+    fn live_words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words
+            .iter()
+            .zip(&self.word_gen)
+            .map(|(&w, &g)| if g == self.gen { w } else { 0 })
     }
 
     /// Number of pending indices.
@@ -207,6 +227,26 @@ mod tests {
             }
             assert_eq!(popped, (base..192).step_by(7).count());
         }
+    }
+
+    #[test]
+    fn pending_snapshot_ignores_stale_generations() {
+        let mut wl = BitWorklist::new(200);
+        for i in [5usize, 64, 199] {
+            wl.insert(i);
+        }
+        let snap = wl.pending_words();
+        assert!(wl.same_pending(&snap));
+        assert_eq!(wl.pop_first(), Some(5));
+        assert!(!wl.same_pending(&snap));
+        // After a reset the old words are stale: the set reads as empty
+        // until the same indices are inserted again.
+        wl.reset();
+        assert!(wl.same_pending(&[0, 0, 0, 0]));
+        for i in [199usize, 5, 64] {
+            wl.insert(i);
+        }
+        assert!(wl.same_pending(&snap));
     }
 
     #[test]

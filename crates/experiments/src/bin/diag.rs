@@ -6,6 +6,12 @@
 //! `FaultConfig::chaos(intensity)` and prints the resilience counters
 //! alongside the usual dumps.
 //!
+//! When the universe has unconverged prefixes (paper scale, seed 7: 410 of
+//! 1 212) the dump includes the oscillation witnesses of their
+//! announcement shapes: period histogram, rounds executed versus
+//! fast-forwarded, and how many flapping ASes `ir-audit` had flagged as
+//! IR-A002 dispute-wheel candidates.
+//!
 //! `diag internet_scale [seed] [target-ases]` skips the measurement
 //! scenario entirely (feeds and traceroutes over 50k ASes are not the
 //! point) and instead reports what the compact route storage costs at
@@ -33,6 +39,80 @@
 
 use ir_experiments::{scenario::ScenarioConfig, Scenario};
 use ir_fault::FaultConfig;
+
+/// Re-runs one representative of every unconverged announcement shape and
+/// reports the engine's cycle witnesses, cross-checked against the static
+/// audit's dispute-wheel candidates.
+fn oscillation_diag(s: &Scenario) {
+    use ir_bgp::{Announcement, PrefixSim, SimContext};
+    use ir_types::{Asn, Prefix, Timestamp};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    // Shapes as the universe batches them: origin + the prefix's
+    // selective-announce entry.
+    let mut shapes: BTreeMap<(Asn, Option<&BTreeSet<Asn>>), Prefix> = BTreeMap::new();
+    for &prefix in s.universe.unconverged() {
+        let Some(origin) = s.universe.origin(prefix) else {
+            continue;
+        };
+        let psp = s
+            .world
+            .policy_of(origin)
+            .and_then(|p| p.selective_announce.get(&prefix));
+        shapes.entry((origin, psp)).or_insert(prefix);
+    }
+    if shapes.is_empty() {
+        return;
+    }
+    let ctx = SimContext::shared(&s.world);
+    let mut periods: BTreeMap<usize, usize> = BTreeMap::new();
+    let (mut executed, mut skipped, mut unwitnessed) = (0usize, 0usize, 0usize);
+    let mut flapping: BTreeSet<Asn> = BTreeSet::new();
+    for (&(origin, _), &prefix) in &shapes {
+        let mut sim = PrefixSim::with_context(ctx.fork(), prefix);
+        let conv = sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
+        executed += conv.rounds;
+        match sim.last_oscillation() {
+            Some(osc) => {
+                *periods.entry(osc.period).or_default() += 1;
+                skipped += osc.rounds_skipped;
+                flapping.extend(&osc.flapping);
+            }
+            None => unwitnessed += 1,
+        }
+    }
+    let histogram: Vec<String> = periods
+        .iter()
+        .map(|(period, shapes)| format!("{period}: {shapes}"))
+        .collect();
+    println!(
+        "oscillation: {} unconverged shapes | period histogram {{{}}}{} | \
+         rounds executed {executed}, fast-forwarded {skipped} ({:.1}% of the cap burn skipped)",
+        shapes.len(),
+        histogram.join(", "),
+        if unwitnessed > 0 {
+            format!(" + {unwitnessed} without a witness")
+        } else {
+            String::new()
+        },
+        100.0 * skipped as f64 / (executed + skipped).max(1) as f64
+    );
+    let candidates: BTreeSet<Asn> = s
+        .audit
+        .of_rule(ir_audit::RuleId::DisputeWheelCandidate)
+        .into_iter()
+        .flat_map(|d| d.asns.iter().copied())
+        .collect();
+    let flagged = flapping.intersection(&candidates).count();
+    println!(
+        "  flapping ASes: {} | in an IR-A002 dispute-wheel candidate: {} ({:.0}%) | \
+         candidate ASes: {}",
+        flapping.len(),
+        flagged,
+        100.0 * flagged as f64 / flapping.len().max(1) as f64,
+        candidates.len()
+    );
+}
 
 fn internet_scale_diag(seed: u64, target: usize) {
     use ir_bgp::{Announcement, PrefixSim, RoutingUniverse};
@@ -642,6 +722,7 @@ fn main() {
         ustats.activations,
         ustats.imports
     );
+    oscillation_diag(&s);
     println!(
         "memory: {:.1} MiB resident route tables ({:.2} B per (prefix, AS) slot) | \
          shape sims (transient, summed): {} routes at {:.1} B/route, \

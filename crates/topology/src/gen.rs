@@ -173,11 +173,12 @@ impl GeneratorConfig {
     /// certificate (see [`GeneratorConfig::certifiably_safe`]): the
     /// preference-reordering quirks — neighbor-ranking deltas, domestic
     /// preference, backup links, sibling orgs, loop-prevention opt-outs —
-    /// are off. Those quirks make convergence *unguaranteed*, and while
-    /// every 688-AS paper instance happens to converge anyway, at tens of
-    /// thousands of ASes some instances contain live dispute wheels: an
-    /// 8k-AS world with the quirks on was measured oscillating for 16 025
-    /// rounds (102M activations) before the round cap fired. A preset
+    /// are off. Those quirks make convergence *unguaranteed*: paper-scale
+    /// instances put up to a third of their prefixes on live dispute
+    /// wheels, and an 8k-AS world with the quirks on was measured
+    /// oscillating for 16 025 rounds (102M activations) before the round
+    /// cap fired. The engine now detects and fast-forwards such wheels,
+    /// but still reports them unconverged. A preset
     /// whose job is to converge 50k ASes must be safe by construction;
     /// the features that only *restrict* routing (hybrid links, partial
     /// transit, selective announcement, AS-set filters) survive the

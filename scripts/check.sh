@@ -29,8 +29,14 @@ run cargo fmt --check
 # event-driven engine against the sweep oracle — and warm what-if answers
 # against cold recomputation — under optimized codegen too (debug-only
 # runs have missed wrapping/ordering bugs before).
+# `oscillation_differential` is the same gate on worlds with live dispute
+# wheels (BAD GADGET + 22 generator worlds): the event engine's
+# fast-forward must land on the cap-burning oracle's tables after
+# announce, poisoned re-announce and withdraw/re-announce, step budgets
+# bound executed work, and converging events keep their pinned counters.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp \
-    --test differential --test fault_differential --test whatif_differential
+    --test differential --test fault_differential --test whatif_differential \
+    --test oscillation_differential
 # Certificate-maintenance gate (release): ≥1000 randomized (certified
 # world, delta batch) pairs must get the same verdict from the incremental
 # DeltaAuditor as from a full re-audit of the edited world, and certified
@@ -51,6 +57,12 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-scenarios \
 # converge a single prefix and a 1000-prefix universe slice inside the
 # compact storage's memory budget. Minutes on one core.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test scale_smoke -- --ignored
+# Paper-world oscillation proof (release, ignored by default): the seed-7
+# universe keeps its 410 unconverged prefixes, matches the sweep oracle on
+# a 16-prefix sample, carries a short-period witness for every wheel, and
+# executes < 3 M activations (the cap burn was 97.3 M). ~15 s.
+run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test oscillation_differential \
+    -- --ignored
 # Serving-loop gate (release): the real ir-serve binary on an ephemeral
 # port answers a 50-query mixed batch (malformed JSON and over-deadline
 # included), drains clean on a shutdown request, and exits 0 — and a
