@@ -98,11 +98,6 @@ impl<'w> DeltaAuditor<'w> {
         self.base.certificate.certified
     }
 
-    /// The construction-time full audit of the unedited world.
-    pub fn base_report(&self) -> &AuditReport {
-        &self.base
-    }
-
     /// Judges an ordered edit sequence without applying it: walks the
     /// deltas front to back, maintaining the batch-local patched state
     /// (downed links, overlaid specs, recomputed candidate out-edges),

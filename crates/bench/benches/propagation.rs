@@ -26,6 +26,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ir_bgp::universe::prefix_owners;
 use ir_bgp::{ActivationOrder, Announcement, PrefixSim, RoutingUniverse, SimContext, SweepSim};
+use ir_fault::FaultPlane;
 use ir_topology::{GeneratorConfig, World};
 use ir_types::{Asn, Prefix, Timestamp};
 use std::hint::black_box;
@@ -406,9 +407,10 @@ fn write_json(c: &mut Criterion) {
         black_box(RoutingUniverse::compute(w, &prefixes));
     });
     let per_prefix_ns = timed(universe_iters, || {
-        black_box(RoutingUniverse::compute_per_prefix_ordered(
+        black_box(RoutingUniverse::compute_per_prefix(
             w,
             &prefixes,
+            &FaultPlane::quiet(),
             ActivationOrder::default(),
         ));
     });

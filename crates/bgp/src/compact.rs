@@ -78,6 +78,21 @@ pub(crate) struct CompactRoute {
 }
 
 impl CompactRoute {
+    /// A local origination installed at `at`: no session attributes, and a
+    /// local preference that beats every learned route.
+    pub fn local(path: PathId, path_len: u16, at: Timestamp) -> CompactRoute {
+        CompactRoute {
+            path,
+            path_len,
+            learned_from: NO_NODE,
+            city: NO_CITY,
+            rel: REL_NONE,
+            local_pref: i32::MAX,
+            igp_cost: 0,
+            age: clamp_age(at),
+        }
+    }
+
     /// Whether this is a local origination.
     pub fn is_local(&self) -> bool {
         self.learned_from == NO_NODE

@@ -51,7 +51,7 @@ pub use patharena::{ArenaStats, PathArena, PathId};
 pub use route::Route;
 pub use sim::{
     hijack_origination, ActivationOrder, Announcement, Convergence, Delta, EngineStats,
-    Oscillation, PrefixSim, PropagationEngine, SimContext, StepBudget,
+    Oscillation, PrefixSim, SimContext, StepBudget,
 };
 pub use sweep::SweepSim;
 pub use universe::{snapshot_staging_path, RoutingUniverse, UniverseResilience};

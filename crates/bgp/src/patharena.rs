@@ -105,18 +105,6 @@ pub struct ArenaStats {
     pub misses: u64,
 }
 
-impl ArenaStats {
-    /// Fraction of cons calls answered without allocating.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 impl PathArena {
     /// An empty arena.
     pub fn new() -> PathArena {
@@ -352,22 +340,6 @@ impl PathArena {
             cur = c.tail;
         }
         None
-    }
-
-    /// Whether any *sequence* ASN on the path satisfies `f` (set members
-    /// are measurement artifacts, not claimed transit) — the shape of the
-    /// peerlock check.
-    pub fn seq_any(&self, id: PathId, mut f: impl FnMut(Asn) -> bool) -> bool {
-        let core = self.read();
-        let mut cur = id.0;
-        while cur != u32::MAX {
-            let c = &core.cells[cur as usize];
-            if c.meta & META_IS_SET == 0 && f(Asn(c.elem)) {
-                return true;
-            }
-            cur = c.tail;
-        }
-        false
     }
 
     /// Raw dump for snapshot serialization: every cell as `(is_set, elem,

@@ -46,7 +46,7 @@
 //! reconvergence.
 
 use crate::compact::{clamp_age, rel_of_tag, CompactRoute, MemoryBudget, RouteColumns};
-use crate::compact::{NO_CITY, NO_NODE, REL_NONE};
+use crate::compact::{NO_CITY, NO_NODE};
 use crate::extension::{DefensePlan, ExtensionCheck};
 use crate::path::AsPath;
 use crate::patharena::{PathArena, PathId};
@@ -276,20 +276,6 @@ pub struct EngineStats {
     /// Events ended early by a tripped [`StepBudget`] (deadline or cancel)
     /// instead of reaching a fixpoint.
     pub deadline_aborts: usize,
-    /// Queries rejected at admission by a serving layer (load shedding);
-    /// the sim never increments this itself.
-    pub queries_shed: usize,
-    /// Queries answered degraded (base route, no reconvergence) by a
-    /// serving layer; the sim never increments this itself.
-    pub queries_degraded: usize,
-    /// What-if queries whose delta set was proved certificate-preserving
-    /// by a [`crate::whatif::DeltaCertifier`], counted by a serving layer;
-    /// the sim never increments this itself.
-    pub certificates_preserved: usize,
-    /// What-if queries whose delta set revoked the safety certificate
-    /// (forcing a wave-exact fallback), counted by a serving layer; the
-    /// sim never increments this itself.
-    pub certificates_revoked: usize,
     /// Memory accounting of the compact route storage (columns + path
     /// arena), refreshed on every [`PrefixSim::stats`] call; zeros for the
     /// sweep oracle, which keeps materialized routes.
@@ -311,10 +297,6 @@ impl EngineStats {
         self.ases_seeded += other.ases_seeded;
         self.routes_retained += other.routes_retained;
         self.deadline_aborts += other.deadline_aborts;
-        self.queries_shed += other.queries_shed;
-        self.queries_degraded += other.queries_degraded;
-        self.certificates_preserved += other.certificates_preserved;
-        self.certificates_revoked += other.certificates_revoked;
         self.memory.absorb(&other.memory);
     }
 }
@@ -643,38 +625,6 @@ impl ShapeTable {
     }
 }
 
-/// A propagation engine: anything that can run announcement events for one
-/// prefix to fixpoint. Implemented by the event-driven [`PrefixSim`] and
-/// the legacy reference [`crate::sweep::SweepSim`]; the differential tests
-/// and benches are written against this trait. Routes are returned by
-/// value: the event engine stores them compactly and materializes at this
-/// boundary.
-pub trait PropagationEngine {
-    /// Announces (or re-announces) the prefix and runs to fixpoint.
-    fn announce(&mut self, ann: Announcement, at: Timestamp) -> Convergence;
-    /// Withdraws the prefix and runs to fixpoint.
-    fn withdraw(&mut self, at: Timestamp) -> Convergence;
-    /// The selected route at node `x`.
-    fn best(&self, x: NodeIdx) -> Option<Route>;
-    /// The candidate routes AS `x` can currently choose between.
-    fn candidates(&self, x: NodeIdx) -> Vec<Route>;
-    /// Cumulative effort counters.
-    fn stats(&self) -> EngineStats;
-    /// Takes the link between `a` and `b` down (all its sessions, both
-    /// directions) and reconverges. No-op if unknown or already down.
-    fn fail_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence;
-    /// Brings a downed link back up and reconverges. No-op if not down.
-    fn restore_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence;
-    /// Resets the sessions between `a` and `b` (state cleared, immediately
-    /// re-established) and reconverges. No-op if the link is down.
-    fn reset_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence;
-    /// Declares which ASes filter announcements carrying an AS-set
-    /// (poisoned paths, §5). Applies to subsequent events.
-    fn set_poison_filters(&mut self, filters: &std::collections::BTreeSet<Asn>);
-    /// Links currently down, as canonical `(low, high)` ASN pairs.
-    fn downed_links(&self) -> Vec<(Asn, Asn)>;
-}
-
 /// Canonical key for an undirected link between two node indices.
 pub(crate) fn link_key(a: NodeIdx, b: NodeIdx) -> (NodeIdx, NodeIdx) {
     (a.min(b), a.max(b))
@@ -777,59 +727,123 @@ pub(crate) fn overlay_policy<'a>(
     }
 }
 
-/// Import-side defense hook: whether `me` accepts path `path` from
-/// `peer`. `None` and empty plans short-circuit to accept — the
-/// undefended fast path, which keeps defense-free simulations
-/// bit-identical to their pre-extension behavior.
-fn defense_accepts_import(
-    defenses: Option<&DefensePlan>,
-    ctx: &SimContext<'_>,
-    me: NodeIdx,
-    peer: NodeIdx,
-    rel: Relationship,
+/// Everything a route crossing a session reads, borrowed from one sim —
+/// the single statement of the transfer pipeline. The **export half** runs
+/// link-up check → Gao–Rexford export rule and prepending
+/// ([`SimContext::export_compact`]) → export-side defenses; the **import
+/// half** counts the evaluation, then runs AS-set (poison) filter →
+/// import-side defenses → import policy. [`PrefixSim::push_exports`] puts
+/// its unchanged-path short-circuit between the halves;
+/// [`PrefixSim::rederive_rib`] runs them back to back.
+struct Transfer<'a, 'w> {
+    ctx: &'a SimContext<'w>,
     prefix: Prefix,
-    path: PathId,
-) -> bool {
-    let Some(plan) = defenses else { return true };
-    if plan.is_empty() {
-        return true;
-    }
-    plan.accepts_import(&ExtensionCheck {
-        world: ctx.world,
-        arena: &ctx.arena,
-        me,
-        peer,
-        rel,
-        prefix,
-        path,
-    })
+    /// The primary origination. Its `via` restriction binds the origin's
+    /// exports alone: an adversarial extra origination exports to all
+    /// neighbors.
+    origin: Option<(NodeIdx, &'a Announcement)>,
+    downed: &'a BTreeSet<(NodeIdx, NodeIdx)>,
+    poison_filters: &'a BTreeSet<NodeIdx>,
+    /// `None` for an absent *or empty* plan — the undefended fast path,
+    /// which keeps defense-free simulations bit-identical to their
+    /// pre-extension behavior.
+    defenses: Option<&'a DefensePlan>,
+    overlay: &'a PolicyOverlay,
+    /// The current clock, as imported routes are stamped.
+    age: u32,
 }
 
-/// Export-side defense hook: whether `me` lets `path` (prepends included)
-/// out toward `peer`. Same fast-path contract as
-/// [`defense_accepts_import`].
-fn defense_allows_export(
-    defenses: Option<&DefensePlan>,
-    ctx: &SimContext<'_>,
-    me: NodeIdx,
-    peer: NodeIdx,
-    rel: Relationship,
-    prefix: Prefix,
-    path: PathId,
-) -> bool {
-    let Some(plan) = defenses else { return true };
-    if plan.is_empty() {
-        return true;
+/// The sending side of the export half: `idx`'s selected route, its
+/// effective policy and — for the primary origin only — its announcement,
+/// resolved once per sender so the per-listener loop of
+/// [`PrefixSim::push_exports`] re-reads none of them.
+struct Sender<'a> {
+    idx: NodeIdx,
+    best: Option<CompactRoute>,
+    policy: &'a PolicySpec,
+    ann: Option<&'a Announcement>,
+}
+
+impl<'a> Transfer<'a, '_> {
+    fn sender(&self, idx: NodeIdx, best: Option<CompactRoute>) -> Sender<'a> {
+        Sender {
+            idx,
+            best,
+            policy: overlay_policy(self.ctx.world, self.overlay, idx),
+            ann: self.origin.filter(|&(o, _)| o == idx).map(|(_, a)| a),
+        }
     }
-    plan.allows_export(&ExtensionCheck {
-        world: ctx.world,
-        arena: &ctx.arena,
-        me,
-        peer,
-        rel,
-        prefix,
-        path,
-    })
+
+    /// Export half: the path `from` announces to `to` over `s` — the
+    /// session as `to` holds it, `s.peer == from.idx` — prepends included.
+    /// `None` when the link is down, `from` has no route, or policy or a
+    /// defense withholds it.
+    #[inline]
+    fn export(&self, from: &Sender<'_>, to: NodeIdx, s: &Session) -> Option<PathId> {
+        // A downed link carries nothing in either direction.
+        if !self.downed.is_empty() && self.downed.contains(&link_key(from.idx, to)) {
+            return None;
+        }
+        let best = from.best.as_ref()?;
+        let ctx = self.ctx;
+        let path = ctx.export_compact(from.idx, from.policy, to, s, best, self.prefix, from.ann)?;
+        self.defenses
+            .is_none_or(|plan| plan.allows_export(&self.check(from.idx, to, s.rel.reverse(), path)))
+            .then_some(path)
+    }
+
+    /// Import half: what `to` installs for `path` arriving over its session
+    /// `s`, or `None` if a filter, a defense or import policy drops it.
+    /// Every call is one import evaluation, counted into `imports` before
+    /// any filter runs.
+    #[inline]
+    fn import(
+        &self,
+        imports: &mut usize,
+        to: NodeIdx,
+        s: &Session,
+        path: PathId,
+    ) -> Option<CompactRoute> {
+        *imports += 1;
+        let ctx = self.ctx;
+        // Fault-injected filtering: this AS drops poisoned
+        // (AS-set-carrying) announcements outright, §5.
+        if !self.poison_filters.is_empty()
+            && self.poison_filters.contains(&to)
+            && ctx.arena.has_set(path)
+        {
+            return None;
+        }
+        if self
+            .defenses
+            .is_some_and(|plan| !plan.accepts_import(&self.check(to, s.peer, s.rel, path)))
+        {
+            return None;
+        }
+        let policy = overlay_policy(ctx.world, self.overlay, to);
+        ctx.engine.import_compact(
+            policy, &ctx.arena, to, s.peer, s.city, s.rel, s.kind, path, s.igp, self.age,
+        )
+    }
+
+    /// What a [`DefensePlan`] sees of `path` on the `me`–`peer` session.
+    fn check(
+        &self,
+        me: NodeIdx,
+        peer: NodeIdx,
+        rel: Relationship,
+        path: PathId,
+    ) -> ExtensionCheck<'_> {
+        ExtensionCheck {
+            world: self.ctx.world,
+            arena: &self.ctx.arena,
+            me,
+            peer,
+            rel,
+            prefix: self.prefix,
+            path,
+        }
+    }
 }
 
 /// Worklist scheduling discipline for [`PrefixSim`].
@@ -1099,22 +1113,6 @@ impl<'w> PrefixSim<'w> {
         self.run_event([Some(idx), None])
     }
 
-    /// Withdraws `attacker`'s adversarial origination
-    /// ([`PrefixSim::hijack`]); the graph reconverges back onto the
-    /// legitimate routes. No-op if the attacker is unknown or not
-    /// currently hijacking.
-    pub fn clear_hijack(&mut self, attacker: Asn, at: Timestamp) -> Convergence {
-        assert!(at >= self.clock, "time went backwards");
-        let Some(idx) = self.ctx.world.graph.index_of(attacker) else {
-            return NO_OP_CONVERGENCE;
-        };
-        if self.extra_origins.remove(&idx).is_none() {
-            return NO_OP_CONVERGENCE;
-        }
-        self.clock = at;
-        self.run_event([Some(idx), None])
-    }
-
     /// Installs (or clears) the per-AS [`DefensePlan`] consulted on the
     /// import/export path. Like [`PrefixSim::set_poison_filters`], takes
     /// effect for subsequent events — install before announcing.
@@ -1318,7 +1316,11 @@ impl<'w> PrefixSim<'w> {
         let mut spec = overlay_policy(self.ctx.world, &self.overlay, x).clone();
         edit(&mut spec);
         self.overlay.insert(x, Arc::new(spec));
-        let imports = if import_side { self.rederive_rib(x) } else { 0 };
+        let imports = if import_side {
+            self.rederive_rib(x, None)
+        } else {
+            0
+        };
         self.stats.imports += imports;
         let mut conv = self.run_event([Some(x), None]);
         conv.imports += imports;
@@ -1342,91 +1344,47 @@ impl<'w> PrefixSim<'w> {
         if !changed {
             return NO_OP_CONVERGENCE;
         }
-        let imports = self.rederive_rib(x);
+        let imports = self.rederive_rib(x, None);
         self.stats.imports += imports;
         let mut conv = self.run_event([Some(x), None]);
         conv.imports += imports;
         conv
     }
 
-    /// Recomputes `x`'s entire adj-RIB-in from its neighbors' current best
-    /// routes under the *current* (post-edit) policies. Sound at any
-    /// converged point because the engine maintains the invariant
+    /// Splits the sim into the read-only [`Transfer`] view, the best table
+    /// exports are read from, and the adj-RIB-in imports are written to.
+    fn transfer(&mut self) -> (Transfer<'_, 'w>, &RouteColumns, &mut RouteColumns) {
+        let view = Transfer {
+            ctx: &self.ctx,
+            prefix: self.prefix,
+            origin: self.origin_idx.zip(self.announcement.as_ref()),
+            downed: &self.downed,
+            poison_filters: &self.poison_filters,
+            defenses: self.defenses.as_deref().filter(|plan| !plan.is_empty()),
+            overlay: &self.overlay,
+            age: clamp_age(self.clock),
+        };
+        (view, &self.best, &mut self.rib)
+    }
+
+    /// Recomputes `x`'s adj-RIB-in — every session, or only those toward
+    /// `only_peer` — from its neighbors' current best routes under the
+    /// *current* (post-edit) policies. Sound at any converged point because
+    /// the engine maintains the invariant
     /// `rib[x][si] == import(export(peer's best))` for live sessions — the
     /// stored entries are a pure function of state this pass re-reads.
     /// Returns import evaluations performed.
-    fn rederive_rib(&mut self, x: NodeIdx) -> usize {
+    fn rederive_rib(&mut self, x: NodeIdx, only_peer: Option<NodeIdx>) -> usize {
         let mut imports = 0;
-        let PrefixSim {
-            ctx,
-            prefix,
-            announcement,
-            origin_idx,
-            best,
-            rib,
-            downed,
-            poison_filters,
-            defenses,
-            overlay,
-            clock,
-            ..
-        } = self;
-        let age = clamp_age(*clock);
-        let policy_x = overlay_policy(ctx.world, overlay, x);
-        let base = ctx.rib_base(x);
-        for (si, s) in ctx.sessions(x).iter().enumerate() {
-            let peer = s.peer;
-            let link_up = downed.is_empty() || !downed.contains(&link_key(x, peer));
-            let imported = if link_up {
-                best.get(peer)
-                    .as_ref()
-                    .and_then(|b| {
-                        let policy_peer = overlay_policy(ctx.world, overlay, peer);
-                        // `via` restrictions are the primary origin's alone.
-                        let ann = if *origin_idx == Some(peer) {
-                            announcement.as_ref()
-                        } else {
-                            None
-                        };
-                        ctx.export_compact(peer, policy_peer, x, s, b, *prefix, ann)
-                    })
-                    .filter(|&p| {
-                        defense_allows_export(
-                            defenses.as_deref(),
-                            ctx,
-                            peer,
-                            x,
-                            s.rel.reverse(),
-                            *prefix,
-                            p,
-                        )
-                    })
-                    .and_then(|p| {
-                        imports += 1;
-                        if !poison_filters.is_empty()
-                            && poison_filters.contains(&x)
-                            && ctx.arena.has_set(p)
-                        {
-                            return None;
-                        }
-                        if !defense_accepts_import(
-                            defenses.as_deref(),
-                            ctx,
-                            x,
-                            peer,
-                            s.rel,
-                            *prefix,
-                            p,
-                        ) {
-                            return None;
-                        }
-                        ctx.engine.import_compact(
-                            policy_x, &ctx.arena, x, peer, s.city, s.rel, s.kind, p, s.igp, age,
-                        )
-                    })
-            } else {
-                None
-            };
+        let (t, best, rib) = self.transfer();
+        let base = t.ctx.rib_base(x);
+        for (si, s) in t.ctx.sessions(x).iter().enumerate() {
+            if only_peer.is_some_and(|peer| peer != s.peer) {
+                continue;
+            }
+            let imported = t
+                .export(&t.sender(s.peer, best.get(s.peer)), x, s)
+                .and_then(|p| t.import(&mut imports, x, s, p));
             rib.set(base + si, imported);
         }
         imports
@@ -1488,77 +1446,7 @@ impl<'w> PrefixSim<'w> {
     /// stable states could land in a different equilibrium than the
     /// pull-model sweep oracle. Returns import evaluations performed.
     fn reestablish_sessions(&mut self, key: (NodeIdx, NodeIdx)) -> usize {
-        let mut imports = 0;
-        let PrefixSim {
-            ctx,
-            prefix,
-            announcement,
-            origin_idx,
-            best,
-            rib,
-            poison_filters,
-            defenses,
-            overlay,
-            clock,
-            ..
-        } = self;
-        let age = clamp_age(*clock);
-        for (x, l) in [(key.0, key.1), (key.1, key.0)] {
-            let best_x = best.get(x);
-            let policy_x = overlay_policy(ctx.world, overlay, x);
-            let policy_l = overlay_policy(ctx.world, overlay, l);
-            // `via` restrictions are the primary origin's alone.
-            let ann = if *origin_idx == Some(x) {
-                announcement.as_ref()
-            } else {
-                None
-            };
-            let base = ctx.rib_base(l);
-            for (si, s) in ctx.sessions(l).iter().enumerate() {
-                if s.peer != x {
-                    continue;
-                }
-                let imported = best_x
-                    .as_ref()
-                    .and_then(|b| ctx.export_compact(x, policy_x, l, s, b, *prefix, ann))
-                    .filter(|&p| {
-                        defense_allows_export(
-                            defenses.as_deref(),
-                            ctx,
-                            x,
-                            l,
-                            s.rel.reverse(),
-                            *prefix,
-                            p,
-                        )
-                    })
-                    .and_then(|p| {
-                        imports += 1;
-                        if !poison_filters.is_empty()
-                            && poison_filters.contains(&l)
-                            && ctx.arena.has_set(p)
-                        {
-                            return None;
-                        }
-                        if !defense_accepts_import(
-                            defenses.as_deref(),
-                            ctx,
-                            l,
-                            x,
-                            s.rel,
-                            *prefix,
-                            p,
-                        ) {
-                            return None;
-                        }
-                        ctx.engine.import_compact(
-                            policy_l, &ctx.arena, l, x, s.city, s.rel, s.kind, p, s.igp, age,
-                        )
-                    });
-                rib.set(base + si, imported);
-            }
-        }
-        imports
+        self.rederive_rib(key.1, Some(key.0)) + self.rederive_rib(key.0, Some(key.1))
     }
 
     /// Runs a fault-seeded reconvergence, accounting rounds as recovery.
@@ -1824,32 +1712,18 @@ impl<'w> PrefixSim<'w> {
     /// age it would carry as a live candidate).
     fn select_at(&self, x: NodeIdx) -> Option<CompactRoute> {
         let origination = match (self.origin_idx, &self.announcement) {
-            (Some(origin_idx), Some(_)) if origin_idx == x => Some(CompactRoute {
-                path: self.ann_path,
-                path_len: self.ann_path_len,
-                learned_from: NO_NODE,
-                city: NO_CITY,
-                rel: REL_NONE,
-                local_pref: i32::MAX, // local routes beat everything
-                igp_cost: 0,
-                age: clamp_age(self.announce_time),
-            }),
+            (Some(origin_idx), Some(_)) if origin_idx == x => Some(CompactRoute::local(
+                self.ann_path,
+                self.ann_path_len,
+                self.announce_time,
+            )),
             _ => None,
         };
         let graph = &self.ctx.world.graph;
         let mut best = origination;
         if !self.extra_origins.is_empty() {
             if let Some(e) = self.extra_origins.get(&x) {
-                let cand = CompactRoute {
-                    path: e.path,
-                    path_len: e.path_len,
-                    learned_from: NO_NODE,
-                    city: NO_CITY,
-                    rel: REL_NONE,
-                    local_pref: i32::MAX,
-                    igp_cost: 0,
-                    age: clamp_age(e.at),
-                };
+                let cand = CompactRoute::local(e.path, e.path_len, e.at);
                 best = match best {
                     Some(b) if compare_compact(graph, &cand, &b).is_lt() => Some(cand),
                     None => Some(cand),
@@ -1884,56 +1758,13 @@ impl<'w> PrefixSim<'w> {
         next: &mut BitWorklist,
     ) -> usize {
         let mut imports = 0;
-        let PrefixSim {
-            ctx,
-            prefix,
-            order,
-            announcement,
-            origin_idx,
-            best,
-            rib,
-            downed,
-            poison_filters,
-            defenses,
-            overlay,
-            clock,
-            ..
-        } = self;
-        let free = *order == ActivationOrder::Free;
-        // The announcement's export restrictions (`via`) belong to the
-        // primary origin alone: an adversarial extra origination exports
-        // to all neighbors.
-        let ann = if *origin_idx == Some(x) {
-            announcement.as_ref()
-        } else {
-            None
-        };
-        let best_x = best.get(x);
-        let policy_x = overlay_policy(ctx.world, overlay, x);
-        let age = clamp_age(*clock);
-        for &(l, rib_idx) in ctx.listeners(x) {
+        let free = self.order == ActivationOrder::Free;
+        let (t, best, rib) = self.transfer();
+        let sender = t.sender(x, best.get(x));
+        for &(l, rib_idx) in t.ctx.listeners(x) {
             let (l, rib_idx) = (l as usize, rib_idx as usize);
-            let s = ctx.session_at(rib_idx);
-            // A downed link carries nothing in either direction.
-            let link_up = downed.is_empty() || !downed.contains(&link_key(x, l));
-            let exported = if link_up {
-                best_x
-                    .as_ref()
-                    .and_then(|b| ctx.export_compact(x, policy_x, l, s, b, *prefix, ann))
-                    .filter(|&p| {
-                        defense_allows_export(
-                            defenses.as_deref(),
-                            ctx,
-                            x,
-                            l,
-                            s.rel.reverse(),
-                            *prefix,
-                            p,
-                        )
-                    })
-            } else {
-                None
-            };
+            let s = t.ctx.session_at(rib_idx);
+            let exported = t.export(&sender, l, s);
             // An unchanged exported path implies an unchanged import: every
             // other route attribute is a deterministic function of the
             // session and the path (ages are re-stamped at selection).
@@ -1946,30 +1777,7 @@ impl<'w> PrefixSim<'w> {
             if unchanged {
                 continue;
             }
-            let imported = exported.and_then(|p| {
-                imports += 1;
-                // Fault-injected filtering: this AS drops poisoned
-                // (AS-set-carrying) announcements outright, §5.
-                if !poison_filters.is_empty() && poison_filters.contains(&l) && ctx.arena.has_set(p)
-                {
-                    return None;
-                }
-                if !defense_accepts_import(defenses.as_deref(), ctx, l, x, s.rel, *prefix, p) {
-                    return None;
-                }
-                ctx.engine.import_compact(
-                    overlay_policy(ctx.world, overlay, l),
-                    &ctx.arena,
-                    l,
-                    x,
-                    s.city,
-                    s.rel,
-                    s.kind,
-                    p,
-                    s.igp,
-                    age,
-                )
-            });
+            let imported = exported.and_then(|p| t.import(&mut imports, l, s, p));
             // The export changed but the import verdict didn't: nothing for
             // the listener to react to.
             if imported.is_none() && !rib.is_some(rib_idx) {
@@ -2121,7 +1929,7 @@ impl<'w> PrefixSim<'w> {
             }
         }
         for x in 0..n {
-            sim.rederive_rib(x);
+            sim.rederive_rib(x, None);
         }
         sim
     }
@@ -2152,39 +1960,6 @@ impl<'w> PrefixSim<'w> {
             self.ctx.arena.stats(),
         );
         stats
-    }
-}
-
-impl PropagationEngine for PrefixSim<'_> {
-    fn announce(&mut self, ann: Announcement, at: Timestamp) -> Convergence {
-        PrefixSim::announce(self, ann, at)
-    }
-    fn withdraw(&mut self, at: Timestamp) -> Convergence {
-        PrefixSim::withdraw(self, at)
-    }
-    fn best(&self, x: NodeIdx) -> Option<Route> {
-        PrefixSim::best(self, x)
-    }
-    fn candidates(&self, x: NodeIdx) -> Vec<Route> {
-        PrefixSim::candidates(self, x)
-    }
-    fn stats(&self) -> EngineStats {
-        PrefixSim::stats(self)
-    }
-    fn fail_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        PrefixSim::fail_link(self, a, b, at)
-    }
-    fn restore_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        PrefixSim::restore_link(self, a, b, at)
-    }
-    fn reset_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        PrefixSim::reset_link(self, a, b, at)
-    }
-    fn set_poison_filters(&mut self, filters: &BTreeSet<Asn>) {
-        PrefixSim::set_poison_filters(self, filters.iter().copied())
-    }
-    fn downed_links(&self) -> Vec<(Asn, Asn)> {
-        PrefixSim::downed_links(self)
     }
 }
 

@@ -20,8 +20,7 @@
 use crate::decision;
 use crate::route::Route;
 use crate::sim::{
-    link_key, Announcement, Convergence, EngineStats, PropagationEngine, Session, SimContext,
-    NO_OP_CONVERGENCE,
+    link_key, Announcement, Convergence, EngineStats, Session, SimContext, NO_OP_CONVERGENCE,
 };
 use ir_topology::graph::NodeIdx;
 use ir_topology::World;
@@ -314,8 +313,8 @@ impl<'w> SweepSim<'w> {
     }
 
     /// The selected route at node `x` (path does not include `x` itself).
-    /// Returned by value, matching the [`PropagationEngine`] boundary the
-    /// compact engine materializes at.
+    /// Returned by value, like [`crate::sim::PrefixSim::best`], which
+    /// materializes from compact storage.
     pub fn best(&self, x: NodeIdx) -> Option<Route> {
         self.best[x].clone()
     }
@@ -355,39 +354,6 @@ impl<'w> SweepSim<'w> {
     /// Cumulative effort counters since construction.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-}
-
-impl PropagationEngine for SweepSim<'_> {
-    fn announce(&mut self, ann: Announcement, at: Timestamp) -> Convergence {
-        SweepSim::announce(self, ann, at)
-    }
-    fn withdraw(&mut self, at: Timestamp) -> Convergence {
-        SweepSim::withdraw(self, at)
-    }
-    fn best(&self, x: NodeIdx) -> Option<Route> {
-        SweepSim::best(self, x)
-    }
-    fn candidates(&self, x: NodeIdx) -> Vec<Route> {
-        SweepSim::candidates(self, x)
-    }
-    fn stats(&self) -> EngineStats {
-        SweepSim::stats(self)
-    }
-    fn fail_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        SweepSim::fail_link(self, a, b, at)
-    }
-    fn restore_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        SweepSim::restore_link(self, a, b, at)
-    }
-    fn reset_link(&mut self, a: Asn, b: Asn, at: Timestamp) -> Convergence {
-        SweepSim::reset_link(self, a, b, at)
-    }
-    fn set_poison_filters(&mut self, filters: &BTreeSet<Asn>) {
-        SweepSim::set_poison_filters(self, filters.iter().copied())
-    }
-    fn downed_links(&self) -> Vec<(Asn, Asn)> {
-        SweepSim::downed_links(self)
     }
 }
 

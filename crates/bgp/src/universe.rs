@@ -7,12 +7,12 @@
 //! is what the data plane's forwarding walk and the collectors' BGP feeds
 //! both consume.
 //!
-//! [`RoutingUniverse::compute_with_faults`] additionally replays a
+//! [`RoutingUniverse::compute_with_faults_ordered`] additionally replays a
 //! [`FaultPlane`]'s timed schedule (link flaps, session resets) against
 //! every prefix after the initial announcement, and applies its poison
-//! filters — the control-plane half of the chaos layer. A quiet plane takes
-//! the exact unfaulted code path, so zero-rate configs are bit-identical
-//! to [`RoutingUniverse::compute`].
+//! filters — the control-plane half of the chaos layer. A quiet plane is an
+//! empty filter set and an empty schedule through the same loop, so
+//! zero-rate configs are bit-identical to [`RoutingUniverse::compute`].
 //!
 //! **Cross-prefix batching.** The decision process, import/export policy,
 //! and fault schedule never look at prefix *bits*: the only prefix-sensitive
@@ -23,9 +23,9 @@
 //! each route carries. The universe groups prefixes by shape, propagates
 //! once per shape, and fans the converged RIB out to the other members by
 //! rewriting the carried prefix, which is byte-identical to (and much
-//! cheaper than) re-running propagation per member. The
-//! `compute_per_prefix*` variants keep the unbatched path alive as the
-//! oracle the batching-invariance proptests compare against;
+//! cheaper than) re-running propagation per member.
+//! [`RoutingUniverse::compute_per_prefix`] keeps the unbatched path alive as
+//! the oracle the batching-invariance proptests compare against;
 //! [`EngineStats::shapes_computed`] / [`EngineStats::prefixes_shared`]
 //! (via [`RoutingUniverse::engine_stats`]) make the sharing observable.
 
@@ -34,7 +34,7 @@ use crate::patharena::{PathArena, PathId};
 use crate::route::Route;
 use crate::sim::{ActivationOrder, Announcement, EngineStats, PrefixSim, ShapeTable, SimContext};
 use crate::snapshot::{seal_with_crc, verify_crc, Reader, Writer};
-use ir_fault::{FaultDomain, FaultPlane};
+use ir_fault::{FaultDomain, FaultPlane, TimedFault};
 use ir_topology::graph::NodeIdx;
 use ir_topology::World;
 use ir_types::{Asn, Error, Ipv4, Prefix, Timestamp};
@@ -44,8 +44,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Snapshot format tag; bump on any layout change. `02` sealed the CRC32
-/// trailer and the serving-path [`EngineStats`] counters into the layout.
-const SNAPSHOT_MAGIC: &[u8] = b"IRUNIV02";
+/// trailer into the layout; `03` dropped the serving-layer counters
+/// [`EngineStats`] no longer carries.
+const SNAPSHOT_MAGIC: &[u8] = b"IRUNIV03";
 
 /// Converged routing state for a set of prefixes.
 pub struct RoutingUniverse {
@@ -59,8 +60,9 @@ pub struct RoutingUniverse {
     asns: Vec<Asn>,
     /// Origin of each prefix.
     origins: BTreeMap<Prefix, Asn>,
-    /// Prefixes whose propagation failed to converge (policy disputes);
-    /// empty in every seeded scenario, but surfaced rather than hidden.
+    /// Prefixes whose propagation failed to converge (policy disputes),
+    /// ascending. Generated worlds do contain live dispute wheels — the
+    /// seed-7 paper world reports 410 of its 1 212 prefixes here.
     unconverged: Vec<Prefix>,
     /// Announced prefixes sorted by `(base, len)` — the LPM index.
     lpm_index: Vec<Prefix>,
@@ -126,7 +128,7 @@ type ShapeKey = (NodeIdx, Option<BTreeSet<Asn>>);
 /// group, key order across groups — both deterministic). With `batch`
 /// off every prefix is its own singleton group: the per-prefix oracle
 /// path.
-pub(crate) fn shape_groups(
+fn shape_groups(
     world: &World,
     prefixes: &[Prefix],
     owners: &BTreeMap<Prefix, Asn>,
@@ -177,6 +179,44 @@ fn fan_out(
     out
 }
 
+/// Converges `prefixes` shape by shape — the one loop behind every
+/// [`RoutingUniverse`] `compute*` entry and the [`crate::WhatIfEngine`]
+/// base convergence. Prefixes are grouped by announcement shape (`batch`
+/// off: every prefix its own group, the oracle path) and each group runs in
+/// parallel on a fork of one shared context — shared CSR topology and policy
+/// engine, private path arena, so shapes never contend on interning:
+/// `prepare` installs filters or defenses on the fresh sim, the
+/// representative is announced plainly at t=0, `schedule` is replayed, and
+/// the sim — with whether every event converged — is handed to `finish`
+/// along with the group's origin and members.
+pub(crate) fn converge_shapes<'w, T: Send>(
+    world: &'w World,
+    prefixes: &[Prefix],
+    order: ActivationOrder,
+    batch: bool,
+    schedule: &[TimedFault],
+    prepare: impl Fn(&mut PrefixSim<'w>) + Sync,
+    finish: impl Fn(PrefixSim<'w>, bool, Asn, &[Prefix]) -> T + Sync,
+) -> Vec<T> {
+    let owners = prefix_owners(world);
+    let ctx = SimContext::shared(world);
+    shape_groups(world, prefixes, &owners, batch)
+        .par_iter()
+        .map(|(origin, members)| {
+            let rep = members[0];
+            let mut sim = PrefixSim::with_context_ordered(ctx.fork(), rep, order);
+            prepare(&mut sim);
+            let mut converged = sim
+                .announce(Announcement::plain(*origin, rep), Timestamp::ZERO)
+                .converged;
+            for fault in schedule {
+                converged &= sim.apply_fault(fault).converged;
+            }
+            finish(sim, converged, *origin, members)
+        })
+        .collect()
+}
+
 fn prefix_mask(len: u8) -> u32 {
     if len == 0 {
         0
@@ -201,105 +241,48 @@ impl RoutingUniverse {
         prefixes: &[Prefix],
         order: ActivationOrder,
     ) -> RoutingUniverse {
-        Self::compute_ordered_impl(world, prefixes, order, true)
+        Self::compute_with_faults_ordered(world, prefixes, &FaultPlane::quiet(), order)
     }
 
-    /// [`RoutingUniverse::compute_ordered`] without cross-prefix batching:
-    /// every prefix runs its own propagation. Same result byte for byte —
-    /// kept as the oracle the batching-invariance tests compare against.
-    pub fn compute_per_prefix_ordered(
-        world: &World,
-        prefixes: &[Prefix],
-        order: ActivationOrder,
-    ) -> RoutingUniverse {
-        Self::compute_ordered_impl(world, prefixes, order, false)
-    }
-
-    fn compute_ordered_impl(
-        world: &World,
-        prefixes: &[Prefix],
-        order: ActivationOrder,
-        batch: bool,
-    ) -> RoutingUniverse {
-        let owners = prefix_owners(world);
-        // One session table + policy engine for the whole batch; each
-        // per-shape sim forks the context — shared CSR topology, private
-        // path arena — so parallel shapes never contend on interning, and
-        // the retained table (re-interned at extraction) holds only the
-        // routes that survived convergence.
-        let ctx = SimContext::shared(world);
-        let groups = shape_groups(world, prefixes, &owners, batch);
-        let per_shape: Vec<(Vec<PrefixResult>, EngineStats)> = groups
-            .par_iter()
-            .map(|(origin, members)| {
-                let rep = members[0];
-                let mut sim = PrefixSim::with_context_ordered(ctx.fork(), rep, order);
-                let conv = sim.announce(Announcement::plain(*origin, rep), Timestamp::ZERO);
-                let table = Arc::new(sim.extract_table());
-                (
-                    fan_out(*origin, members, table, conv.converged),
-                    sim.stats(),
-                )
-            })
-            .collect();
-        let mut stats = EngineStats::default();
-        let mut results = Vec::with_capacity(prefixes.len());
-        for (shape_results, shape_stats) in per_shape {
-            stats.absorb(&shape_stats);
-            stats.shapes_computed += 1;
-            stats.prefixes_shared += shape_results.len() - 1;
-            results.extend(shape_results);
-        }
-        Self::assemble(world, results, UniverseResilience::default(), stats)
-    }
-
-    /// Converges the given prefixes under a fault plane: poison-filtering
-    /// ASes are sampled from the plane, and after the t=0 announcement the
-    /// plane's timed schedule (link flaps, session resets) is replayed
-    /// against every prefix. A quiet plane delegates to
-    /// [`RoutingUniverse::compute`] — bit-identical output.
-    pub fn compute_with_faults(
-        world: &World,
-        prefixes: &[Prefix],
-        plane: &FaultPlane,
-    ) -> RoutingUniverse {
-        Self::compute_with_faults_ordered(world, prefixes, plane, ActivationOrder::default())
-    }
-
-    /// [`RoutingUniverse::compute_with_faults`] with an explicit engine
-    /// scheduling discipline (see [`RoutingUniverse::compute_ordered`]).
+    /// The general form: converges the given prefixes under a fault plane
+    /// and an explicit scheduling discipline (see
+    /// [`RoutingUniverse::compute_ordered`]). Poison-filtering ASes are
+    /// sampled from the plane, and after the t=0 announcement the plane's
+    /// timed schedule (link flaps, session resets) is replayed against every
+    /// prefix. A plane with no poison-filter rate and no schedule — the
+    /// quiet plane included — is bit-identical to
+    /// [`RoutingUniverse::compute_ordered`].
     pub fn compute_with_faults_ordered(
         world: &World,
         prefixes: &[Prefix],
         plane: &FaultPlane,
         order: ActivationOrder,
     ) -> RoutingUniverse {
-        Self::compute_with_faults_impl(world, prefixes, plane, order, true)
+        Self::converge(world, prefixes, plane, order, true)
     }
 
     /// [`RoutingUniverse::compute_with_faults_ordered`] without cross-prefix
-    /// batching (see [`RoutingUniverse::compute_per_prefix_ordered`]).
-    pub fn compute_per_prefix_with_faults_ordered(
+    /// batching: every prefix runs its own propagation. Same result byte for
+    /// byte — kept as the oracle the batching-invariance tests compare
+    /// against.
+    pub fn compute_per_prefix(
         world: &World,
         prefixes: &[Prefix],
         plane: &FaultPlane,
         order: ActivationOrder,
     ) -> RoutingUniverse {
-        Self::compute_with_faults_impl(world, prefixes, plane, order, false)
+        Self::converge(world, prefixes, plane, order, false)
     }
 
-    fn compute_with_faults_impl(
+    fn converge(
         world: &World,
         prefixes: &[Prefix],
         plane: &FaultPlane,
         order: ActivationOrder,
         batch: bool,
     ) -> RoutingUniverse {
-        if plane.is_quiet() {
-            return Self::compute_ordered_impl(world, prefixes, order, batch);
-        }
-        let owners = prefix_owners(world);
-        let ctx = SimContext::shared(world);
+        // Poison filters and the timed schedule are prefix-independent, so
+        // the announcement-shape grouping stays valid under faults.
         let filters: Vec<Asn> = world
             .graph
             .nodes()
@@ -307,30 +290,24 @@ impl RoutingUniverse {
             .filter(|n| plane.selects(FaultDomain::PoisonFilter, n.asn.value() as u64))
             .map(|n| n.asn)
             .collect();
-        // Poison filters and the timed schedule are prefix-independent, so
-        // the announcement-shape grouping stays valid under faults.
-        let groups = shape_groups(world, prefixes, &owners, batch);
-        let per_shape: Vec<(Vec<PrefixResult>, EngineStats, usize)> = groups
-            .par_iter()
-            .map(|(origin, members)| {
-                let rep = members[0];
-                let mut sim = PrefixSim::with_context_ordered(ctx.fork(), rep, order);
-                sim.set_poison_filters(filters.iter().copied());
-                let mut converged = sim
-                    .announce(Announcement::plain(*origin, rep), Timestamp::ZERO)
-                    .converged;
-                for fault in plane.schedule() {
-                    converged &= sim.apply_fault(fault).converged;
-                }
+        let per_shape: Vec<(Vec<PrefixResult>, EngineStats, usize)> = converge_shapes(
+            world,
+            prefixes,
+            order,
+            batch,
+            plane.schedule(),
+            |sim| sim.set_poison_filters(filters.iter().copied()),
+            |sim, converged, origin, members| {
+                // The retained table is re-interned at extraction, so it
+                // holds only the routes that survived convergence.
                 let table = Arc::new(sim.extract_table());
-                let down = sim.downed_links().len();
                 (
-                    fan_out(*origin, members, table, converged),
+                    fan_out(origin, members, table, converged),
                     sim.stats(),
-                    down,
+                    sim.downed_links().len(),
                 )
-            })
-            .collect();
+            },
+        );
         let mut resilience = UniverseResilience::default();
         let mut stats = EngineStats::default();
         let mut results = Vec::with_capacity(prefixes.len());
@@ -388,18 +365,15 @@ impl RoutingUniverse {
 
     /// Converges every prefix originated in the world.
     pub fn compute_all(world: &World) -> RoutingUniverse {
-        let prefixes: Vec<Prefix> = prefix_owners(world).keys().copied().collect();
-        Self::compute(world, &prefixes)
+        Self::compute_all_with_faults_ordered(
+            world,
+            &FaultPlane::quiet(),
+            ActivationOrder::default(),
+        )
     }
 
-    /// [`RoutingUniverse::compute_all`] under a fault plane.
-    pub fn compute_all_with_faults(world: &World, plane: &FaultPlane) -> RoutingUniverse {
-        let prefixes: Vec<Prefix> = prefix_owners(world).keys().copied().collect();
-        Self::compute_with_faults(world, &prefixes, plane)
-    }
-
-    /// [`RoutingUniverse::compute_all_with_faults`] with an explicit engine
-    /// scheduling discipline (see [`RoutingUniverse::compute_ordered`]).
+    /// [`RoutingUniverse::compute_with_faults_ordered`] over every prefix
+    /// originated in the world.
     pub fn compute_all_with_faults_ordered(
         world: &World,
         plane: &FaultPlane,
@@ -581,8 +555,6 @@ impl RoutingUniverse {
             self.stats.ases_seeded,
             self.stats.routes_retained,
             self.stats.deadline_aborts,
-            self.stats.queries_shed,
-            self.stats.queries_degraded,
             self.stats.memory.route_bytes,
             self.stats.memory.routes,
             self.stats.memory.arena_bytes,
@@ -605,23 +577,24 @@ impl RoutingUniverse {
             usize::try_from(v)
                 .map_err(|_| Error::parse(None, format!("snapshot counter {v} overflows usize")))
         }
-        // The CRC32 trailer is verified (and stripped) before any structural
-        // decoding: a torn or bit-flipped file is rejected wholesale, so the
-        // validating decode below only ever sees what the writer sealed.
-        // Older-format images (pre-CRC layouts) would fail that check with a
-        // misleading "torn or corrupt" error, so a recognizable foreign
-        // version magic reports as a format mismatch instead.
-        let bytes = verify_crc(bytes).map_err(|e| match bytes.get(..SNAPSHOT_MAGIC.len()) {
-            Some(m) if m.starts_with(b"IRUNIV") && m != SNAPSHOT_MAGIC => Error::parse(
+        // A recognizable foreign version magic reports as a format mismatch
+        // first: older layouts differ in length or lack the trailer, so the
+        // checks below would misreport them as torn or corrupt.
+        let foreign = |m: &&[u8]| m.starts_with(b"IRUNIV") && *m != SNAPSHOT_MAGIC;
+        if let Some(m) = bytes.get(..SNAPSHOT_MAGIC.len()).filter(foreign) {
+            return Err(Error::parse(
                 None,
                 format!(
                     "snapshot format {} is not supported by this build (expected {})",
                     String::from_utf8_lossy(m),
                     String::from_utf8_lossy(SNAPSHOT_MAGIC)
                 ),
-            ),
-            _ => e,
-        })?;
+            ));
+        }
+        // The CRC32 trailer is verified (and stripped) before any structural
+        // decoding: a torn or bit-flipped file is rejected wholesale, so the
+        // validating decode below only ever sees what the writer sealed.
+        let bytes = verify_crc(bytes)?;
         let mut r = Reader::new(bytes);
         r.expect_magic(SNAPSHOT_MAGIC)?;
         let n_asns = r.len(4)?;
@@ -725,12 +698,6 @@ impl RoutingUniverse {
             ases_seeded: to_usize(r.u64()?)?,
             routes_retained: to_usize(r.u64()?)?,
             deadline_aborts: to_usize(r.u64()?)?,
-            queries_shed: to_usize(r.u64()?)?,
-            queries_degraded: to_usize(r.u64()?)?,
-            // Serving-layer counters are not part of the snapshot format:
-            // a universe is computed, not served, so they are always zero.
-            certificates_preserved: 0,
-            certificates_revoked: 0,
             memory: MemoryBudget {
                 route_bytes: to_usize(r.u64()?)?,
                 routes: to_usize(r.u64()?)?,
@@ -884,8 +851,12 @@ mod tests {
         let w = GeneratorConfig::tiny().build(9);
         let ps: Vec<Prefix> = prefix_owners(&w).keys().copied().collect();
         let batched = RoutingUniverse::compute(&w, &ps);
-        let oracle =
-            RoutingUniverse::compute_per_prefix_ordered(&w, &ps, ActivationOrder::default());
+        let oracle = RoutingUniverse::compute_per_prefix(
+            &w,
+            &ps,
+            &FaultPlane::quiet(),
+            ActivationOrder::default(),
+        );
         for p in &ps {
             assert_eq!(batched.origin(*p), oracle.origin(*p));
             for x in 0..w.graph.len() {
@@ -922,8 +893,12 @@ mod tests {
             .selective_announce
             .insert(ps[0], [keep].into_iter().collect());
         let u = RoutingUniverse::compute(&w, &ps);
-        let oracle =
-            RoutingUniverse::compute_per_prefix_ordered(&w, &ps, ActivationOrder::default());
+        let oracle = RoutingUniverse::compute_per_prefix(
+            &w,
+            &ps,
+            &FaultPlane::quiet(),
+            ActivationOrder::default(),
+        );
         for p in &ps {
             for x in 0..w.graph.len() {
                 assert_eq!(u.route(*p, x), oracle.route(*p, x), "{p} at {x}");
@@ -952,6 +927,20 @@ mod tests {
             msg.contains("IRUNIV01") && msg.contains("not supported"),
             "unhelpful version error: {msg}"
         );
+        // The previous layout, intact and correctly sealed, is still a
+        // version mismatch — not a "magic mismatch" or a short read.
+        let mut prev = u.to_snapshot_bytes().unwrap();
+        prev.truncate(prev.len() - 4);
+        prev[..8].copy_from_slice(b"IRUNIV02");
+        seal_with_crc(&mut prev);
+        let Err(err) = RoutingUniverse::from_snapshot_bytes(&prev) else {
+            panic!("previous-format image accepted");
+        };
+        let msg = err.to_string();
+        assert!(
+            msg.contains("IRUNIV02") && msg.contains("expected IRUNIV03"),
+            "unhelpful version error: {msg}"
+        );
         // A same-format corrupt file still reports corruption.
         let mut torn = u.to_snapshot_bytes().unwrap();
         let last = torn.len() - 1;
@@ -969,13 +958,32 @@ mod tests {
         let owners = prefix_owners(&w);
         let ps: Vec<Prefix> = owners.keys().copied().take(10).collect();
         let plain = RoutingUniverse::compute(&w, &ps);
-        let quiet = RoutingUniverse::compute_with_faults(&w, &ps, &FaultPlane::quiet());
-        for p in &ps {
-            for x in 0..w.graph.len() {
-                assert_eq!(plain.route(*p, x), quiet.route(*p, x));
+        // Idle for BGP but not quiet: only measurement-plane rates are set.
+        let bgp_idle = FaultPlane::new(
+            FaultConfig {
+                probe_dropout: 0.5,
+                dns_failure: 0.5,
+                ..FaultConfig::quiet()
+            },
+            11,
+        );
+        assert!(!bgp_idle.is_quiet());
+        for plane in [FaultPlane::quiet(), bgp_idle] {
+            let order = ActivationOrder::default();
+            let faulted = RoutingUniverse::compute_with_faults_ordered(&w, &ps, &plane, order);
+            for p in &ps {
+                for x in 0..w.graph.len() {
+                    assert_eq!(plain.route(*p, x), faulted.route(*p, x));
+                }
             }
+            assert_eq!(faulted.resilience(), UniverseResilience::default());
+            assert_eq!(faulted.engine_stats(), plain.engine_stats());
+            assert_eq!(faulted.unconverged(), plain.unconverged());
+            assert_eq!(
+                faulted.to_snapshot_bytes().unwrap(),
+                plain.to_snapshot_bytes().unwrap()
+            );
         }
-        assert_eq!(quiet.resilience(), UniverseResilience::default());
     }
 
     #[test]
@@ -996,7 +1004,12 @@ mod tests {
             ir_types::Timestamp(60),
             ir_fault::FaultEvent::LinkDown { a, b },
         );
-        let u = RoutingUniverse::compute_with_faults(&w, &ps, &plane);
+        let u = RoutingUniverse::compute_with_faults_ordered(
+            &w,
+            &ps,
+            &plane,
+            ActivationOrder::default(),
+        );
         let r = u.resilience();
         assert_eq!(r.fault_events, ps.len(), "one fault per prefix");
         assert_eq!(r.links_down_at_end, 1);

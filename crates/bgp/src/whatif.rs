@@ -25,11 +25,8 @@
 
 use crate::extension::DefensePlan;
 use crate::route::Route;
-use crate::sim::{
-    ActivationOrder, Announcement, Convergence, Delta, PrefixSim, ShapeTable, SimContext,
-    StepBudget,
-};
-use crate::universe::{prefix_owners, shape_groups, RoutingUniverse, UniverseResilience};
+use crate::sim::{ActivationOrder, Delta, PrefixSim, ShapeTable, SimContext, StepBudget};
+use crate::universe::{converge_shapes, RoutingUniverse, UniverseResilience};
 use ir_topology::graph::NodeIdx;
 use ir_topology::World;
 use ir_types::{Asn, Error, Prefix, Timestamp};
@@ -68,6 +65,10 @@ pub enum QueryError {
     /// anyway would silently no-op — rejecting is kinder to callers who
     /// typoed an ASN.)
     UnknownAsn(Asn),
+    /// A link edit names two known ASes with no session between them.
+    /// (Applying it anyway would report a phantom link as failed or
+    /// restored — the same silent no-op, one level up.)
+    UnknownLink(Asn, Asn),
 }
 
 impl std::fmt::Display for QueryError {
@@ -75,6 +76,9 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::UnknownPrefix(p) => write!(f, "prefix {p} is not resident"),
             QueryError::UnknownAsn(a) => write!(f, "delta references unknown AS {a}"),
+            QueryError::UnknownLink(a, b) => {
+                write!(f, "delta references unknown link {a}–{b}")
+            }
         }
     }
 }
@@ -284,25 +288,15 @@ impl<'w> WhatIfEngine<'w> {
         order: ActivationOrder,
         defenses: Option<Arc<DefensePlan>>,
     ) -> WhatIfEngine<'w> {
-        let owners = prefix_owners(world);
-        let ctx = SimContext::shared(world);
-        let groups = shape_groups(world, prefixes, &owners, true);
-        let shapes: Vec<(ShapeState<'w>, Vec<Prefix>)> = groups
-            .par_iter()
-            .map(|(origin, members)| {
-                let rep = members[0];
-                let mut sim = PrefixSim::with_context_ordered(ctx.fork(), rep, order);
-                sim.set_defenses(defenses.clone());
-                let conv = sim.announce(Announcement::plain(*origin, rep), Timestamp::ZERO);
-                (
-                    ShapeState {
-                        sim,
-                        converged: conv.converged,
-                    },
-                    members.clone(),
-                )
-            })
-            .collect();
+        let shapes = converge_shapes(
+            world,
+            prefixes,
+            order,
+            true,
+            &[],
+            |sim| sim.set_defenses(defenses.clone()),
+            |sim, converged, _, members| (ShapeState { sim, converged }, members.to_vec()),
+        );
         Self::assemble(world, order, shapes)
     }
 
@@ -526,21 +520,18 @@ impl<'w> WhatIfEngine<'w> {
         })
     }
 
-    /// Rejects deltas that name ASes outside the world — the sim would
-    /// treat them as silent no-ops, which is the right semantics for fault
-    /// replay but the wrong one for a query API.
+    /// Rejects deltas that name ASes or links outside the world — the sim
+    /// would treat them as silent no-ops, which is the right semantics for
+    /// fault replay but the wrong one for a query API.
     fn validate_deltas(&self, deltas: &[Delta]) -> Result<(), QueryError> {
-        let check = |asn: Asn| -> Result<(), QueryError> {
-            if self.world.graph.index_of(asn).is_none() {
-                return Err(QueryError::UnknownAsn(asn));
-            }
-            Ok(())
-        };
+        let graph = &self.world.graph;
+        let check = |asn: Asn| graph.index_of(asn).ok_or(QueryError::UnknownAsn(asn));
         for delta in deltas {
             match delta {
                 Delta::LinkDown { a, b } | Delta::LinkUp { a, b } => {
-                    check(*a)?;
-                    check(*b)?;
+                    if graph.link(check(*a)?, check(*b)?).is_none() {
+                        return Err(QueryError::UnknownLink(*a, *b));
+                    }
                 }
                 Delta::NeighborPref { of, neighbor, .. }
                 | Delta::ExportPrepend { of, neighbor, .. }
@@ -551,10 +542,14 @@ impl<'w> WhatIfEngine<'w> {
                 Delta::SelectiveAnnounce { of, .. } | Delta::PoisonFilter { of, .. } => {
                     check(*of)?;
                 }
-                Delta::Announce(ann) => check(ann.origin)?,
+                Delta::Announce(ann) => {
+                    check(ann.origin)?;
+                }
                 // Only the attacker must exist; a forged origin may be any
                 // ASN — attackers forge nonexistent origins too.
-                Delta::Hijack { attacker, .. } => check(*attacker)?,
+                Delta::Hijack { attacker, .. } => {
+                    check(*attacker)?;
+                }
                 Delta::Withdraw => {}
             }
         }
@@ -607,24 +602,6 @@ impl<'w> WhatIfEngine<'w> {
     pub fn base_converged(&self) -> bool {
         self.shapes.iter().all(|s| s.converged)
     }
-}
-
-/// Summed [`Convergence`] over an edit sequence — cold-side bookkeeping
-/// for speedup comparisons (warm side comes from [`DeltaStats`]).
-pub fn sum_convergence(convs: &[Convergence]) -> Convergence {
-    let mut total = Convergence {
-        rounds: 0,
-        converged: true,
-        activations: 0,
-        imports: 0,
-    };
-    for c in convs {
-        total.rounds += c.rounds;
-        total.activations += c.activations;
-        total.imports += c.imports;
-        total.converged &= c.converged;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -728,6 +705,38 @@ mod tests {
             },
         );
         assert_eq!(engine.query(&q), Err(QueryError::UnknownAsn(ghost)));
+    }
+
+    #[test]
+    fn link_edit_between_non_adjacent_ases_is_a_structured_error() {
+        let w = world();
+        let (origin, prefix) = stub_prefix(&w);
+        let engine = WhatIfEngine::new(&w, &[prefix]);
+        let oidx = w.graph.index_of(origin).unwrap();
+        let stranger = (0..w.graph.len())
+            .find(|&x| x != oidx && w.graph.link(oidx, x).is_none())
+            .map(|x| w.graph.asn(x))
+            .expect("some AS is not adjacent to the origin");
+        let down = Delta::LinkDown {
+            a: origin,
+            b: stranger,
+        };
+        assert_eq!(
+            engine.query(&WhatIfQuery::single(prefix, down)),
+            Err(QueryError::UnknownLink(origin, stranger))
+        );
+        let up = Delta::LinkUp {
+            a: stranger,
+            b: origin,
+        };
+        assert_eq!(
+            engine.query(&WhatIfQuery::single(prefix, up)),
+            Err(QueryError::UnknownLink(stranger, origin))
+        );
+        // A real link, named in either direction, is still accepted.
+        let peer = w.graph.asn(w.graph.links(oidx)[0].peer);
+        let q = WhatIfQuery::single(prefix, Delta::LinkDown { a: peer, b: origin });
+        assert!(engine.query(&q).is_ok());
     }
 
     #[test]

@@ -529,9 +529,8 @@ mod proptests {
                         pair.withdraw(at, &format!("{label}: pre-filter withdraw"));
                         let filters: BTreeSet<Asn> =
                             [w.graph.asn(arg % n)].into_iter().collect();
-                        use ir_bgp::PropagationEngine;
-                        PropagationEngine::set_poison_filters(&mut pair.event, &filters);
-                        PropagationEngine::set_poison_filters(&mut pair.sweep, &filters);
+                        pair.event.set_poison_filters(filters.iter().copied());
+                        pair.sweep.set_poison_filters(filters.iter().copied());
                     }
                 }
             }
@@ -573,7 +572,7 @@ mod proptests {
             let order = ActivationOrder::default();
             let batched = RoutingUniverse::compute_with_faults_ordered(&w, &ps, &plane, order);
             let oracle =
-                RoutingUniverse::compute_per_prefix_with_faults_ordered(&w, &ps, &plane, order);
+                RoutingUniverse::compute_per_prefix(&w, &ps, &plane, order);
             for p in &ps {
                 prop_assert_eq!(batched.origin(*p), oracle.origin(*p));
                 for x in 0..w.graph.len() {

@@ -12,7 +12,7 @@
 //!    link, poison-filtering ASes never hold an AS-set-carrying route, and
 //!    every injected fault is visible in the recovery counters.
 
-use ir_bgp::{Announcement, PrefixSim, PropagationEngine, SimContext, SweepSim};
+use ir_bgp::{Announcement, PrefixSim, SimContext, SweepSim};
 use ir_fault::{FaultConfig, FaultPlane};
 use ir_topology::{GeneratorConfig, World};
 use ir_types::{Asn, Prefix, Timestamp};
@@ -201,8 +201,8 @@ fn engines_agree_on_poison_filtering() {
             .filter(|x| x % 3 == 0)
             .map(|x| w.graph.asn(x))
             .collect();
-        PropagationEngine::set_poison_filters(&mut event, &filters);
-        PropagationEngine::set_poison_filters(&mut sweep, &filters);
+        event.set_poison_filters(filters.iter().copied());
+        sweep.set_poison_filters(filters.iter().copied());
 
         let mut ann = Announcement::plain(origin, prefix);
         ann.poison = vec![victim];

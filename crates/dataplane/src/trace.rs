@@ -19,7 +19,7 @@ use crate::addr::AddressPlan;
 use ir_bgp::RoutingUniverse;
 use ir_topology::graph::NodeIdx;
 use ir_topology::World;
-use ir_types::{Asn, CityId, Ipv4, Timestamp};
+use ir_types::{Asn, CityId, Ipv4};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -261,12 +261,6 @@ impl<'a> Tracer<'a> {
             true_asn: Some(asn),
             true_city: Some(city),
         });
-    }
-
-    /// Convenience: the time a traceroute nominally takes; used by the
-    /// measurement scheduler to advance the logical clock.
-    pub fn nominal_duration() -> Timestamp {
-        Timestamp(3)
     }
 }
 

@@ -85,12 +85,6 @@ impl ComplexRelDb {
         });
     }
 
-    /// Registers a partial-transit pair directly (tests / curated data).
-    pub fn insert_partial_transit_for_tests(&mut self, provider: Asn, customer: Asn) {
-        self.partial_transit.push((provider, customer));
-        self.partial_transit.sort_unstable();
-    }
-
     fn push_hybrid(&mut self, e: HybridEntry) {
         self.index.insert((e.a, e.b, e.city), e.rel_of_b_from_a);
         self.index
@@ -102,13 +96,6 @@ impl ComplexRelDb {
     /// hybrid entry for that pair and city.
     pub fn rel_at(&self, a: Asn, b: Asn, city: CityId) -> Option<Relationship> {
         self.index.get(&(a, b, city)).copied()
-    }
-
-    /// Whether the pair appears in the hybrid dataset at all (any city).
-    pub fn has_pair(&self, a: Asn, b: Asn) -> bool {
-        self.hybrids
-            .iter()
-            .any(|e| (e.a == a && e.b == b) || (e.a == b && e.b == a))
     }
 
     /// Whether `(provider, customer)` is a known partial-transit pair.

@@ -9,10 +9,9 @@
 //! real work to do (and stale links — the Netflix/AS3549 story — can
 //! survive into the aggregate).
 
-use ir_bgp::{Announcement, PrefixSim, RoutingUniverse};
+use ir_bgp::{PrefixSim, RoutingUniverse};
 use ir_topology::graph::{AsRole, LinkKind, NodeIdx};
 use ir_topology::World;
-use ir_types::Timestamp;
 use ir_types::{Asn, Prefix, Relationship};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -310,19 +309,6 @@ fn churn(w: &mut World, rng: &mut StdRng, distance: usize) {
 pub fn monthly_feed(world: &World, vantages: &[Asn]) -> BgpFeed {
     let universe = RoutingUniverse::compute_all(world);
     extract_feed(world, &universe, vantages)
-}
-
-/// Converges a single testbed-style announcement and reports the feed —
-/// convenience for control-plane experiment tests.
-pub fn feed_after_announcement(
-    world: &World,
-    ann: Announcement,
-    vantages: &[Asn],
-    at: Timestamp,
-) -> BgpFeed {
-    let mut sim = PrefixSim::new(world, ann.prefix);
-    sim.announce(ann, at);
-    extract_prefix_feed(&sim, vantages)
 }
 
 #[cfg(test)]

@@ -10,17 +10,18 @@
 //! engine in the machinery a *resident* process needs to stay honest
 //! under hostile load:
 //!
-//! * [`protocol`] — newline-delimited JSON over TCP, std-only. Malformed
-//!   input becomes a structured `error` response, never a dropped
-//!   connection or a panic.
+//! * [`protocol`] — newline-delimited JSON over TCP, std-only: every
+//!   request builder, decoder and response encoder. Malformed input
+//!   becomes a structured `error` response, never a dropped connection or
+//!   a panic.
 //! * [`admission`] — a bounded queue that sheds excess load explicitly
 //!   (`status: shed`, `retry_after_ms`) instead of queueing unboundedly.
 //! * [`server`] — the supervised loop: worker pool, per-query deadline
 //!   budgets with cooperative cancellation, per-prefix circuit breakers,
 //!   degraded-mode answers, graceful drain, and crash-safe snapshot
 //!   autosave through the atomic temp + fsync + rename path.
-//! * [`client`] — a thin blocking client used by the tests, the smoke
-//!   script, and `diag serve`.
+//! * [`client`] — a thin blocking socket client used by the tests, the
+//!   smoke script, and `diag serve`.
 //!
 //! Robustness invariants the integration suites pin:
 //!
@@ -38,6 +39,9 @@ pub mod protocol;
 pub mod server;
 
 pub use admission::AdmissionQueue;
-pub use client::{control_line, hijack_line, route_line, whatif_line, Client};
-pub use protocol::{parse_request, Request};
-pub use server::{stats_response, OpKind, OpLatency, ServeConfig, ServeStats, Server};
+pub use client::Client;
+pub use protocol::{
+    control_line, hijack_line, parse_request, route_line, stats_response, whatif_line, ParseError,
+    Request,
+};
+pub use server::{OpKind, OpLatency, ServeConfig, ServeStats, Server};

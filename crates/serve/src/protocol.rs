@@ -1,18 +1,25 @@
-//! Newline-delimited JSON wire protocol.
+//! Newline-delimited JSON wire protocol: every request builder, request
+//! decoder and response encoder of `ir-serve`.
 //!
 //! One request object per line in, one response object per line out. The
-//! decoder is deliberately hand-rolled over the [`Value`] tree rather than
-//! derive-based: a hostile or malformed line must become a structured
-//! `error` response, never a panic or a dropped connection, and every
-//! rejection reason should name the field it came from.
+//! decoder walks the [`Value`] tree field by field rather than deriving
+//! whole-request types: a hostile or malformed line must become a
+//! structured `error` response, never a panic or a dropped connection, and
+//! every rejection reason names the field it came from.
 //!
 //! Responses echo the request's optional `id` so pipelining clients can
-//! match answers arriving in completion order.
+//! match answers arriving in completion order — rejections included,
+//! whenever the offending line was a JSON object with a numeric `id`.
+//!
+//! Encoders are written with [`json!`], except the per-row objects of a
+//! what-if reply: a wide reply carries thousands of diff rows, each with
+//! two route objects, and those are built at exact capacity and moved (not
+//! re-serialized) into the reply.
 
+use crate::server::{ServeStats, OP_NAMES};
 use ir_bgp::{Announcement, CertificateDelta, Delta, DeltaStats, QueryError, Route, WhatIfAnswer};
 use ir_types::{Asn, Prefix};
-use serde_json::Value;
-use std::collections::BTreeSet;
+use serde_json::{json, Deserialize, Value};
 
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,365 +105,281 @@ impl Request {
     }
 }
 
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("field `{key}` must be an unsigned integer"))
+/// Why a request line was rejected: the message for the `error` response,
+/// plus the line's `id` whenever it was a JSON object carrying a numeric
+/// one, so even a rejection can be matched by a pipelining client.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// The rejected request's correlation id, if it could be read.
+    pub id: Option<u64>,
+    /// What was wrong, naming the offending field.
+    pub message: String,
 }
 
-fn field_asn(v: &Value, key: &str) -> Result<Asn, String> {
-    let raw = field_u64(v, key)?;
-    u32::try_from(raw)
-        .map(Asn)
-        .map_err(|_| format!("field `{key}` is not a valid ASN"))
+/// Optional field `key` as a `T`: absent and `null` both read as `None`.
+fn opt_field<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, String> {
+    match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(x) => T::deserialize(x)
+            .map(Some)
+            .map_err(|e| format!("field `{key}`: {}", e.0)),
+    }
 }
 
+/// Required field `key` as a `T`.
+fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, String> {
+    opt_field(v, key)?.ok_or_else(|| format!("field `{key}` is required"))
+}
+
+/// Required prefix field, carried on the wire in `a.b.c.d/len` form.
 fn field_prefix(v: &Value, key: &str) -> Result<Prefix, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("field `{key}` must be a string"))?
-        .parse::<Prefix>()
+    field::<String>(v, key)?
+        .parse()
         .map_err(|_| format!("field `{key}` is not a prefix (want `a.b.c.d/len`)"))
-}
-
-fn field_asn_opt(v: &Value, key: &str) -> Result<Option<Asn>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(_) => field_asn(v, key).map(Some),
-    }
-}
-
-fn field_asn_list(v: &Value, key: &str) -> Result<Vec<Asn>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(Vec::new()),
-        Some(Value::Array(items)) => {
-            let mut out = Vec::new();
-            for item in items {
-                let raw = item
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| format!("field `{key}` must hold ASNs"))?;
-                out.push(Asn(raw));
-            }
-            Ok(out)
-        }
-        Some(_) => Err(format!("field `{key}` must be an array of ASNs")),
-    }
-}
-
-fn field_asn_set(v: &Value, key: &str) -> Result<Option<BTreeSet<Asn>>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Array(items)) => {
-            let mut set = BTreeSet::new();
-            for item in items {
-                let raw = item
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| format!("field `{key}` must hold ASNs"))?;
-                set.insert(Asn(raw));
-            }
-            Ok(Some(set))
-        }
-        Some(_) => Err(format!("field `{key}` must be an array of ASNs or null")),
-    }
 }
 
 /// Decodes one wire delta object (`{"kind": "...", ...}`).
 pub fn delta_from_value(v: &Value) -> Result<Delta, String> {
-    let kind = v
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "delta needs a string `kind`".to_string())?;
-    match kind {
-        "link_down" => Ok(Delta::LinkDown {
-            a: field_asn(v, "a")?,
-            b: field_asn(v, "b")?,
-        }),
-        "link_up" => Ok(Delta::LinkUp {
-            a: field_asn(v, "a")?,
-            b: field_asn(v, "b")?,
-        }),
-        "neighbor_pref" => {
-            let delta =
-                match v.get("delta") {
-                    None | Some(Value::Null) => None,
-                    Some(d) => Some(d.as_i64().and_then(|n| i16::try_from(n).ok()).ok_or_else(
-                        || "field `delta` must be a small integer or null".to_string(),
-                    )?),
-                };
-            Ok(Delta::NeighborPref {
-                of: field_asn(v, "of")?,
-                neighbor: field_asn(v, "neighbor")?,
-                delta,
-            })
-        }
-        "export_prepend" => {
-            let count =
-                match v.get("count") {
-                    None | Some(Value::Null) => None,
-                    Some(c) => Some(c.as_u64().and_then(|n| u8::try_from(n).ok()).ok_or_else(
-                        || "field `count` must be a small integer or null".to_string(),
-                    )?),
-                };
-            Ok(Delta::ExportPrepend {
-                of: field_asn(v, "of")?,
-                neighbor: field_asn(v, "neighbor")?,
-                count,
-            })
-        }
-        "partial_transit" => Ok(Delta::PartialTransit {
-            of: field_asn(v, "of")?,
-            neighbor: field_asn(v, "neighbor")?,
-            customer_routes_only: v
-                .get("customer_routes_only")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| "field `customer_routes_only` must be a bool".to_string())?,
-        }),
-        "selective_announce" => Ok(Delta::SelectiveAnnounce {
-            of: field_asn(v, "of")?,
+    let kind: String = field(v, "kind")?;
+    Ok(match kind.as_str() {
+        "link_down" => Delta::LinkDown {
+            a: field(v, "a")?,
+            b: field(v, "b")?,
+        },
+        "link_up" => Delta::LinkUp {
+            a: field(v, "a")?,
+            b: field(v, "b")?,
+        },
+        "neighbor_pref" => Delta::NeighborPref {
+            of: field(v, "of")?,
+            neighbor: field(v, "neighbor")?,
+            delta: opt_field(v, "delta")?,
+        },
+        "export_prepend" => Delta::ExportPrepend {
+            of: field(v, "of")?,
+            neighbor: field(v, "neighbor")?,
+            count: opt_field(v, "count")?,
+        },
+        "partial_transit" => Delta::PartialTransit {
+            of: field(v, "of")?,
+            neighbor: field(v, "neighbor")?,
+            customer_routes_only: field(v, "customer_routes_only")?,
+        },
+        "selective_announce" => Delta::SelectiveAnnounce {
+            of: field(v, "of")?,
             prefix: field_prefix(v, "prefix")?,
-            allowed: field_asn_set(v, "allowed")?,
-        }),
-        "poison_filter" => Ok(Delta::PoisonFilter {
-            of: field_asn(v, "of")?,
-            enabled: v
-                .get("enabled")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| "field `enabled` must be a bool".to_string())?,
-        }),
-        "announce" => Ok(Delta::Announce(Announcement {
-            origin: field_asn(v, "origin")?,
+            allowed: opt_field(v, "allowed")?,
+        },
+        "poison_filter" => Delta::PoisonFilter {
+            of: field(v, "of")?,
+            enabled: field(v, "enabled")?,
+        },
+        "announce" => Delta::Announce(Announcement {
+            origin: field(v, "origin")?,
             prefix: field_prefix(v, "prefix")?,
-            via: field_asn_set(v, "via")?,
-            poison: field_asn_list(v, "poison")?,
-        })),
-        "hijack" => Ok(Delta::Hijack {
-            attacker: field_asn(v, "attacker")?,
-            forged_origin: field_asn_opt(v, "forged_origin")?,
-            poison: field_asn_list(v, "poison")?,
-            stealth: v
-                .get("stealth")
-                .map(|s| {
-                    s.as_bool()
-                        .ok_or_else(|| "field `stealth` must be a bool".to_string())
-                })
-                .transpose()?
-                .unwrap_or(false),
+            via: opt_field(v, "via")?,
+            poison: opt_field(v, "poison")?.unwrap_or_default(),
         }),
-        "withdraw" => Ok(Delta::Withdraw),
-        other => Err(format!("unknown delta kind `{other}`")),
-    }
+        "hijack" => Delta::Hijack {
+            attacker: field(v, "attacker")?,
+            forged_origin: opt_field(v, "forged_origin")?,
+            poison: opt_field(v, "poison")?.unwrap_or_default(),
+            stealth: opt_field(v, "stealth")?.unwrap_or(false),
+        },
+        "withdraw" => Delta::Withdraw,
+        other => return Err(format!("unknown delta kind `{other}`")),
+    })
 }
 
 /// Encodes a [`Delta`] as its wire object — the inverse of
-/// [`delta_from_value`], used by the client library.
+/// [`delta_from_value`], used by the request builders.
 pub fn delta_to_value(d: &Delta) -> Value {
-    let asn = |a: Asn| Value::UInt(u64::from(a.value()));
-    let asns = |set: &BTreeSet<Asn>| Value::Array(set.iter().map(|&a| asn(a)).collect());
-    let mut obj: Vec<(String, Value)> = Vec::new();
-    let mut put = |k: &str, v: Value| obj.push((k.to_string(), v));
     match d {
-        Delta::LinkDown { a, b } => {
-            put("kind", Value::String("link_down".into()));
-            put("a", asn(*a));
-            put("b", asn(*b));
-        }
-        Delta::LinkUp { a, b } => {
-            put("kind", Value::String("link_up".into()));
-            put("a", asn(*a));
-            put("b", asn(*b));
-        }
+        Delta::LinkDown { a, b } => json!({"kind": "link_down", "a": a, "b": b}),
+        Delta::LinkUp { a, b } => json!({"kind": "link_up", "a": a, "b": b}),
         Delta::NeighborPref {
             of,
             neighbor,
             delta,
-        } => {
-            put("kind", Value::String("neighbor_pref".into()));
-            put("of", asn(*of));
-            put("neighbor", asn(*neighbor));
-            put(
-                "delta",
-                match delta {
-                    Some(d) => Value::Int(i64::from(*d)),
-                    None => Value::Null,
-                },
-            );
-        }
+        } => json!({"kind": "neighbor_pref", "of": of, "neighbor": neighbor, "delta": delta}),
         Delta::ExportPrepend {
             of,
             neighbor,
             count,
-        } => {
-            put("kind", Value::String("export_prepend".into()));
-            put("of", asn(*of));
-            put("neighbor", asn(*neighbor));
-            put(
-                "count",
-                match count {
-                    Some(c) => Value::UInt(u64::from(*c)),
-                    None => Value::Null,
-                },
-            );
-        }
+        } => json!({"kind": "export_prepend", "of": of, "neighbor": neighbor, "count": count}),
         Delta::PartialTransit {
             of,
             neighbor,
             customer_routes_only,
-        } => {
-            put("kind", Value::String("partial_transit".into()));
-            put("of", asn(*of));
-            put("neighbor", asn(*neighbor));
-            put("customer_routes_only", Value::Bool(*customer_routes_only));
-        }
+        } => json!({
+            "kind": "partial_transit",
+            "of": of,
+            "neighbor": neighbor,
+            "customer_routes_only": customer_routes_only
+        }),
         Delta::SelectiveAnnounce {
             of,
             prefix,
             allowed,
-        } => {
-            put("kind", Value::String("selective_announce".into()));
-            put("of", asn(*of));
-            put("prefix", Value::String(prefix.to_string()));
-            put(
-                "allowed",
-                match allowed {
-                    Some(set) => asns(set),
-                    None => Value::Null,
-                },
-            );
-        }
+        } => json!({
+            "kind": "selective_announce",
+            "of": of,
+            "prefix": prefix.to_string(),
+            "allowed": allowed
+        }),
         Delta::PoisonFilter { of, enabled } => {
-            put("kind", Value::String("poison_filter".into()));
-            put("of", asn(*of));
-            put("enabled", Value::Bool(*enabled));
+            json!({"kind": "poison_filter", "of": of, "enabled": enabled})
         }
-        Delta::Announce(ann) => {
-            put("kind", Value::String("announce".into()));
-            put("origin", asn(ann.origin));
-            put("prefix", Value::String(ann.prefix.to_string()));
-            put(
-                "via",
-                match &ann.via {
-                    Some(set) => asns(set),
-                    None => Value::Null,
-                },
-            );
-            put(
-                "poison",
-                Value::Array(ann.poison.iter().map(|&a| asn(a)).collect()),
-            );
-        }
+        Delta::Announce(ann) => json!({
+            "kind": "announce",
+            "origin": ann.origin,
+            "prefix": ann.prefix.to_string(),
+            "via": ann.via,
+            "poison": ann.poison
+        }),
         Delta::Hijack {
             attacker,
             forged_origin,
             poison,
             stealth,
-        } => {
-            put("kind", Value::String("hijack".into()));
-            put("attacker", asn(*attacker));
-            put(
-                "forged_origin",
-                match forged_origin {
-                    Some(o) => asn(*o),
-                    None => Value::Null,
-                },
-            );
-            put(
-                "poison",
-                Value::Array(poison.iter().map(|&a| asn(a)).collect()),
-            );
-            put("stealth", Value::Bool(*stealth));
-        }
-        Delta::Withdraw => {
-            put("kind", Value::String("withdraw".into()));
-        }
+        } => json!({
+            "kind": "hijack",
+            "attacker": attacker,
+            "forged_origin": forged_origin,
+            "poison": poison,
+            "stealth": stealth
+        }),
+        Delta::Withdraw => json!({"kind": "withdraw"}),
     }
-    Value::Object(obj)
 }
 
-/// Decodes one request line. Every failure is a message fit for an
+/// Decodes one request line. Every failure is a [`ParseError`] fit for an
 /// `error` response — the caller never disconnects over bad input.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
+pub fn parse_request(line: &str) -> Result<Request, ParseError> {
+    let reject = |id, message| ParseError { id, message };
+    let v: Value =
+        serde_json::from_str(line).map_err(|e| reject(None, format!("malformed JSON: {e}")))?;
     if v.as_object().is_none() {
-        return Err("request must be a JSON object".to_string());
+        return Err(reject(None, "request must be a JSON object".to_string()));
     }
     let id = v.get("id").and_then(Value::as_u64);
-    let op = v
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "request needs a string `op`".to_string())?;
-    match op {
-        "whatif" => {
-            let prefix = field_prefix(&v, "prefix")?;
-            let deltas = match v.get("deltas") {
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .map(delta_from_value)
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("field `deltas` must be an array".to_string()),
-            };
-            let budget = match v.get("budget") {
-                None | Some(Value::Null) => None,
-                Some(b) => Some(
-                    b.as_u64()
-                        .ok_or_else(|| "field `budget` must be an unsigned integer".to_string())?,
-                ),
-            };
-            Ok(Request::WhatIf {
-                id,
-                prefix,
-                deltas,
-                budget,
-            })
-        }
-        "hijack" => {
-            let budget = match v.get("budget") {
-                None | Some(Value::Null) => None,
-                Some(b) => Some(
-                    b.as_u64()
-                        .ok_or_else(|| "field `budget` must be an unsigned integer".to_string())?,
-                ),
-            };
-            Ok(Request::Hijack {
-                id,
-                prefix: field_prefix(&v, "prefix")?,
-                attacker: field_asn(&v, "attacker")?,
-                forged_origin: field_asn_opt(&v, "forged_origin")?,
-                poison: field_asn_list(&v, "poison")?,
-                stealth: v
-                    .get("stealth")
-                    .map(|s| {
-                        s.as_bool()
-                            .ok_or_else(|| "field `stealth` must be a bool".to_string())
-                    })
-                    .transpose()?
-                    .unwrap_or(false),
-                budget,
-            })
-        }
-        "route" => Ok(Request::Route {
+    request_from_value(&v, id).map_err(|message| reject(id, message))
+}
+
+fn request_from_value(v: &Value, id: Option<u64>) -> Result<Request, String> {
+    let op: String = field(v, "op")?;
+    Ok(match op.as_str() {
+        "whatif" => Request::WhatIf {
             id,
-            prefix: field_prefix(&v, "prefix")?,
-            asn: field_asn(&v, "asn")?,
-        }),
-        "health" => Ok(Request::Health { id }),
-        "stats" => Ok(Request::Stats { id }),
-        "audit" => Ok(Request::Audit { id }),
-        "save" => Ok(Request::Save { id }),
-        "shutdown" => Ok(Request::Shutdown { id }),
-        other => Err(format!("unknown op `{other}`")),
-    }
+            prefix: field_prefix(v, "prefix")?,
+            deltas: v
+                .get("deltas")
+                .and_then(Value::as_array)
+                .ok_or("field `deltas` must be an array")?
+                .iter()
+                .map(delta_from_value)
+                .collect::<Result<_, _>>()?,
+            budget: opt_field(v, "budget")?,
+        },
+        "hijack" => Request::Hijack {
+            id,
+            prefix: field_prefix(v, "prefix")?,
+            attacker: field(v, "attacker")?,
+            forged_origin: opt_field(v, "forged_origin")?,
+            poison: opt_field(v, "poison")?.unwrap_or_default(),
+            stealth: opt_field(v, "stealth")?.unwrap_or(false),
+            budget: opt_field(v, "budget")?,
+        },
+        "route" => Request::Route {
+            id,
+            prefix: field_prefix(v, "prefix")?,
+            asn: field(v, "asn")?,
+        },
+        "health" => Request::Health { id },
+        "stats" => Request::Stats { id },
+        "audit" => Request::Audit { id },
+        "save" => Request::Save { id },
+        "shutdown" => Request::Shutdown { id },
+        other => return Err(format!("unknown op `{other}`")),
+    })
 }
 
-fn id_entry(obj: &mut Vec<(String, Value)>, id: Option<u64>) {
+/// One wire line: the optional `id` first, then `key: tag` (`op` for
+/// requests, `status` for responses), then the entries of `fields`.
+fn tagged(id: Option<u64>, key: &str, tag: &str, fields: Value) -> String {
+    let mut obj = Vec::new();
     if let Some(id) = id {
-        obj.push(("id".to_string(), Value::UInt(id)));
+        obj.push(("id".to_string(), json!(id)));
     }
+    obj.push((key.to_string(), json!(tag)));
+    if let Value::Object(rest) = fields {
+        obj.extend(rest);
+    }
+    // The tree holds no non-finite floats, so encoding can't fail.
+    serde_json::to_string(&Value::Object(obj)).unwrap_or_else(|_| "{\"status\":\"error\"}".into())
 }
 
-/// Encodes a route for the wire (`null` when the AS holds no route).
-pub fn route_to_value(route: &Option<Route>) -> Value {
+/// Builds a `whatif` request line.
+pub fn whatif_line(
+    id: Option<u64>,
+    prefix: Prefix,
+    deltas: &[Delta],
+    budget: Option<u64>,
+) -> String {
+    let mut fields = json!({"prefix": prefix.to_string()});
+    fields["deltas"] = Value::Array(deltas.iter().map(delta_to_value).collect());
+    if let Some(b) = budget {
+        fields["budget"] = json!(b);
+    }
+    tagged(id, "op", "whatif", fields)
+}
+
+/// Builds a `hijack` request line — the scenario-query sugar op.
+pub fn hijack_line(
+    id: Option<u64>,
+    prefix: Prefix,
+    attacker: Asn,
+    forged_origin: Option<Asn>,
+    stealth: bool,
+    budget: Option<u64>,
+) -> String {
+    let mut fields = json!({
+        "prefix": prefix.to_string(),
+        "attacker": attacker,
+        "forged_origin": forged_origin,
+        "stealth": stealth
+    });
+    if let Some(b) = budget {
+        fields["budget"] = json!(b);
+    }
+    tagged(id, "op", "hijack", fields)
+}
+
+/// Builds a `route` request line.
+pub fn route_line(id: Option<u64>, prefix: Prefix, asn: Asn) -> String {
+    tagged(
+        id,
+        "op",
+        "route",
+        json!({"prefix": prefix.to_string(), "asn": asn}),
+    )
+}
+
+/// Builds a bare control request (`health`, `stats`, `audit`, `save`,
+/// `shutdown`).
+pub fn control_line(id: Option<u64>, op: &str) -> String {
+    tagged(id, "op", op, json!({}))
+}
+
+/// One response line with the given `status` and body fields.
+fn reply(id: Option<u64>, status: &str, fields: Value) -> String {
+    tagged(id, "status", status, fields)
+}
+
+/// Encodes a route for the wire (`null` when the AS holds no route). Built
+/// by hand at exact capacity: two of these per diff row dominate a wide
+/// reply's encode time.
+fn route_to_value(route: &Option<Route>) -> Value {
     match route {
         None => Value::Null,
         Some(r) => Value::Object(vec![
@@ -485,75 +408,55 @@ pub fn route_to_value(route: &Option<Route>) -> Value {
     }
 }
 
-fn delta_stats_value(s: &DeltaStats) -> Value {
-    Value::Object(vec![
-        (
-            "deltas_applied".to_string(),
-            Value::UInt(s.deltas_applied as u64),
-        ),
-        ("ases_seeded".to_string(), Value::UInt(s.ases_seeded as u64)),
-        ("activations".to_string(), Value::UInt(s.activations as u64)),
-        ("rounds".to_string(), Value::UInt(s.rounds as u64)),
-        (
-            "routes_retained".to_string(),
-            Value::UInt(s.routes_retained as u64),
-        ),
-        (
-            "routes_changed".to_string(),
-            Value::UInt(s.routes_changed as u64),
-        ),
-        ("converged".to_string(), Value::Bool(s.converged)),
-        (
-            "deadline_aborted".to_string(),
-            Value::Bool(s.deadline_aborted),
-        ),
-    ])
-}
-
-fn render(v: Value) -> String {
-    // The Value tree contains no non-finite floats, so encoding can't fail.
-    serde_json::to_string(&v).unwrap_or_else(|_| "{\"status\":\"error\"}".to_string())
+/// Adds the tail a served and a degraded answer share: the effort `stats`,
+/// and the `certificate` verdict when the server's incremental delta
+/// auditor judged the edit set (`"preserved"`, `"revoked:IR-A002"`, or
+/// `"unknown"`; absent when no certifier is attached — wave-exact servers
+/// have no certificate to maintain).
+fn answer_tail(
+    fields: &mut Value,
+    stats: Option<&DeltaStats>,
+    certificate: Option<&CertificateDelta>,
+) {
+    if let Some(s) = stats {
+        fields["stats"] = json!({
+            "deltas_applied": s.deltas_applied,
+            "ases_seeded": s.ases_seeded,
+            "activations": s.activations,
+            "rounds": s.rounds,
+            "routes_retained": s.routes_retained,
+            "routes_changed": s.routes_changed,
+            "converged": s.converged,
+            "deadline_aborted": s.deadline_aborted
+        });
+    }
+    if let Some(c) = certificate {
+        fields["certificate"] = json!(c.to_string());
+    }
 }
 
 /// `status: ok` response for a served answer. A degraded answer (tripped
 /// budget or open breaker) instead goes through [`degraded_response`].
 pub fn ok_response(id: Option<u64>, answer: &WhatIfAnswer) -> String {
-    let mut obj = Vec::new();
-    id_entry(&mut obj, id);
-    obj.push(("status".to_string(), Value::String("ok".into())));
-    obj.push((
-        "prefix".to_string(),
-        Value::String(answer.prefix.to_string()),
-    ));
-    obj.push((
-        "diffs".to_string(),
-        Value::Array(
-            answer
-                .diffs
-                .iter()
-                .map(|d| {
-                    Value::Object(vec![
-                        ("asn".to_string(), Value::UInt(u64::from(d.asn.value()))),
-                        ("before".to_string(), route_to_value(&d.before)),
-                        ("after".to_string(), route_to_value(&d.after)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    obj.push(("stats".to_string(), delta_stats_value(&answer.stats)));
-    certificate_entry(&mut obj, answer.certificate.as_ref());
-    render(Value::Object(obj))
-}
-
-/// Adds the `certificate` field when the server's incremental delta
-/// auditor judged the edit set (`"preserved"`, `"revoked:IR-A002"`, or
-/// `"unknown"`). Absent when no certifier is attached — wave-exact
-/// servers have no certificate to maintain.
-fn certificate_entry(obj: &mut Vec<(String, Value)>, certificate: Option<&CertificateDelta>) {
-    if let Some(c) = certificate {
-        obj.push(("certificate".to_string(), Value::String(c.to_string())));
-    }
+    let diffs = answer
+        .diffs
+        .iter()
+        .map(|d| {
+            Value::Object(vec![
+                ("asn".to_string(), Value::UInt(u64::from(d.asn.value()))),
+                ("before".to_string(), route_to_value(&d.before)),
+                ("after".to_string(), route_to_value(&d.after)),
+            ])
+        })
+        .collect();
+    let mut fields = json!({"prefix": answer.prefix.to_string()});
+    fields["diffs"] = Value::Array(diffs);
+    answer_tail(
+        &mut fields,
+        Some(&answer.stats),
+        answer.certificate.as_ref(),
+    );
+    reply(id, "ok", fields)
 }
 
 /// `status: degraded` response: the query could not be answered exactly
@@ -566,25 +469,63 @@ pub fn degraded_response(
     stats: Option<&DeltaStats>,
     certificate: Option<&CertificateDelta>,
 ) -> String {
-    let mut obj = Vec::new();
-    id_entry(&mut obj, id);
-    obj.push(("status".to_string(), Value::String("degraded".into())));
-    obj.push((
-        "degraded".to_string(),
-        Value::Array(
-            markers
-                .iter()
-                .map(|m| Value::String((*m).to_string()))
-                .collect(),
-        ),
-    ));
-    obj.push(("prefix".to_string(), Value::String(prefix.to_string())));
-    obj.push(("diffs".to_string(), Value::Array(Vec::new())));
-    if let Some(s) = stats {
-        obj.push(("stats".to_string(), delta_stats_value(s)));
+    let mut fields = json!({"degraded": markers, "prefix": prefix.to_string(), "diffs": []});
+    answer_tail(&mut fields, stats, certificate);
+    reply(id, "degraded", fields)
+}
+
+/// `status: ok` response for a `route` lookup: the base route at one AS.
+pub fn route_response(id: Option<u64>, prefix: Prefix, route: &Option<Route>) -> String {
+    let mut fields = json!({"prefix": prefix.to_string()});
+    fields["route"] = route_to_value(route);
+    reply(id, "ok", fields)
+}
+
+/// `status: ok` response for the `health` probe.
+pub fn health_response(id: Option<u64>, draining: bool, prefixes: usize, shapes: usize) -> String {
+    let state = if draining { "draining" } else { "running" };
+    reply(
+        id,
+        "ok",
+        json!({"state": state, "prefixes": prefixes, "shapes": shapes}),
+    )
+}
+
+/// `status: ok` response for a published `save`.
+pub fn saved_response(id: Option<u64>) -> String {
+    reply(id, "ok", json!({"saved": true}))
+}
+
+/// `status: ok` response acknowledging a `shutdown`: the drain has begun.
+pub fn draining_response(id: Option<u64>) -> String {
+    reply(id, "ok", json!({"state": "draining"}))
+}
+
+/// `status: ok` response for the `stats` op: the serving counters, the
+/// admission queue's capacity, and the per-op latency breakdown.
+pub fn stats_response(id: Option<u64>, s: &ServeStats, queue_cap: usize) -> String {
+    let mut fields = json!({
+        "received": s.received,
+        "served": s.served,
+        "shed": s.shed,
+        "degraded": s.degraded,
+        "deadline_aborts": s.deadline_aborts,
+        "quarantine_refusals": s.quarantine_refusals,
+        "errors": s.errors,
+        "disconnects": s.disconnects,
+        "autosaves": s.autosaves,
+        "breaker_trips": s.breaker_trips,
+        "queue_high_water": s.queue_high_water,
+        "queue_cap": queue_cap,
+        "certificates_preserved": s.certificates_preserved,
+        "certificates_revoked": s.certificates_revoked,
+        "ops": {}
+    });
+    for (name, o) in OP_NAMES.iter().zip(&s.ops) {
+        fields["ops"][*name] =
+            json!({"count": o.count, "total_ms": o.total_ms, "max_ms": o.max_ms});
     }
-    certificate_entry(&mut obj, certificate);
-    render(Value::Object(obj))
+    reply(id, "ok", fields)
 }
 
 /// `status: ok` response for the `audit` control op: the full-world
@@ -597,36 +538,22 @@ pub fn audit_response(
     warnings: usize,
     blockers: &[String],
 ) -> String {
-    let mut obj = Vec::new();
-    id_entry(&mut obj, id);
-    obj.push(("status".to_string(), Value::String("ok".into())));
-    obj.push(("certified".to_string(), Value::Bool(certified)));
-    obj.push(("errors".to_string(), Value::UInt(errors as u64)));
-    obj.push(("warnings".to_string(), Value::UInt(warnings as u64)));
-    obj.push((
-        "blockers".to_string(),
-        Value::Array(blockers.iter().map(|b| Value::String(b.clone())).collect()),
-    ));
-    render(Value::Object(obj))
+    reply(
+        id,
+        "ok",
+        json!({"certified": certified, "errors": errors, "warnings": warnings, "blockers": blockers}),
+    )
 }
 
 /// `status: shed` response: admission refused the query under load; the
 /// client should retry after the stated backoff.
 pub fn shed_response(id: Option<u64>, retry_after_ms: u64) -> String {
-    let mut obj = Vec::new();
-    id_entry(&mut obj, id);
-    obj.push(("status".to_string(), Value::String("shed".into())));
-    obj.push(("retry_after_ms".to_string(), Value::UInt(retry_after_ms)));
-    render(Value::Object(obj))
+    reply(id, "shed", json!({"retry_after_ms": retry_after_ms}))
 }
 
 /// `status: error` response for malformed or rejected requests.
 pub fn error_response(id: Option<u64>, message: &str) -> String {
-    let mut obj = Vec::new();
-    id_entry(&mut obj, id);
-    obj.push(("status".to_string(), Value::String("error".into())));
-    obj.push(("error".to_string(), Value::String(message.to_string())));
-    render(Value::Object(obj))
+    reply(id, "error", json!({"error": message}))
 }
 
 /// Maps a [`QueryError`] onto an `error` response.

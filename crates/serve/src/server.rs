@@ -30,15 +30,15 @@
 
 use crate::admission::AdmissionQueue;
 use crate::protocol::{
-    audit_response, degraded_response, error_response, ok_response, parse_request,
-    query_error_response, route_to_value, shed_response, Request,
+    audit_response, degraded_response, draining_response, error_response, health_response,
+    ok_response, parse_request, query_error_response, route_response, saved_response,
+    shed_response, stats_response, ParseError, Request,
 };
 use ir_bgp::{CertificateDelta, Delta, RoutingUniverse, StepBudget, WhatIfEngine, WhatIfQuery};
 use ir_fault::{key2, CircuitBreaker, RetryPolicy, ServiceClock};
 use ir_types::Prefix;
-use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -91,8 +91,14 @@ impl Default for ServeConfig {
     }
 }
 
+/// Longest request line the reader buffers; anything longer is answered
+/// with an `error` and discarded up to its newline. Far above any real
+/// request (a 1 000-delta what-if is ~60 kB) and small enough that a
+/// connection cannot bloat the daemon.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Wire names of the tracked ops, in [`OpKind`] discriminant order.
-const OP_NAMES: [&str; 8] = [
+pub(crate) const OP_NAMES: [&str; 8] = [
     "whatif", "hijack", "route", "health", "stats", "audit", "save", "shutdown",
 ];
 
@@ -529,21 +535,22 @@ impl Server {
             died
         });
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            match parse_request(trimmed) {
-                Err(msg) => {
+        let mut line = Vec::new();
+        let reject = |message: String| Err(ParseError { id: None, message });
+        while let Ok(Some(fits)) = read_request_line(&mut reader, &mut line) {
+            let parsed = if !fits {
+                reject(format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+            } else {
+                match std::str::from_utf8(&line) {
+                    Err(_) => reject("request line is not valid UTF-8".to_string()),
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => parse_request(text.trim()),
+                }
+            };
+            match parsed {
+                Err(e) => {
                     self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(error_response(None, &msg));
+                    let _ = tx.send(error_response(e.id, &e.message));
                 }
                 Ok(req) => {
                     if self.handle_request(engine, universe, req, &tx) {
@@ -614,16 +621,7 @@ impl Server {
                     }
                     Some(x) => {
                         self.metrics.served.fetch_add(1, Ordering::Relaxed);
-                        let route = engine.base_route(prefix, x);
-                        let mut obj = Vec::new();
-                        if let Some(id) = id {
-                            obj.push(("id".to_string(), Value::UInt(id)));
-                        }
-                        obj.push(("status".to_string(), Value::String("ok".into())));
-                        obj.push(("prefix".to_string(), Value::String(prefix.to_string())));
-                        obj.push(("route".to_string(), route_to_value(&route)));
-                        serde_json::to_string(&Value::Object(obj))
-                            .unwrap_or_else(|_| error_response(id, "encoding failed"))
+                        route_response(id, prefix, &engine.base_route(prefix, x))
                     }
                 };
                 self.record_op(OpKind::Route, started);
@@ -631,30 +629,14 @@ impl Server {
                 false
             }
             Request::Health { id } => {
-                let state = if self.is_draining() {
-                    "draining"
-                } else {
-                    "running"
-                };
-                let mut obj = Vec::new();
-                if let Some(id) = id {
-                    obj.push(("id".to_string(), Value::UInt(id)));
-                }
-                obj.push(("status".to_string(), Value::String("ok".into())));
-                obj.push(("state".to_string(), Value::String(state.into())));
-                obj.push((
-                    "prefixes".to_string(),
-                    Value::UInt(engine.prefixes().count() as u64),
-                ));
-                obj.push((
-                    "shapes".to_string(),
-                    Value::UInt(engine.shape_count() as u64),
-                ));
-                self.record_op(OpKind::Health, started);
-                let _ = tx.send(
-                    serde_json::to_string(&Value::Object(obj))
-                        .unwrap_or_else(|_| error_response(id, "encoding failed")),
+                let response = health_response(
+                    id,
+                    self.is_draining(),
+                    engine.prefixes().count(),
+                    engine.shape_count(),
                 );
+                self.record_op(OpKind::Health, started);
+                let _ = tx.send(response);
                 false
             }
             Request::Stats { id } => {
@@ -684,14 +666,7 @@ impl Server {
                     self.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     error_response(id, "no snapshot path configured")
                 } else if self.save_now(universe) {
-                    let mut obj = Vec::new();
-                    if let Some(id) = id {
-                        obj.push(("id".to_string(), Value::UInt(id)));
-                    }
-                    obj.push(("status".to_string(), Value::String("ok".into())));
-                    obj.push(("saved".to_string(), Value::Bool(true)));
-                    serde_json::to_string(&Value::Object(obj))
-                        .unwrap_or_else(|_| error_response(id, "encoding failed"))
+                    saved_response(id)
                 } else {
                     self.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     error_response(id, "snapshot save failed")
@@ -701,17 +676,8 @@ impl Server {
                 false
             }
             Request::Shutdown { id } => {
-                let mut obj = Vec::new();
-                if let Some(id) = id {
-                    obj.push(("id".to_string(), Value::UInt(id)));
-                }
-                obj.push(("status".to_string(), Value::String("ok".into())));
-                obj.push(("state".to_string(), Value::String("draining".into())));
                 self.record_op(OpKind::Shutdown, started);
-                let _ = tx.send(
-                    serde_json::to_string(&Value::Object(obj))
-                        .unwrap_or_else(|_| error_response(id, "encoding failed")),
-                );
+                let _ = tx.send(draining_response(id));
                 self.initiate_drain();
                 true
             }
@@ -880,45 +846,26 @@ impl Server {
     }
 }
 
-/// Encodes a [`ServeStats`] snapshot as a `stats` response.
-pub fn stats_response(id: Option<u64>, s: &ServeStats, queue_cap: usize) -> String {
-    let mut obj = Vec::new();
-    if let Some(id) = id {
-        obj.push(("id".to_string(), Value::UInt(id)));
+/// Reads the next request line into `line`. `Ok(None)` is end of stream;
+/// `Ok(Some(false))` is a line longer than [`MAX_LINE_BYTES`], already
+/// discarded up to its newline so the next call starts on the following
+/// request. `line` never holds more than one byte over the cap.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<bool>> {
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    line.clear();
+    if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(None);
     }
-    obj.push(("status".to_string(), Value::String("ok".into())));
-    for (key, v) in [
-        ("received", s.received),
-        ("served", s.served),
-        ("shed", s.shed),
-        ("degraded", s.degraded),
-        ("deadline_aborts", s.deadline_aborts),
-        ("quarantine_refusals", s.quarantine_refusals),
-        ("errors", s.errors),
-        ("disconnects", s.disconnects),
-        ("autosaves", s.autosaves),
-        ("breaker_trips", s.breaker_trips),
-        ("queue_high_water", s.queue_high_water),
-        ("queue_cap", queue_cap as u64),
-        ("certificates_preserved", s.certificates_preserved),
-        ("certificates_revoked", s.certificates_revoked),
-    ] {
-        obj.push((key.to_string(), Value::UInt(v)));
+    let mut fits = true;
+    while line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+        fits = false;
+        line.clear();
+        if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+            break;
+        }
     }
-    let ops = OP_NAMES
-        .iter()
-        .zip(s.ops.iter())
-        .map(|(name, o)| {
-            (
-                (*name).to_string(),
-                Value::Object(vec![
-                    ("count".to_string(), Value::UInt(o.count)),
-                    ("total_ms".to_string(), Value::UInt(o.total_ms)),
-                    ("max_ms".to_string(), Value::UInt(o.max_ms)),
-                ]),
-            )
-        })
-        .collect();
-    obj.push(("ops".to_string(), Value::Object(ops)));
-    serde_json::to_string(&Value::Object(obj)).unwrap_or_else(|_| "{\"status\":\"ok\"}".to_string())
+    Ok(Some(fits))
 }

@@ -342,3 +342,121 @@ fn sequential_requests_do_not_wait_out_delayed_acks() {
         "median route round trip {median:?}"
     );
 }
+
+fn id_of(line: &str) -> Option<u64> {
+    let v: Value = serde_json::from_str(line).unwrap_or(Value::Null);
+    v.get("id").and_then(Value::as_u64)
+}
+
+/// A rejected line keeps its `id`, so a pipelining client can match the
+/// `error` to the request that caused it.
+#[test]
+fn pipelined_rejections_keep_their_ids() {
+    let (_, prefixes) = tiny_fixture();
+    let mut replies = Vec::new();
+    let stats = with_server(ServeConfig::default(), |_, addr| {
+        let mut c = Client::connect(addr).expect("connect");
+        let good = |id| whatif_line(Some(id), prefixes[0], &[Delta::Withdraw], None);
+        c.send_line(&good(1)).unwrap();
+        c.send_line(r#"{"op":"whatif","id":2,"prefix":"x","deltas":[]}"#)
+            .unwrap();
+        c.send_line(&good(3)).unwrap();
+        for _ in 0..3 {
+            replies.push(c.recv_line().unwrap().expect("one reply per request"));
+        }
+    });
+    // Replies arrive in completion order; match them up by id.
+    replies.sort_by_key(|r| id_of(r));
+    let got: Vec<(Option<u64>, String)> =
+        replies.iter().map(|r| (id_of(r), status_of(r))).collect();
+    assert_eq!(
+        got,
+        [
+            (Some(1), "ok".to_string()),
+            (Some(2), "error".to_string()),
+            (Some(3), "ok".to_string())
+        ],
+        "replies: {replies:?}"
+    );
+    assert!(replies[1].contains("field `prefix`"), "got: {}", replies[1]);
+    assert_eq!((stats.served, stats.errors), (2, 1));
+}
+
+/// Hostile framing — bytes that are not UTF-8, a line far past the cap with
+/// and without a newline in sight — is answered with an `error` each, and
+/// the connection keeps serving.
+#[test]
+fn hostile_lines_get_errors_and_the_connection_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let mut replies = Vec::new();
+    let stats = with_server(ServeConfig::default(), |_, addr| {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut ask = |bytes: &[u8]| {
+            stream.write_all(bytes).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            replies.push(line.trim_end().to_string());
+        };
+        ask(b"{\"op\":\"health\",\"id\":\xff\xfe}\n");
+        ask(b"{\"op\":\"health\",\"id\":1}\n");
+        // 3 MiB of one "line": three cap-sized chunks to discard.
+        let mut endless = vec![b'x'; 3 << 20];
+        endless.push(b'\n');
+        ask(&endless);
+        ask(b"{\"op\":\"health\",\"id\":2}\n");
+        // Exactly at the cap is still a (malformed) request, not an overrun.
+        let mut at_cap = vec![b' '; 1 << 20];
+        at_cap.push(b'\n');
+        at_cap.extend_from_slice(b"{\"op\":\"health\",\"id\":3}\n");
+        ask(&at_cap);
+    });
+    let got: Vec<(Option<u64>, String)> =
+        replies.iter().map(|r| (id_of(r), status_of(r))).collect();
+    assert_eq!(
+        got,
+        [
+            (None, "error".to_string()),
+            (Some(1), "ok".to_string()),
+            (None, "error".to_string()),
+            (Some(2), "ok".to_string()),
+            (Some(3), "ok".to_string()),
+        ],
+        "replies: {replies:?}"
+    );
+    assert!(
+        replies[0].contains("not valid UTF-8"),
+        "got: {}",
+        replies[0]
+    );
+    assert!(
+        replies[2].contains("exceeds 1048576 bytes"),
+        "got: {}",
+        replies[2]
+    );
+    assert_eq!(stats.errors, 2);
+    assert_eq!(stats.disconnects, 0);
+}
+
+/// A link edit between two known but non-adjacent ASes is rejected, not
+/// reported as applied.
+#[test]
+fn link_edit_on_a_link_that_does_not_exist_is_an_error() {
+    let (world, prefixes) = tiny_fixture();
+    let a = world.graph.nodes()[0].asn;
+    let b = (1..world.graph.len())
+        .find(|&x| world.graph.link(0, x).is_none())
+        .map(|x| world.graph.asn(x))
+        .expect("some AS is not adjacent to the first");
+    let mut reply = String::new();
+    let stats = with_server(ServeConfig::default(), |_, addr| {
+        let mut c = Client::connect(addr).expect("connect");
+        let line = whatif_line(Some(1), prefixes[0], &[Delta::LinkDown { a, b }], None);
+        reply = c.request(&line).unwrap().unwrap();
+    });
+    assert_eq!(
+        reply,
+        format!(r#"{{"id":1,"status":"error","error":"delta references unknown link {a}–{b}"}}"#)
+    );
+    assert_eq!((stats.served, stats.errors), (0, 1));
+}

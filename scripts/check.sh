@@ -80,4 +80,20 @@ run cargo run "${OFFLINE[@]}" --release -p ir-experiments --bin audit -- --scale
 run cargo test "${OFFLINE[@]}" --release -q -p ir-experiments --test artifact_freshness \
     -- --ignored
 
+# Frozen-benchmark gate: `benchmark/` is its own workspace with its own
+# `Cargo.lock`, pinned to the public API and dependency graph of the crates
+# it measures. Build and test it `--locked`, so a break against it fails
+# here instead of in the benchmark driver. (Sharing target/ saves compiling
+# the product crates a second time.)
+run cargo build --offline --release --locked --manifest-path benchmark/Cargo.toml \
+    --target-dir target
+run cargo test --offline --release --locked -q --manifest-path benchmark/Cargo.toml \
+    --target-dir target
+# Size of the shipping code, reproducibly: non-test lines under crates/*/src
+# (everything up to a file's first `#[cfg(test)]`), without the legacy
+# crates/bench harness. CHANGES.md quotes this number.
+echo "==> non-test source lines"
+git ls-files 'crates/*/src/*.rs' 'crates/*/src/bin/*.rs' | grep -v '^crates/bench/' \
+    | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
+
 echo "All checks passed."
