@@ -56,6 +56,6 @@ pub use sim::{
 pub use sweep::SweepSim;
 pub use universe::{snapshot_staging_path, RoutingUniverse, UniverseResilience};
 pub use whatif::{
-    CertificateDelta, DeltaCertifier, DeltaStats, QueryError, RouteDiff, WhatIfAnswer,
-    WhatIfEngine, WhatIfQuery,
+    CertificateDelta, DeltaCertifier, DeltaStats, QueryError, RouteDiff, ShapeWaits, WhatIfAnswer,
+    WhatIfEngine, WhatIfQuery, MAX_DELTAS_PER_QUERY,
 };

@@ -45,7 +45,10 @@
 //! installation age, making ages independent of transient flips during
 //! reconvergence.
 
-use crate::compact::{clamp_age, rel_of_tag, CompactRoute, MemoryBudget, RouteColumns};
+use crate::compact::{
+    clamp_age, rel_of_tag, rel_tag, ColumnJournal, CompactRoute, EntryColumns, MemoryBudget,
+    RouteColumns,
+};
 use crate::compact::{NO_CITY, NO_NODE};
 use crate::extension::{DefensePlan, ExtensionCheck};
 use crate::path::AsPath;
@@ -329,6 +332,9 @@ struct CsrTopology {
     listeners: Vec<(u32, u32)>,
     /// `listener_off[x]..listener_off[x + 1]` = `x`'s slice of `listeners`.
     listener_off: Vec<u32>,
+    /// Entry attributes of a route imported over each session, shared by
+    /// every adj-RIB-in over this topology.
+    entries: Arc<EntryColumns>,
 }
 
 impl CsrTopology {
@@ -375,11 +381,17 @@ impl CsrTopology {
                 listeners[slot] = (l as u32, base + si as u32);
             }
         }
+        let entries = Arc::new(EntryColumns::from_sessions(
+            sessions
+                .iter()
+                .map(|s| (s.peer as u32, s.city.0, rel_tag(Some(s.rel)), s.igp)),
+        ));
         CsrTopology {
             sessions,
             session_off,
             listeners,
             listener_off,
+            entries,
         }
     }
 }
@@ -444,11 +456,6 @@ impl<'w> SimContext<'w> {
     /// Flat session (= adj-RIB-in) index of `x`'s first session.
     pub(crate) fn rib_base(&self, x: NodeIdx) -> usize {
         self.topo.session_off[x] as usize
-    }
-
-    /// Total sessions in the world (the adj-RIB-in table length).
-    pub(crate) fn total_sessions(&self) -> usize {
-        self.topo.sessions.len()
     }
 
     /// The session behind a flat index.
@@ -902,8 +909,8 @@ pub struct PrefixSim<'w> {
     best: RouteColumns,
     /// Adj-RIB-in: slot `ctx.rib_base(x) + si` caches the last route
     /// imported over `ctx.sessions(x)[si]` (vacant = neighbor exports
-    /// nothing usable). Stored ages are stale by design; selection
-    /// re-stamps them with the current clock, which is exact because live
+    /// nothing usable). It keeps no ages: selection re-stamps every
+    /// candidate with the current clock, which is exact because live
     /// candidates all share it.
     rib: RouteColumns,
     /// Links currently down (canonical index pairs). Empty unless faults
@@ -932,7 +939,8 @@ pub struct PrefixSim<'w> {
     budget_tripped: bool,
     /// Whether a certifier vouched that this sim's pending deltas preserve
     /// the world's safety certificate — see
-    /// [`PrefixSim::grant_certificate_token`]. Never copied by forks.
+    /// [`PrefixSim::grant_certificate_token`]. Cleared for the length of
+    /// every in-place query ([`PrefixSim::begin_query`]).
     cert_token: bool,
     /// Current-wave worklist, reused across events (never reallocated).
     /// Taken out of `self` while an event runs; empty between events
@@ -943,6 +951,40 @@ pub struct PrefixSim<'w> {
     next: BitWorklist,
     /// Cycle witness of the most recent event, if it was fast-forwarded.
     last_oscillation: Option<Oscillation>,
+}
+
+/// Every [`PrefixSim`] field an in-place what-if query may change besides
+/// the route rows, saved by value by [`PrefixSim::begin_query`] and put
+/// back by [`PrefixSim::end_query`]. The rows are restored from the
+/// tables' first-write journals instead. (`ctx` and `defenses` are never
+/// written by a query; `next` is scratch that every event resets.)
+pub(crate) struct QueryCheckpoint {
+    prefix: Prefix,
+    order: ActivationOrder,
+    announcement: Option<Announcement>,
+    origin_idx: Option<NodeIdx>,
+    announce_time: Timestamp,
+    ann_path: PathId,
+    ann_path_len: u16,
+    downed: BTreeSet<(NodeIdx, NodeIdx)>,
+    poison_filters: BTreeSet<NodeIdx>,
+    extra_origins: BTreeMap<NodeIdx, ExtraOrigin>,
+    overlay: PolicyOverlay,
+    clock: Timestamp,
+    stats: EngineStats,
+    budget: StepBudget,
+    budget_tripped: bool,
+    cert_token: bool,
+    /// The pending wave, when a capped base left one (`None` = empty).
+    wave: Option<BitWorklist>,
+    last_oscillation: Option<Oscillation>,
+}
+
+/// First-write journal storage for a sim's best table and adj-RIB-in,
+/// owned by the caller between queries and lent to the sim for one query.
+pub(crate) struct QueryJournals {
+    best: ColumnJournal,
+    rib: ColumnJournal,
 }
 
 impl<'w> PrefixSim<'w> {
@@ -969,7 +1011,7 @@ impl<'w> PrefixSim<'w> {
         order: ActivationOrder,
     ) -> PrefixSim<'w> {
         let n = ctx.world.graph.len();
-        let rib = RouteColumns::new(ctx.total_sessions());
+        let rib = RouteColumns::over_sessions(Arc::clone(&ctx.topo.entries));
         PrefixSim {
             ctx,
             prefix,
@@ -1039,9 +1081,9 @@ impl<'w> PrefixSim<'w> {
     /// certifier (`ir-audit`'s `DeltaAuditor` through
     /// [`crate::whatif::DeltaCertifier`]) proved the edits keep the world's
     /// safety certificate, so [`PrefixSim::apply_delta`] may keep
-    /// [`ActivationOrder::Free`] across preference edits. Forks never
-    /// inherit the token ([`PrefixSim::fork_for`] clears it) — every delta
-    /// set must earn its own.
+    /// [`ActivationOrder::Free`] across preference edits. A what-if query
+    /// never inherits the token ([`PrefixSim::begin_query`] clears it) —
+    /// every delta set must earn its own.
     pub fn grant_certificate_token(&mut self) {
         self.cert_token = true;
     }
@@ -1524,8 +1566,9 @@ impl<'w> PrefixSim<'w> {
     /// and defenses are constant and the seeds' forced re-export is spent
     /// in round 1, so the next wave is a pure function of the barrier state
     /// (`best`, `rib`, pending wave). Once that triple equals its value λ
-    /// rounds earlier — compared slot for slot, ages included; nothing is
-    /// decided by a hash — the trajectory is periodic, and the state after
+    /// rounds earlier — compared slot for slot, best-route ages included
+    /// (the adj-RIB-in keeps none); nothing is decided by a hash — the
+    /// trajectory is periodic, and the state after
     /// the cap is the state after `(cap − r) mod λ` more rounds: run exactly
     /// those and stop. Snapshots are taken Brent-style at power-of-two
     /// rounds from [`PROBE_ARM_ROUND`] on. A full period has executed by
@@ -1845,57 +1888,141 @@ impl<'w> PrefixSim<'w> {
         ShapeTable { rows, arena }
     }
 
-    /// Copy-on-write fork of this sim's full converged state, retargeted
-    /// at `member` (a prefix sharing this sim's announcement shape — same
-    /// origin and export restrictions, so the converged tables are
-    /// identical by the universe's batching invariant). The fork shares the
-    /// `SimContext` (and thus the path arena: handles stay comparable
-    /// across base and fork) but owns private best/rib columns, so deltas
-    /// applied to it never disturb the base. Cost is eight flat memcpys per
-    /// table — no per-route work, no re-propagation.
-    pub(crate) fn fork_for(&self, member: Prefix) -> PrefixSim<'w> {
-        let announcement = self.announcement.clone().map(|mut a| {
-            a.prefix = member;
-            a
-        });
-        let n = self.best.len();
-        PrefixSim {
-            ctx: Arc::clone(&self.ctx),
-            prefix: member,
+    /// Empty first-write journals sized for this sim's two route tables.
+    pub(crate) fn new_journals(&self) -> QueryJournals {
+        QueryJournals {
+            best: self.best.new_journal(),
+            rib: self.rib.new_journal(),
+        }
+    }
+
+    /// Begins an in-place what-if query on this (converged, resident) sim,
+    /// retargeted at `member` — a prefix sharing its announcement shape, so
+    /// the converged tables are the same by the universe's batching
+    /// invariant. Saves every field a query can change by value, gives the
+    /// query fresh per-query state (zero counters, no budget, no
+    /// certificate token, no witness), and attaches `journals` to both
+    /// route tables. The caller must hand the returned checkpoint to
+    /// [`PrefixSim::end_query`] on every path out of the query.
+    pub(crate) fn begin_query(
+        &mut self,
+        member: Prefix,
+        journals: QueryJournals,
+    ) -> QueryCheckpoint {
+        let saved = QueryCheckpoint {
+            prefix: std::mem::replace(&mut self.prefix, member),
             order: self.order,
-            announcement,
+            announcement: self.announcement.clone(),
             origin_idx: self.origin_idx,
             announce_time: self.announce_time,
             ann_path: self.ann_path,
             ann_path_len: self.ann_path_len,
-            best: self.best.clone(),
-            rib: self.rib.clone(),
             downed: self.downed.clone(),
             poison_filters: self.poison_filters.clone(),
             extra_origins: self.extra_origins.clone(),
-            defenses: self.defenses.clone(),
             overlay: self.overlay.clone(),
             clock: self.clock,
-            stats: EngineStats::default(),
-            // Budgets are per-caller concerns: a fork starts unlimited and
-            // the query layer installs its own.
-            budget: StepBudget::unlimited(),
-            budget_tripped: false,
-            // Certificate tokens are per-delta-set: every fork must earn
-            // its own from a certifier before applying preference edits.
-            cert_token: false,
-            // A capped base hands its pending wave to the fork, as it would
-            // to its own next event.
-            wave: self.wave.clone(),
-            next: BitWorklist::new(n),
-            last_oscillation: None,
+            stats: std::mem::take(&mut self.stats),
+            budget: std::mem::take(&mut self.budget),
+            budget_tripped: std::mem::take(&mut self.budget_tripped),
+            cert_token: std::mem::take(&mut self.cert_token),
+            // A capped base hands its pending wave to the query, as it
+            // would to its own next event.
+            wave: (!self.wave.is_empty()).then(|| self.wave.clone()),
+            last_oscillation: self.last_oscillation.take(),
+        };
+        if let Some(ann) = self.announcement.as_mut() {
+            ann.prefix = member;
         }
+        self.best.start_journal(journals.best);
+        self.rib.start_journal(journals.rib);
+        saved
+    }
+
+    /// Ends an in-place query: rolls both route tables back from their
+    /// journals and restores every saved field, leaving the sim exactly as
+    /// [`PrefixSim::begin_query`] found it. Safe to call while unwinding
+    /// from a panic anywhere inside the query. Returns the emptied
+    /// journals for reuse.
+    pub(crate) fn end_query(&mut self, saved: QueryCheckpoint) -> Option<QueryJournals> {
+        let journals = match (self.best.roll_back(), self.rib.roll_back()) {
+            (Some(best), Some(rib)) => Some(QueryJournals { best, rib }),
+            _ => None,
+        };
+        let QueryCheckpoint {
+            prefix,
+            order,
+            announcement,
+            origin_idx,
+            announce_time,
+            ann_path,
+            ann_path_len,
+            downed,
+            poison_filters,
+            extra_origins,
+            overlay,
+            clock,
+            stats,
+            budget,
+            budget_tripped,
+            cert_token,
+            wave,
+            last_oscillation,
+        } = saved;
+        self.prefix = prefix;
+        self.order = order;
+        self.announcement = announcement;
+        self.origin_idx = origin_idx;
+        self.announce_time = announce_time;
+        self.ann_path = ann_path;
+        self.ann_path_len = ann_path_len;
+        self.downed = downed;
+        self.poison_filters = poison_filters;
+        self.extra_origins = extra_origins;
+        self.overlay = overlay;
+        self.clock = clock;
+        self.stats = stats;
+        self.budget = budget;
+        self.budget_tripped = budget_tripped;
+        self.cert_token = cert_token;
+        self.last_oscillation = last_oscillation;
+        // A panic inside `run_event` unwinds with both worklists still
+        // taken out of the sim; put working ones back.
+        let n = self.best.len();
+        if self.next.capacity() < n {
+            self.next = BitWorklist::new(n);
+        }
+        match wave {
+            Some(wave) => self.wave = wave,
+            None if self.wave.capacity() < n => self.wave = BitWorklist::new(n),
+            None => self.wave.reset(),
+        }
+        journals
+    }
+
+    /// Occupied rows of the best table (O(1)).
+    pub(crate) fn best_occupied(&self) -> usize {
+        self.best.occupied()
+    }
+
+    /// `(node, before, after)` for every best-table row the running query
+    /// changed, ascending by node; `before` is the row as the query found
+    /// it, and a row written back to its old value (age included) is not a
+    /// change. Call [`PrefixSim::sort_best_journal`] first.
+    pub(crate) fn best_changes(
+        &self,
+    ) -> impl Iterator<Item = (NodeIdx, Option<CompactRoute>, Option<CompactRoute>)> + '_ {
+        self.best.journaled_changes()
+    }
+
+    /// Orders the best-table journal by node for
+    /// [`PrefixSim::best_changes`].
+    pub(crate) fn sort_best_journal(&mut self) {
+        self.best.sort_journal();
     }
 
     /// The selected compact route at `x` — raw column load, no
-    /// materialization. Valid to compare field-for-field against another
-    /// sim's rows **only** when both share one arena (base and its
-    /// [`PrefixSim::fork_for`] forks do).
+    /// materialization.
     pub(crate) fn best_compact(&self, x: NodeIdx) -> Option<CompactRoute> {
         self.best.get(x)
     }

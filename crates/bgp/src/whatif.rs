@@ -4,11 +4,12 @@
 //! if this policy (or link) changed?" — which the batch layer answers by
 //! recomputing a whole universe per edit. This module holds the converged
 //! state *resident* instead: a [`WhatIfEngine`] keeps one live
-//! [`PrefixSim`] per announcement shape, and each query forks that sim
-//! copy-on-write (eight flat column memcpys, shared path arena), applies
-//! its [`Delta`] edits through seeded reconvergence, and diffs the result
-//! against the base — so the cost of a question scales with how far the
-//! edit's effects propagate, not with the size of the internet.
+//! [`PrefixSim`] per announcement shape, and each query takes that sim's
+//! lock, applies its [`Delta`] edits in place through seeded
+//! reconvergence while the route tables journal the first write to every
+//! row, builds its diff from the journal, and rolls everything back — so
+//! the cost of a question scales with how far the edit's effects
+//! propagate, not with the size of the internet.
 //!
 //! **The delta-seeding contract** (see DESIGN.md §11): an edit seeds the
 //! worklist only from the AS(es) whose *inputs* changed. Everything else
@@ -19,20 +20,29 @@
 //! route-for-route identical — ages included — to cold recomputation.
 //!
 //! Queries are independent, so [`WhatIfEngine::query_batch`] fans them out
-//! across rayon; every fork shares the base's immutable `SimContext`
-//! (session CSR + policy engine + arena), which is what keeps the
-//! per-query setup allocation-light.
+//! across rayon. Queries on different shapes run in parallel; queries on
+//! one shape take turns (see DESIGN.md §11 for why that wait is cheap).
 
 use crate::extension::DefensePlan;
 use crate::route::Route;
-use crate::sim::{ActivationOrder, Delta, PrefixSim, ShapeTable, SimContext, StepBudget};
+use crate::sim::{
+    ActivationOrder, Delta, PrefixSim, QueryCheckpoint, QueryJournals, ShapeTable, SimContext,
+    StepBudget,
+};
 use crate::universe::{converge_shapes, RoutingUniverse, UniverseResilience};
 use ir_topology::graph::NodeIdx;
 use ir_topology::World;
 use ir_types::{Asn, Error, Prefix, Timestamp};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::time::Instant;
+
+/// Most [`Delta`] edits one query may carry. A query holds its shape for
+/// as long as its edits take, so the count is bounded up front; real
+/// questions carry a handful.
+pub const MAX_DELTAS_PER_QUERY: usize = 256;
 
 /// One what-if question: a prefix and an ordered edit sequence to apply
 /// over the converged base state.
@@ -69,6 +79,13 @@ pub enum QueryError {
     /// (Applying it anyway would report a phantom link as failed or
     /// restored — the same silent no-op, one level up.)
     UnknownLink(Asn, Asn),
+    /// The query carries more than [`MAX_DELTAS_PER_QUERY`] edits.
+    TooManyDeltas {
+        /// Edits the query carried.
+        got: usize,
+        /// The cap.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -78,6 +95,9 @@ impl std::fmt::Display for QueryError {
             QueryError::UnknownAsn(a) => write!(f, "delta references unknown AS {a}"),
             QueryError::UnknownLink(a, b) => {
                 write!(f, "delta references unknown link {a}–{b}")
+            }
+            QueryError::TooManyDeltas { got, max } => {
+                write!(f, "query carries {got} deltas; at most {max} are allowed")
             }
         }
     }
@@ -208,16 +228,84 @@ pub struct WhatIfAnswer {
     pub certificate: Option<CertificateDelta>,
 }
 
-/// One resident converged shape: the live sim queries fork from, plus the
-/// member prefixes it answers for.
+/// Same-shape contention of a [`WhatIfEngine`]: queries that found another
+/// query running on their shape and waited for it, and the total time they
+/// waited. Statistics only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShapeWaits {
+    /// Queries that waited for their shape.
+    pub queries: u64,
+    /// Total wait across those queries, µs.
+    pub total_us: u64,
+}
+
+/// One resident converged shape: the live sim its queries run on, behind
+/// the lock that lets one query at a time edit it in place.
 struct ShapeState<'w> {
-    sim: PrefixSim<'w>,
+    sim: RwLock<PrefixSim<'w>>,
     converged: bool,
+}
+
+impl<'w> ShapeState<'w> {
+    fn new(sim: PrefixSim<'w>, converged: bool) -> ShapeState<'w> {
+        ShapeState {
+            sim: RwLock::new(sim),
+            converged,
+        }
+    }
+
+    /// Read access to the base. A poisoned lock is read through: the
+    /// panicking query's [`InPlaceQuery`] restored the base while
+    /// unwinding, before the lock was released.
+    fn read(&self) -> RwLockReadGuard<'_, PrefixSim<'w>> {
+        self.sim.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One query running in place on a shape's sim: the write lock plus what
+/// the sim must be restored to. Dropping it — after the answer is built,
+/// on a tripped budget or cancel, or while unwinding from a panic — rolls
+/// the sim back *before* the lock is released (a struct's fields drop
+/// after its `drop` runs), so no other caller ever sees a query's edits.
+/// The journal storage goes back to the engine's pool.
+struct InPlaceQuery<'a, 'w> {
+    sim: RwLockWriteGuard<'a, PrefixSim<'w>>,
+    saved: Option<QueryCheckpoint>,
+    pool: &'a Mutex<Vec<QueryJournals>>,
+}
+
+impl<'a, 'w> InPlaceQuery<'a, 'w> {
+    /// Begins a query for `member` on the locked `sim`, with journal
+    /// storage from `pool` (or fresh when every stored journal is in use).
+    fn begin(
+        mut sim: RwLockWriteGuard<'a, PrefixSim<'w>>,
+        member: Prefix,
+        pool: &'a Mutex<Vec<QueryJournals>>,
+    ) -> InPlaceQuery<'a, 'w> {
+        let journals = pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let journals = journals.unwrap_or_else(|| sim.new_journals());
+        let saved = Some(sim.begin_query(member, journals));
+        InPlaceQuery { sim, saved, pool }
+    }
+}
+
+impl Drop for InPlaceQuery<'_, '_> {
+    fn drop(&mut self) {
+        if let Some(saved) = self.saved.take() {
+            if let Some(journals) = self.sim.end_query(saved) {
+                self.pool
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(journals);
+            }
+        }
+    }
 }
 
 /// A resident what-if service over one world: converge once (or adopt a
 /// [`RoutingUniverse`] via [`WhatIfEngine::from_universe`]), then answer
-/// policy/topology deltas by copy-on-write fork + seeded reconvergence.
+/// policy/topology deltas by seeded reconvergence in place, rolled back
+/// after every answer.
 ///
 /// ```
 /// use ir_bgp::{Delta, WhatIfEngine, WhatIfQuery};
@@ -254,6 +342,13 @@ pub struct WhatIfEngine<'w> {
     /// a free-order engine then rely on the sim's own preference-edit
     /// downgrade).
     certifier: Option<Box<dyn DeltaCertifier + 'w>>,
+    /// Idle first-write journals, one per query that ran at the same time
+    /// at most: lent to a query, returned when it ends. Never tied to a
+    /// shape.
+    journals: Mutex<Vec<QueryJournals>>,
+    /// [`ShapeWaits`] counters.
+    waited: AtomicU64,
+    waited_us: AtomicU64,
 }
 
 impl<'w> WhatIfEngine<'w> {
@@ -295,7 +390,7 @@ impl<'w> WhatIfEngine<'w> {
             true,
             &[],
             |sim| sim.set_defenses(defenses.clone()),
-            |sim, converged, _, members| (ShapeState { sim, converged }, members.to_vec()),
+            |sim, converged, _, members| (ShapeState::new(sim, converged), members.to_vec()),
         );
         Self::assemble(world, order, shapes)
     }
@@ -353,13 +448,7 @@ impl<'w> WhatIfEngine<'w> {
             .map(|(origin, members, table)| {
                 let rep = members[0];
                 let sim = PrefixSim::hydrate(ctx.fork(), order, rep, *origin, table);
-                (
-                    ShapeState {
-                        sim,
-                        converged: true,
-                    },
-                    members.clone(),
-                )
+                (ShapeState::new(sim, true), members.clone())
             })
             .collect();
         Ok(Self::assemble(world, order, shapes))
@@ -374,7 +463,7 @@ impl<'w> WhatIfEngine<'w> {
         let mut states = Vec::with_capacity(shapes.len());
         let mut base_clock = Timestamp::ZERO;
         for (state, members) in shapes {
-            base_clock = base_clock.max(state.sim.clock());
+            base_clock = base_clock.max(state.read().clock());
             for m in members {
                 by_prefix.insert(m, states.len());
             }
@@ -387,6 +476,9 @@ impl<'w> WhatIfEngine<'w> {
             by_prefix,
             base_clock,
             certifier: None,
+            journals: Mutex::new(Vec::new()),
+            waited: AtomicU64::new(0),
+            waited_us: AtomicU64::new(0),
         }
     }
 
@@ -408,12 +500,15 @@ impl<'w> WhatIfEngine<'w> {
         self.certifier.is_some()
     }
 
-    /// Answers one query: fork the prefix's shape copy-on-write, apply the
-    /// edits (each stamped one minute after the last), and diff against
-    /// the base. Rejections are per-cause [`QueryError`]s.
+    /// Answers one query: apply the edits to the prefix's shape in place
+    /// (each stamped one minute after the last), diff against the base,
+    /// and roll back. Rejections are per-cause [`QueryError`]s.
     ///
-    /// The base state is never modified — the same engine answers any
-    /// number of queries, concurrently via [`WhatIfEngine::query_batch`].
+    /// No query's edits outlive it or are visible to another caller — the
+    /// same engine answers any number of queries, concurrently via
+    /// [`WhatIfEngine::query_batch`] or from several threads. Queries on
+    /// one shape take turns ([`WhatIfEngine::shape_waits`] counts the
+    /// turns waited).
     pub fn query(&self, q: &WhatIfQuery) -> Result<WhatIfAnswer, QueryError> {
         self.query_budgeted(q, &StepBudget::unlimited())
     }
@@ -434,24 +529,26 @@ impl<'w> WhatIfEngine<'w> {
             None => return Err(QueryError::UnknownPrefix(q.prefix)),
         };
         self.validate_deltas(&q.deltas)?;
-        let base = &state.sim;
-        let mut fork = base.fork_for(q.prefix);
         // Certificate maintenance (free-order engines with a certifier
-        // only): a preserved verdict licenses the fork to keep the free
-        // order across preference edits; anything else downgrades the fork
-        // to the always-safe wave-exact schedule before any edit applies.
+        // only), judged before the shape is locked: a preserved verdict
+        // licenses the query to keep the free order across preference
+        // edits; anything else downgrades it to the always-safe wave-exact
+        // schedule before any edit applies.
         let certificate = match &self.certifier {
             Some(c) if self.order == ActivationOrder::Free => Some(c.audit_deltas(&q.deltas)),
             _ => None,
         };
+        let mut query = InPlaceQuery::begin(self.lock_shape(state), q.prefix, &self.journals);
+        let sim = &mut *query.sim;
         match &certificate {
-            Some(CertificateDelta::Preserved) => fork.grant_certificate_token(),
-            Some(_) => fork.set_order(ActivationOrder::WaveExact),
+            Some(CertificateDelta::Preserved) => sim.grant_certificate_token(),
+            Some(_) => sim.set_order(ActivationOrder::WaveExact),
             None => {}
         }
         if !budget.is_unlimited() {
-            fork.set_step_budget(budget.clone());
+            sim.set_step_budget(budget.clone());
         }
+        let base_occupied = sim.best_occupied();
         let mut stats = DeltaStats {
             converged: state.converged,
             ..DeltaStats::default()
@@ -464,25 +561,25 @@ impl<'w> WhatIfEngine<'w> {
                 Delta::Announce(ann) if ann.prefix != q.prefix => {
                     let mut ann = ann.clone();
                     ann.prefix = q.prefix;
-                    fork.apply_delta(&Delta::Announce(ann), at)
+                    sim.apply_delta(&Delta::Announce(ann), at)
                 }
-                _ => fork.apply_delta(delta, at),
+                _ => sim.apply_delta(delta, at),
             };
             stats.activations += conv.activations;
             stats.imports += conv.imports;
             stats.rounds += conv.rounds;
             stats.converged &= conv.converged;
-            if fork.budget_tripped() {
+            if sim.budget_tripped() {
                 break;
             }
         }
-        let fork_stats = fork.stats();
-        stats.deltas_applied = fork_stats.deltas_applied;
-        stats.ases_seeded = fork_stats.ases_seeded;
-        if fork.budget_tripped() {
-            // The fork stopped mid-propagation; its tables are not a
-            // fixpoint of anything. Don't diff against them — answer with
-            // the base routes, marked degraded.
+        let sim_stats = sim.stats();
+        stats.deltas_applied = sim_stats.deltas_applied;
+        stats.ases_seeded = sim_stats.ases_seeded;
+        if sim.budget_tripped() {
+            // The query stopped mid-propagation; the tables are not a
+            // fixpoint of anything. Don't diff them — answer with the base
+            // routes, marked degraded.
             stats.deadline_aborted = true;
             return Ok(WhatIfAnswer {
                 prefix: q.prefix,
@@ -491,27 +588,25 @@ impl<'w> WhatIfEngine<'w> {
                 certificate,
             });
         }
-        // Diff against the base. The fork shares the base's arena, so
-        // compact rows compare field-for-field (path handles included).
-        let mut diffs = Vec::new();
-        for x in 0..self.world.graph.len() {
-            let before = base.best_compact(x);
-            let after = fork.best_compact(x);
-            if before == after {
-                if before.is_some() {
-                    stats.routes_retained += 1;
+        // Every row that differs from the base was written, so the best
+        // table's journal holds all of them, with the base row as `before`.
+        // Routes materialize for the queried member prefix.
+        sim.sort_best_journal();
+        let sim = &*sim;
+        let mut lost = 0;
+        let diffs: Vec<RouteDiff> = sim
+            .best_changes()
+            .map(|(x, before, after)| {
+                lost += usize::from(before.is_some());
+                RouteDiff {
+                    asn: self.world.graph.asn(x),
+                    before: before.map(|r| sim.materialize(r)),
+                    after: after.map(|r| sim.materialize(r)),
                 }
-                continue;
-            }
-            stats.routes_changed += 1;
-            diffs.push(RouteDiff {
-                asn: self.world.graph.asn(x),
-                // Materialize through the fork: same arena and graph as the
-                // base, but routes carry the queried member prefix.
-                before: before.map(|r| fork.materialize(r)),
-                after: after.map(|r| fork.materialize(r)),
-            });
-        }
+            })
+            .collect();
+        stats.routes_changed = diffs.len();
+        stats.routes_retained = base_occupied - lost;
         Ok(WhatIfAnswer {
             prefix: q.prefix,
             diffs,
@@ -520,10 +615,50 @@ impl<'w> WhatIfEngine<'w> {
         })
     }
 
-    /// Rejects deltas that name ASes or links outside the world — the sim
-    /// would treat them as silent no-ops, which is the right semantics for
-    /// fault replay but the wrong one for a query API.
+    /// The write lock of `state`'s sim, counting the wait when another
+    /// query holds it. A poisoned lock is cleared and used: a query that
+    /// panicked restored the base in its [`InPlaceQuery`]'s `drop` while
+    /// unwinding, before the lock was released, so the sim behind it is
+    /// the untouched base.
+    fn lock_shape<'s>(&self, state: &'s ShapeState<'w>) -> RwLockWriteGuard<'s, PrefixSim<'w>> {
+        let recover = |poisoned: PoisonError<RwLockWriteGuard<'s, PrefixSim<'w>>>| {
+            state.sim.clear_poison();
+            poisoned.into_inner()
+        };
+        match state.sim.try_write() {
+            Ok(sim) => sim,
+            Err(TryLockError::Poisoned(poisoned)) => recover(poisoned),
+            Err(TryLockError::WouldBlock) => {
+                let started = Instant::now();
+                let sim = state.sim.write().unwrap_or_else(recover);
+                let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                self.waited.fetch_add(1, Ordering::Relaxed);
+                self.waited_us.fetch_add(us, Ordering::Relaxed);
+                sim
+            }
+        }
+    }
+
+    /// Queries so far that waited for another query on their shape, and
+    /// how long in total.
+    pub fn shape_waits(&self) -> ShapeWaits {
+        ShapeWaits {
+            queries: self.waited.load(Ordering::Relaxed),
+            total_us: self.waited_us.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Rejects oversized edit lists and deltas that name ASes or links
+    /// outside the world — the sim would treat the latter as silent
+    /// no-ops, which is the right semantics for fault replay but the wrong
+    /// one for a query API.
     fn validate_deltas(&self, deltas: &[Delta]) -> Result<(), QueryError> {
+        if deltas.len() > MAX_DELTAS_PER_QUERY {
+            return Err(QueryError::TooManyDeltas {
+                got: deltas.len(),
+                max: MAX_DELTAS_PER_QUERY,
+            });
+        }
         let graph = &self.world.graph;
         let check = |asn: Asn| graph.index_of(asn).ok_or(QueryError::UnknownAsn(asn));
         for delta in deltas {
@@ -571,9 +706,9 @@ impl<'w> WhatIfEngine<'w> {
 
     /// The base (pre-edit) route at node `x` for a resident prefix.
     pub fn base_route(&self, prefix: Prefix, x: NodeIdx) -> Option<Route> {
-        let state = &self.shapes[*self.by_prefix.get(&prefix)?];
-        let r = state.sim.best_compact(x)?;
-        let mut route = state.sim.materialize(r);
+        let sim = self.shapes[*self.by_prefix.get(&prefix)?].read();
+        let r = sim.best_compact(x)?;
+        let mut route = sim.materialize(r);
         route.prefix = prefix;
         Some(route)
     }
@@ -737,6 +872,39 @@ mod tests {
         let peer = w.graph.asn(w.graph.links(oidx)[0].peer);
         let q = WhatIfQuery::single(prefix, Delta::LinkDown { a: peer, b: origin });
         assert!(engine.query(&q).is_ok());
+    }
+
+    #[test]
+    fn too_many_deltas_is_a_structured_error() {
+        let w = world();
+        let (_, prefix) = stub_prefix(&w);
+        let engine = WhatIfEngine::new(&w, &[prefix]);
+        let mut q = WhatIfQuery {
+            prefix,
+            deltas: vec![Delta::Withdraw; MAX_DELTAS_PER_QUERY],
+        };
+        assert!(engine.query(&q).is_ok(), "the cap itself is allowed");
+        q.deltas.push(Delta::Withdraw);
+        assert_eq!(
+            engine.query(&q),
+            Err(QueryError::TooManyDeltas {
+                got: MAX_DELTAS_PER_QUERY + 1,
+                max: MAX_DELTAS_PER_QUERY,
+            })
+        );
+    }
+
+    #[test]
+    fn engine_is_shareable_and_counts_no_waits_alone() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<WhatIfEngine<'static>>();
+        let w = world();
+        let (_, prefix) = stub_prefix(&w);
+        let engine = WhatIfEngine::new(&w, &[prefix]);
+        engine
+            .query(&WhatIfQuery::single(prefix, Delta::Withdraw))
+            .unwrap();
+        assert_eq!(engine.shape_waits(), ShapeWaits::default());
     }
 
     #[test]

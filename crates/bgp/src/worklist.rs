@@ -115,6 +115,11 @@ impl BitWorklist {
         self.len == 0
     }
 
+    /// Indices this worklist can hold (0 for a `Default` placeholder).
+    pub(crate) fn capacity(&self) -> usize {
+        self.words.len() * WORD_BITS
+    }
+
     /// The pending set as plain bitset words, one per 64 indices (words of
     /// a stale generation read as empty) — the worklist third of the
     /// oscillation probe's state snapshot.

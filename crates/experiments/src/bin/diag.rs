@@ -26,9 +26,11 @@
 //!
 //! `diag whatif [target-ases] [seed]` exercises the incremental what-if
 //! engine: converge one stub prefix, then answer a localized link edit
-//! and a policy edit both warm (copy-on-write fork + seeded
-//! reconvergence) and cold (fresh convergence), printing the speedup, the
-//! touched-AS fraction, and the retention counters. Run it in release.
+//! and a policy edit both warm (in-place seeded reconvergence, rolled
+//! back) and cold (fresh convergence), printing the speedup, the
+//! touched-AS fraction, and the retention counters; then run two callers
+//! over 32 resident prefixes and print how many queries waited for their
+//! shape and for how long. Run it in release.
 //!
 //! `diag hijack [target-ases] [seed]` runs the security scenario sweep on
 //! an internet-scale world: a 200-cell Monte-Carlo grid (adoption
@@ -265,7 +267,7 @@ fn whatif_diag(target: usize, seed: u64) {
         let q = WhatIfQuery::single(prefix, delta.clone());
         let a = engine.query(&q).expect("prefix resident");
         println!("{label} ({t_asn} ~ {t_peer}):");
-        let warm = timed("warm (fork + reconverge)", 10, &mut || {
+        let warm = timed("warm (in place + roll back)", 10, &mut || {
             let _ = std::hint::black_box(engine.query(&q));
         });
         let cold = timed("cold (announce + edit)", 3, &mut || {
@@ -301,6 +303,53 @@ fn whatif_diag(target: usize, seed: u64) {
         "degraded path (budget 1): deadline_aborted={} diffs={} (base routes reported)",
         degraded.stats.deadline_aborted,
         degraded.diffs.len()
+    );
+
+    // Same-shape waits: two callers, each drawing its prefix uniformly
+    // from up to 32 resident ones (the shape of served traffic), asking
+    // the link edit above. A query waits only when the other caller is on
+    // its shape.
+    let resident: Vec<_> = g
+        .nodes()
+        .iter()
+        .rev()
+        .filter_map(|n| n.prefixes.first().copied())
+        .take(32)
+        .collect();
+    let engine = WhatIfEngine::new(&world, &resident);
+    let per_caller = 4_000u64;
+    let t2 = std::time::Instant::now();
+    std::thread::scope(|s| {
+        for caller in 0..2u64 {
+            let (engine, resident) = (&engine, &resident);
+            s.spawn(move || {
+                let mut x = caller + 1;
+                for _ in 0..per_caller {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let p = resident[(x % resident.len() as u64) as usize];
+                    let edit = Delta::LinkDown {
+                        a: t_asn,
+                        b: t_peer,
+                    };
+                    let _ = std::hint::black_box(engine.query(&WhatIfQuery::single(p, edit)));
+                }
+            });
+        }
+    });
+    let caller_us = 2.0 * t2.elapsed().as_micros() as f64;
+    let waits = engine.shape_waits();
+    println!(
+        "two callers, {} queries over {} prefixes ({} shapes): {} waited for their shape \
+         ({:.1}%), {} µs in total ({:.2}% of caller time)",
+        2 * per_caller,
+        resident.len(),
+        engine.shape_count(),
+        waits.queries,
+        100.0 * waits.queries as f64 / (2 * per_caller) as f64,
+        waits.total_us,
+        100.0 * waits.total_us as f64 / caller_us.max(1.0)
     );
 }
 

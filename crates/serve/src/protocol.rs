@@ -17,14 +17,16 @@
 //! re-serialized) into the reply.
 
 use crate::server::{ServeStats, OP_NAMES};
-use ir_bgp::{Announcement, CertificateDelta, Delta, DeltaStats, QueryError, Route, WhatIfAnswer};
+use ir_bgp::{
+    Announcement, CertificateDelta, Delta, DeltaStats, QueryError, Route, ShapeWaits, WhatIfAnswer,
+};
 use ir_types::{Asn, Prefix};
 use serde_json::{json, Deserialize, Value};
 
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// A what-if query: fork, apply deltas under a budget, diff.
+    /// A what-if query: apply deltas under a budget, diff.
     WhatIf {
         /// Client-chosen correlation id, echoed in the response.
         id: Option<u64>,
@@ -53,7 +55,7 @@ pub enum Request {
         /// Requested activation budget (clamped to the server's cap).
         budget: Option<u64>,
     },
-    /// Base-universe route lookup at one AS — no fork, no reconvergence.
+    /// Base-universe route lookup at one AS — no edit, no reconvergence.
     Route {
         /// Correlation id.
         id: Option<u64>,
@@ -502,8 +504,14 @@ pub fn draining_response(id: Option<u64>) -> String {
 }
 
 /// `status: ok` response for the `stats` op: the serving counters, the
-/// admission queue's capacity, and the per-op latency breakdown.
-pub fn stats_response(id: Option<u64>, s: &ServeStats, queue_cap: usize) -> String {
+/// admission queue's capacity, the engine's same-shape waits, and the
+/// per-op latency breakdown.
+pub fn stats_response(
+    id: Option<u64>,
+    s: &ServeStats,
+    queue_cap: usize,
+    waits: ShapeWaits,
+) -> String {
     let mut fields = json!({
         "received": s.received,
         "served": s.served,
@@ -519,6 +527,8 @@ pub fn stats_response(id: Option<u64>, s: &ServeStats, queue_cap: usize) -> Stri
         "queue_cap": queue_cap,
         "certificates_preserved": s.certificates_preserved,
         "certificates_revoked": s.certificates_revoked,
+        "shape_waits": waits.queries,
+        "shape_wait_us": waits.total_us,
         "ops": {}
     });
     for (name, o) in OP_NAMES.iter().zip(&s.ops) {

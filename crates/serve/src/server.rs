@@ -172,7 +172,7 @@ pub struct ServeStats {
     /// certificate-preserving (free-order answer stayed licensed).
     pub certificates_preserved: u64,
     /// Query edit sets that revoked the certificate (the answer fell back
-    /// to wave-exact reconvergence on the fork).
+    /// to wave-exact reconvergence).
     pub certificates_revoked: u64,
     /// Per-op count/latency breakdown, indexed by [`OpKind`].
     pub ops: [OpLatency; 8],
@@ -594,7 +594,7 @@ impl Server {
                 stealth,
                 budget,
             } => {
-                // Sugar over the what-if path: one hijack delta on a fork,
+                // Sugar over the what-if path: one hijack delta,
                 // tracked under its own op so scenario load is observable
                 // separately from ordinary what-if traffic.
                 let deltas = vec![Delta::Hijack {
@@ -641,7 +641,8 @@ impl Server {
             }
             Request::Stats { id } => {
                 // Snapshot first: a stats reply does not count itself.
-                let response = stats_response(id, &self.stats(), self.queue.cap());
+                let response =
+                    stats_response(id, &self.stats(), self.queue.cap(), engine.shape_waits());
                 self.record_op(OpKind::Stats, started);
                 let _ = tx.send(response);
                 false

@@ -6,7 +6,7 @@
 
 use ir_bgp::{
     ActivationOrder, Announcement, AsPath, CertificateDelta, Delta, DeltaStats, QueryError, Route,
-    RouteDiff, RoutingUniverse, WhatIfAnswer, WhatIfEngine,
+    RouteDiff, RoutingUniverse, ShapeWaits, WhatIfAnswer, WhatIfEngine, MAX_DELTAS_PER_QUERY,
 };
 use ir_serve::protocol::{
     audit_response, degraded_response, delta_from_value, delta_to_value, error_response,
@@ -460,12 +460,31 @@ fn response_encoders_have_golden_lines() {
             r#"{"status":"error","error":"delta references unknown AS AS9"}"#.to_string(),
         ),
         (
-            stats_response(Some(6), &serve_stats, 64),
+            query_error_response(
+                Some(7),
+                &QueryError::TooManyDeltas {
+                    got: 300,
+                    max: MAX_DELTAS_PER_QUERY,
+                },
+            ),
+            r#"{"id":7,"status":"error","error":"query carries 300 deltas; at most 256 are allowed"}"#.to_string(),
+        ),
+        (
+            stats_response(
+                Some(6),
+                &serve_stats,
+                64,
+                ShapeWaits {
+                    queries: 14,
+                    total_us: 15,
+                },
+            ),
             concat!(
                 r#"{"id":6,"status":"ok","received":1,"served":2,"shed":3,"degraded":4,"#,
                 r#""deadline_aborts":5,"quarantine_refusals":6,"errors":7,"disconnects":8,"#,
                 r#""autosaves":9,"breaker_trips":10,"queue_high_water":11,"queue_cap":64,"#,
-                r#""certificates_preserved":12,"certificates_revoked":13,"ops":{"#,
+                r#""certificates_preserved":12,"certificates_revoked":13,"#,
+                r#""shape_waits":14,"shape_wait_us":15,"ops":{"#,
                 r#""whatif":{"count":0,"total_ms":0,"max_ms":0},"#,
                 r#""hijack":{"count":1,"total_ms":10,"max_ms":100},"#,
                 r#""route":{"count":2,"total_ms":20,"max_ms":200},"#,

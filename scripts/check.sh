@@ -34,9 +34,11 @@ run cargo fmt --check
 # fast-forward must land on the cap-burning oracle's tables after
 # announce, poisoned re-announce and withdraw/re-announce, step budgets
 # bound executed work, and converging events keep their pinned counters.
+# `whatif_inplace` is the in-place proof: no query (answered, budget-tripped,
+# rejected, concurrent or panicking) leaves a trace on the resident base.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp \
     --test differential --test fault_differential --test whatif_differential \
-    --test oscillation_differential
+    --test oscillation_differential --test whatif_inplace
 # Certificate-maintenance gate (release): ≥1000 randomized (certified
 # world, delta batch) pairs must get the same verdict from the incremental
 # DeltaAuditor as from a full re-audit of the edited world, and certified
