@@ -19,9 +19,9 @@
 //! (unconverged) run. The differential suites prove warm answers
 //! route-for-route identical — ages included — to cold recomputation.
 //!
-//! Queries are independent, so [`WhatIfEngine::query_batch`] fans them out
-//! across rayon. Queries on different shapes run in parallel; queries on
-//! one shape take turns (see DESIGN.md §11 for why that wait is cheap).
+//! Queries are independent, so any number of threads may share one engine.
+//! Queries on different shapes run in parallel; queries on one shape take
+//! turns (see DESIGN.md §11 for why that wait is cheap).
 
 use crate::extension::DefensePlan;
 use crate::route::Route;
@@ -163,8 +163,8 @@ impl std::fmt::Display for CertificateDelta {
 /// without a dependency cycle.
 ///
 /// Implementations must be pure with respect to the engine's world (judge
-/// the edits, mutate nothing) and thread-safe: `query_batch` consults the
-/// certifier from rayon workers concurrently.
+/// the edits, mutate nothing) and thread-safe: concurrent queries consult
+/// the certifier from several threads at once.
 pub trait DeltaCertifier: Send + Sync {
     /// Judges an ordered edit sequence against the certified base world.
     fn audit_deltas(&self, deltas: &[Delta]) -> CertificateDelta;
@@ -505,10 +505,9 @@ impl<'w> WhatIfEngine<'w> {
     /// and roll back. Rejections are per-cause [`QueryError`]s.
     ///
     /// No query's edits outlive it or are visible to another caller — the
-    /// same engine answers any number of queries, concurrently via
-    /// [`WhatIfEngine::query_batch`] or from several threads. Queries on
-    /// one shape take turns ([`WhatIfEngine::shape_waits`] counts the
-    /// turns waited).
+    /// same engine answers any number of queries, concurrently from
+    /// several threads. Queries on one shape take turns
+    /// ([`WhatIfEngine::shape_waits`] counts the turns waited).
     pub fn query(&self, q: &WhatIfQuery) -> Result<WhatIfAnswer, QueryError> {
         self.query_budgeted(q, &StepBudget::unlimited())
     }
@@ -689,13 +688,6 @@ impl<'w> WhatIfEngine<'w> {
             }
         }
         Ok(())
-    }
-
-    /// Answers many independent queries in parallel (rayon), results in
-    /// input order. Each result stands alone: a rejected query yields its
-    /// own [`QueryError`] and never aborts the rest of the batch.
-    pub fn query_batch(&self, queries: &[WhatIfQuery]) -> Vec<Result<WhatIfAnswer, QueryError>> {
-        queries.par_iter().map(|q| self.query(q)).collect()
     }
 
     /// Whether `prefix` is resident in the engine — O(log n) map lookup,
@@ -913,7 +905,7 @@ mod tests {
         let (origin, prefix) = stub_prefix(&w);
         let engine = WhatIfEngine::new(&w, &[prefix]);
         let other: Prefix = "203.0.113.0/24".parse().unwrap();
-        let queries = vec![
+        let queries = [
             WhatIfQuery::single(prefix, Delta::Withdraw),
             WhatIfQuery::single(other, Delta::Withdraw),
             WhatIfQuery::single(
@@ -925,7 +917,7 @@ mod tests {
             ),
             WhatIfQuery::single(prefix, Delta::Withdraw),
         ];
-        let results = engine.query_batch(&queries);
+        let results: Vec<_> = queries.iter().map(|q| engine.query(q)).collect();
         assert!(results[0].is_ok());
         assert_eq!(results[1], Err(QueryError::UnknownPrefix(other)));
         assert_eq!(results[2], Err(QueryError::UnknownAsn(Asn(4_000_000_000))));
@@ -965,22 +957,6 @@ mod tests {
         let a = engine.query_budgeted(&q, &budget).unwrap();
         let b = engine.query_budgeted(&q, &budget).unwrap();
         assert_eq!(a, b, "same budget, same query ⇒ same (degraded) answer");
-    }
-
-    #[test]
-    fn batch_matches_sequential() {
-        let w = world();
-        let owners = prefix_owners(&w);
-        let prefixes: Vec<Prefix> = owners.keys().copied().take(6).collect();
-        let engine = WhatIfEngine::new(&w, &prefixes);
-        let queries: Vec<WhatIfQuery> = prefixes
-            .iter()
-            .map(|&p| WhatIfQuery::single(p, Delta::Withdraw))
-            .collect();
-        let batch = engine.query_batch(&queries);
-        for (q, b) in queries.iter().zip(&batch) {
-            assert_eq!(engine.query(q).as_ref(), b.as_ref());
-        }
     }
 
     #[test]

@@ -22,9 +22,9 @@ fn internet_scale_converges_within_memory_budget() {
     );
 
     // Single prefix over the full topology. The budget bound is the
-    // tentpole's contract: interned paths + struct-of-arrays columns keep
-    // a stored route near the 32-byte CompactRoute, not the ~180 bytes a
-    // materialized Route with heap path costs (see BENCH_scale.json).
+    // compact storage's contract: interned paths + struct-of-arrays
+    // columns keep a stored route near the 32-byte CompactRoute, not the
+    // ~180 bytes a materialized Route with heap path costs (DESIGN.md §5).
     let stub = world
         .graph
         .nodes()

@@ -19,18 +19,17 @@
 //! 1000-prefix universe slice, printing the engine's `MemoryBudget` and
 //! the universe's resident table bytes. Run it in release mode.
 //!
-//! `diag audit-delta [target-ases] [seed]` measures incremental
-//! certificate maintenance on a certified internet-scale world: wall time
-//! of single-delta `DeltaAuditor` verdicts versus a full `audit_world`
-//! re-run, plus a verdict-agreement spot check. Run it in release.
+//! `diag audit-delta [target-ases] [seed]` exercises incremental
+//! certificate maintenance on a certified internet-scale world:
+//! single-delta `DeltaAuditor` verdicts, cross-checked against a full
+//! `audit_world` re-run on a sample. Run it in release.
 //!
 //! `diag whatif [target-ases] [seed]` exercises the incremental what-if
 //! engine: converge one stub prefix, then answer a localized link edit
-//! and a policy edit both warm (in-place seeded reconvergence, rolled
-//! back) and cold (fresh convergence), printing the speedup, the
-//! touched-AS fraction, and the retention counters; then run two callers
-//! over 32 resident prefixes and print how many queries waited for their
-//! shape and for how long. Run it in release.
+//! and a policy edit in place, printing the seeded and touched ASes and
+//! the retention counters; then run two callers over 32 resident prefixes
+//! and print how many queries waited for their shape and for how long.
+//! Run it in release.
 //!
 //! `diag hijack [target-ases] [seed]` runs the security scenario sweep on
 //! an internet-scale world: a 200-cell Monte-Carlo grid (adoption
@@ -38,6 +37,9 @@
 //! subprefix hijacks, printing per-fraction outcome rates and proving
 //! same-seed determinism by rendering the sweep twice and comparing
 //! bytes. Run it in release.
+//!
+//! Nothing here is timed: the benchmark of record (`benchmark/run.sh`)
+//! measures every layer these dumps exercise.
 
 use ir_experiments::{scenario::ScenarioConfig, Scenario};
 use ir_fault::FaultConfig;
@@ -121,11 +123,9 @@ fn internet_scale_diag(seed: u64, target: usize) {
     use ir_topology::GeneratorConfig;
     use ir_types::{Prefix, Timestamp};
 
-    let t0 = std::time::Instant::now();
     let world = GeneratorConfig::internet_scale_sized(target).build(seed);
     println!(
-        "build: {:.1?} | world: {} ASes {} links",
-        t0.elapsed(),
+        "world: {} ASes {} links",
         world.graph.len(),
         world.graph.link_count()
     );
@@ -139,14 +139,11 @@ fn internet_scale_diag(seed: u64, target: usize) {
         .find(|n| !n.prefixes.is_empty())
         .expect("world has an origin");
     let (origin, prefix) = (stub.asn, stub.prefixes[0]);
-    let t1 = std::time::Instant::now();
     let mut sim = PrefixSim::new(&world, prefix);
     let conv = sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-    let dt = t1.elapsed();
     let mem = sim.stats().memory;
     println!(
-        "single prefix {prefix} (origin {origin}): {:.1?}, {} rounds, {} activations, {} imports{}",
-        dt,
+        "single prefix {prefix} (origin {origin}): {} rounds, {} activations, {} imports{}",
         conv.rounds,
         conv.activations,
         conv.imports,
@@ -175,17 +172,14 @@ fn internet_scale_diag(seed: u64, target: usize) {
         .filter_map(|n| n.prefixes.first().copied())
         .take(1000)
         .collect();
-    let t2 = std::time::Instant::now();
     let u = RoutingUniverse::compute(&world, &prefixes);
-    let dt = t2.elapsed();
     let ustats = u.engine_stats();
     let resident = u.resident_bytes();
     let route_slots = prefixes.len() * world.graph.len();
     println!(
-        "universe slice: {} prefixes in {:.1?} from {} shape propagations \
+        "universe slice: {} prefixes from {} shape propagations \
          ({} shared by fan-out), {} unconverged",
         prefixes.len(),
-        dt,
         ustats.shapes_computed,
         ustats.prefixes_shared,
         u.unconverged().len()
@@ -199,17 +193,12 @@ fn internet_scale_diag(seed: u64, target: usize) {
 }
 
 fn whatif_diag(target: usize, seed: u64) {
-    use ir_bgp::{
-        Announcement, Delta, PrefixSim, SimContext, StepBudget, WhatIfEngine, WhatIfQuery,
-    };
+    use ir_bgp::{Delta, StepBudget, WhatIfEngine, WhatIfQuery};
     use ir_topology::GeneratorConfig;
-    use ir_types::Timestamp;
 
-    let t0 = std::time::Instant::now();
     let world = GeneratorConfig::internet_scale_sized(target).build(seed);
     println!(
-        "build: {:.1?} | world: {} ASes {} links",
-        t0.elapsed(),
+        "world: {} ASes {} links",
         world.graph.len(),
         world.graph.link_count()
     );
@@ -228,25 +217,12 @@ fn whatif_diag(target: usize, seed: u64) {
         .expect("world has a linked node");
     let (t_asn, t_peer) = (g.asn(t), g.asn(g.links(t)[0].peer));
 
-    let t1 = std::time::Instant::now();
     let engine = WhatIfEngine::new(&world, &[prefix]);
     println!(
-        "base: {prefix} (origin {origin}) converged in {:.1?}, resident as {} shape(s)",
-        t1.elapsed(),
+        "base: {prefix} (origin {origin}) resident as {} shape(s)",
         engine.shape_count()
     );
 
-    let timed = |label: &str, iters: u32, f: &mut dyn FnMut()| -> f64 {
-        f();
-        let t = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let ns = t.elapsed().as_nanos() as f64 / iters as f64;
-        println!("  {label:<28} {:.2} ms", ns / 1e6);
-        ns
-    };
-    let ctx = SimContext::shared(&world);
     for (label, delta) in [
         (
             "link edit",
@@ -264,22 +240,12 @@ fn whatif_diag(target: usize, seed: u64) {
             },
         ),
     ] {
-        let q = WhatIfQuery::single(prefix, delta.clone());
-        let a = engine.query(&q).expect("prefix resident");
-        println!("{label} ({t_asn} ~ {t_peer}):");
-        let warm = timed("warm (in place + roll back)", 10, &mut || {
-            let _ = std::hint::black_box(engine.query(&q));
-        });
-        let cold = timed("cold (announce + edit)", 3, &mut || {
-            let mut sim = PrefixSim::with_context(ctx.fork(), prefix);
-            sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-            sim.apply_delta(&delta, Timestamp(60));
-            std::hint::black_box(sim.clock());
-        });
+        let a = engine
+            .query(&WhatIfQuery::single(prefix, delta))
+            .expect("prefix resident");
         println!(
-            "  speedup {:.1}x | seeded {} AS(es), touched {:.3}% of ASes \
+            "{label} ({t_asn} ~ {t_peer}): seeded {} AS(es), touched {:.3}% of ASes \
              ({} activations) | {} routes retained, {} changed{}",
-            cold / warm,
             a.stats.ases_seeded,
             a.stats.activations as f64 * 100.0 / world.graph.len() as f64,
             a.stats.activations,
@@ -318,7 +284,6 @@ fn whatif_diag(target: usize, seed: u64) {
         .collect();
     let engine = WhatIfEngine::new(&world, &resident);
     let per_caller = 4_000u64;
-    let t2 = std::time::Instant::now();
     std::thread::scope(|s| {
         for caller in 0..2u64 {
             let (engine, resident) = (&engine, &resident);
@@ -338,18 +303,16 @@ fn whatif_diag(target: usize, seed: u64) {
             });
         }
     });
-    let caller_us = 2.0 * t2.elapsed().as_micros() as f64;
     let waits = engine.shape_waits();
     println!(
         "two callers, {} queries over {} prefixes ({} shapes): {} waited for their shape \
-         ({:.1}%), {} µs in total ({:.2}% of caller time)",
+         ({:.1}%), {} µs in total",
         2 * per_caller,
         resident.len(),
         engine.shape_count(),
         waits.queries,
         100.0 * waits.queries as f64 / (2 * per_caller) as f64,
-        waits.total_us,
-        100.0 * waits.total_us as f64 / caller_us.max(1.0)
+        waits.total_us
     );
 }
 
@@ -364,11 +327,9 @@ fn hijack_diag(target: usize, seed: u64) {
     };
     use ir_topology::GeneratorConfig;
 
-    let t0 = std::time::Instant::now();
     let world = GeneratorConfig::internet_scale_sized(target).build(seed);
     println!(
-        "build: {:.1?} | world: {} ASes {} links",
-        t0.elapsed(),
+        "world: {} ASes {} links",
         world.graph.len(),
         world.graph.link_count()
     );
@@ -390,16 +351,12 @@ fn hijack_diag(target: usize, seed: u64) {
         config.defense.name()
     );
 
-    let t1 = std::time::Instant::now();
     let rows = run_sweep(&world, &config);
-    let dt = t1.elapsed();
     let csv = sweep_to_csv(&rows);
     let json = sweep_to_json(&rows);
     println!(
-        "swept {} cells in {:.1?} ({:.1} ms/cell) | {} CSV bytes, {} JSON bytes",
+        "swept {} cells | {} CSV bytes, {} JSON bytes",
         rows.len(),
-        dt,
-        dt.as_secs_f64() * 1e3 / rows.len().max(1) as f64,
         csv.len(),
         json.len()
     );
@@ -408,16 +365,12 @@ fn hijack_diag(target: usize, seed: u64) {
     // the Monte-Carlo layer. Cells are planned sequentially and carry
     // their own derived generators, so rayon scheduling cannot reorder or
     // reshuffle anything observable.
-    let t2 = std::time::Instant::now();
     let again = sweep_to_csv(&run_sweep(&world, &config));
     assert_eq!(
         csv, again,
         "same-seed sweep runs rendered different CSV bytes"
     );
-    println!(
-        "determinism: second same-seed run byte-identical ({:.1?})",
-        t2.elapsed()
-    );
+    println!("determinism: second same-seed run byte-identical");
 
     // Per-(attack, fraction) mean rates — the adoption curve the sweep
     // exists to draw.
@@ -448,30 +401,25 @@ fn hijack_diag(target: usize, seed: u64) {
 }
 
 /// Incremental certificate-maintenance diagnostic: on an internet-scale
-/// certified world, compare the cost of judging a single-delta edit set
-/// with the [`ir_audit::DeltaAuditor`] against a full `audit_world`
-/// re-run on the edited world, and verify the verdicts agree. The
-/// incremental path is the serving plane's per-query admission check, so
-/// its margin over the full audit is the whole point. Run it in release.
+/// certified world, judge single-delta edit sets with the
+/// [`ir_audit::DeltaAuditor`] — the serving plane's per-query admission
+/// check — and verify a sample of verdicts against a full `audit_world`
+/// re-run on the edited world. Run it in release.
 fn audit_delta_diag(target: usize, seed: u64) {
     use ir_audit::{audit_world, edited_world, CertificateDelta, DeltaAuditor};
     use ir_bgp::Delta;
     use ir_topology::GeneratorConfig;
 
-    let t0 = std::time::Instant::now();
     let world = GeneratorConfig::internet_scale_sized(target).build(seed);
     println!(
-        "build: {:.1?} | world: {} ASes {} links",
-        t0.elapsed(),
+        "world: {} ASes {} links",
         world.graph.len(),
         world.graph.link_count()
     );
 
-    let t1 = std::time::Instant::now();
     let report = audit_world(&world);
-    let full_ms = t1.elapsed().as_secs_f64() * 1e3;
     println!(
-        "full audit: {full_ms:.1} ms | certified: {} ({} diagnostics)",
+        "full audit: certified: {} ({} diagnostics)",
         report.certificate.certified,
         report.diagnostics.len()
     );
@@ -479,9 +427,7 @@ fn audit_delta_diag(target: usize, seed: u64) {
         println!("world does not certify; incremental maintenance has nothing to maintain");
         return;
     }
-    let t2 = std::time::Instant::now();
     let auditor = DeltaAuditor::with_report(&world, report);
-    println!("auditor setup (candidate graph): {:.1?}", t2.elapsed());
 
     // A spread of single-delta edit sets across the delta classes the
     // serving plane accepts.
@@ -515,34 +461,24 @@ fn audit_delta_diag(target: usize, seed: u64) {
     }
 
     // Incremental: judge every edit set, record verdicts.
-    let t3 = std::time::Instant::now();
     let verdicts: Vec<CertificateDelta> = edits
         .iter()
         .map(|d| auditor.audit_deltas(std::slice::from_ref(d)))
         .collect();
-    let inc_total = t3.elapsed();
-    let inc_us = inc_total.as_secs_f64() * 1e6 / edits.len() as f64;
     let preserved = verdicts
         .iter()
         .filter(|v| matches!(v, CertificateDelta::Preserved))
         .count();
     println!(
-        "incremental: {} single-delta audits in {:.1?} ({inc_us:.1} µs/delta) | \
-         {preserved} preserved, {} revoked",
+        "incremental: {} single-delta audits | {preserved} preserved, {} revoked",
         edits.len(),
-        inc_total,
         edits.len() - preserved
-    );
-    println!(
-        "speedup vs full re-audit: {:.0}x per delta",
-        full_ms * 1e3 / inc_us
     );
 
     // Agreement spot-check: a subsample re-audited in full on the edited
     // world (clone + re-audit per edit — exactly the cost the incremental
     // path avoids).
     let sample = edits.len().min(32);
-    let t4 = std::time::Instant::now();
     let mut agree = 0usize;
     for (d, v) in edits.iter().zip(&verdicts).take(sample) {
         let full = audit_world(&edited_world(&world, std::slice::from_ref(d)));
@@ -551,10 +487,7 @@ fn audit_delta_diag(target: usize, seed: u64) {
             agree += 1;
         }
     }
-    println!(
-        "agreement: {agree}/{sample} verdicts match the full re-audit ({:.1?} to verify)",
-        t4.elapsed()
-    );
+    println!("agreement: {agree}/{sample} verdicts match the full re-audit");
 }
 
 /// In-process serving-loop diagnostic: run a hostile little traffic mix
@@ -565,7 +498,6 @@ fn serve_diag(seed: u64) {
     use ir_serve::{control_line, whatif_line, Client, ServeConfig, Server};
     use ir_types::Prefix;
 
-    let t0 = std::time::Instant::now();
     let world = ir_topology::GeneratorConfig::tiny().build(seed);
     let prefixes: Vec<Prefix> = world
         .graph
@@ -578,8 +510,7 @@ fn serve_diag(seed: u64) {
     let engine = WhatIfEngine::from_universe(&world, &universe, ActivationOrder::default())
         .expect("universe hydrates");
     println!(
-        "build: {:.1?} | {} ASes, {} resident prefixes, {} shapes",
-        t0.elapsed(),
+        "world: {} ASes, {} resident prefixes, {} shapes",
         world.graph.len(),
         prefixes.len(),
         engine.shape_count()
@@ -723,9 +654,7 @@ fn main() {
     if intensity > 0.0 {
         cfg.faults = FaultConfig::chaos(intensity);
     }
-    let t0 = std::time::Instant::now();
     let s = Scenario::build(cfg);
-    println!("build: {:.1?}", t0.elapsed());
     println!(
         "world: {} ASes {} links | inferred {} links | unconverged prefixes: {}",
         s.world.graph.len(),

@@ -4,9 +4,12 @@
 //! repro [--seed N] [--scale tiny|paper] [--json PATH] [EXPERIMENT...]
 //! ```
 //!
-//! With no experiment names, everything runs. Valid names: `table1`,
-//! `fig1`, `table2`, `alternates`, `fig2`, `fig3`, `table3`, `table4`,
-//! `validation`, `stats`.
+//! With no experiment names, everything in
+//! [`ALL_EXPERIMENTS`] runs. Valid names: `table1`, `fig1`, `table2`,
+//! `alternates`, `fig2`, `fig3`, `table3`, `table4`, `validation`,
+//! `informed`, `consistency`, `lg_augment`, `predict`, `stats`, and
+//! `ablations` — the DESIGN.md methodology ablations, which run only when
+//! named and are appended after the report.
 //!
 //! The report itself is assembled by
 //! [`ir_experiments::report::assemble_report`], which the
@@ -14,14 +17,14 @@
 //! files are byte-for-byte this binary's output.
 
 use ir_experiments::report::{assemble_report, ALL_EXPERIMENTS};
-use ir_experiments::{scenario::ScenarioConfig, Scenario};
+use ir_experiments::{exp_ablations, scenario::ScenarioConfig, Scenario};
 use std::io::Write as _;
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--seed N] [--scale tiny|paper] [--json PATH] [EXPERIMENT...]\n\
          experiments: table1 fig1 table2 alternates fig2 fig3 table3 table4 validation\n\
-         informed consistency lg_augment predict stats"
+         informed consistency lg_augment predict stats ablations"
     );
     std::process::exit(2);
 }
@@ -50,6 +53,8 @@ fn main() {
     if wanted.is_empty() {
         wanted = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
+    let ablations = wanted.iter().any(|w| w == "ablations");
+    wanted.retain(|w| w != "ablations");
     for w in &wanted {
         if !ALL_EXPERIMENTS.contains(&w.as_str()) {
             eprintln!("unknown experiment: {w}");
@@ -82,8 +87,13 @@ fn main() {
     );
 
     let names: Vec<&str> = wanted.iter().map(|s| s.as_str()).collect();
-    let (text, out) = assemble_report(&s, seed, &scale, &names);
+    let (text, mut out) = assemble_report(&s, seed, &scale, &names);
     print!("{text}");
+    if ablations {
+        let r = exp_ablations::run(&s);
+        println!("{}", r.render());
+        out["ablations"] = serde_json::to_value(&r).expect("serialize");
+    }
 
     if let Some(path) = json_path {
         let write = || -> std::io::Result<()> {

@@ -24,11 +24,14 @@
 //! | [`exp_consistency`] | beyond the paper: destination-based-routing check |
 //! | [`exp_lg_augment`] | beyond the paper: looking-glass topology augmentation |
 //! | [`exp_predict`] | beyond the paper: whole-path prediction accuracy |
+//! | [`exp_ablations`] | DESIGN.md §5/§7 methodology ablations (on request) |
 //!
 //! Every runner returns a serializable result struct with a
-//! paper-style `render()`; the `repro` binary runs them all and
-//! `EXPERIMENTS.md` is generated from the JSON output.
+//! paper-style `render()`; the `repro` binary runs them all (the
+//! ablations only when named) and `EXPERIMENTS.md` is generated from the
+//! JSON output.
 
+pub mod exp_ablations;
 pub mod exp_alternates;
 pub mod exp_consistency;
 pub mod exp_fig1;

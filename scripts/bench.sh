@@ -1,49 +1,6 @@
 #!/usr/bin/env bash
-# Perf benchmarks with recorded artifacts. Runs the propagation-engine
-# head-to-head (event-driven worklist vs legacy full-sweep oracle), the
-# internet-scale route-storage sweep, the what-if serving comparison
-# (warm fork + seeded reconvergence vs cold recomputation), and the
-# security-scenario adoption sweep (three defenses x the attack ladder),
-# (re)writing BENCH_propagation.json, BENCH_scale.json,
-# BENCH_whatif.json and BENCH_hijack.json at the repo root with timings,
-# speedups, work counters, per-tier ns/route + bytes/route, warm/cold
-# queries/s, and per-(defense, attack, adoption) outcome-rate curves.
+# The benchmark of record: five end-to-end workloads plus per-layer
+# metrics, frozen and comparable across readings. See benchmark/README.md.
 #
-# Usage: scripts/bench.sh [--offline] [--samples N]
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-OFFLINE=()
-SAMPLES="${IR_BENCH_SAMPLES:-}"
-while [[ $# -gt 0 ]]; do
-    case "$1" in
-        --offline) OFFLINE=(--offline); shift ;;
-        --samples) SAMPLES="$2"; shift 2 ;;
-        *) echo "usage: scripts/bench.sh [--offline] [--samples N]" >&2; exit 2 ;;
-    esac
-done
-if ! cargo metadata --format-version 1 >/dev/null 2>&1; then
-    OFFLINE=(--offline)
-fi
-
-if [[ -n "$SAMPLES" ]]; then
-    export IR_BENCH_SAMPLES="$SAMPLES"
-fi
-
-cargo bench "${OFFLINE[@]}" -p ir-bench --bench propagation
-cargo bench "${OFFLINE[@]}" -p ir-bench --bench scale
-cargo bench "${OFFLINE[@]}" -p ir-bench --bench whatif
-cargo bench "${OFFLINE[@]}" -p ir-bench --bench hijack
-
-echo
-echo "==> BENCH_propagation.json"
-cat BENCH_propagation.json
-echo
-echo "==> BENCH_scale.json"
-cat BENCH_scale.json
-echo
-echo "==> BENCH_whatif.json"
-cat BENCH_whatif.json
-echo
-echo "==> BENCH_hijack.json"
-cat BENCH_hijack.json
+# Usage: scripts/bench.sh [benchmark/run.sh arguments]
+exec "$(dirname "$0")/../benchmark/run.sh" "$@"

@@ -23,7 +23,7 @@ run cargo clippy "${OFFLINE[@]}" --workspace -- -D warnings
 # the build if a violation slips in.
 run cargo clippy "${OFFLINE[@]}" -p ir-types -p ir-fault -p ir-inference -p ir-core \
     -p ir-measure -p ir-dataplane -p ir-bgp -p ir-topology \
-    -p ir-audit -p ir-scenarios -p ir-experiments -p ir-serve -p ir-bench --lib -- -D warnings
+    -p ir-audit -p ir-scenarios -p ir-experiments -p ir-serve --lib -- -D warnings
 run cargo fmt --check
 # Engine-equivalence gate in release: the differential suites compare the
 # event-driven engine against the sweep oracle — and warm what-if answers
@@ -71,9 +71,6 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test oscillation_differe
 # SIGKILL mid-snapshot-write must recover the last-good image on restart.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-serve \
     --test server_smoke --test crash_safety
-# Bench-artifact schema gate: the committed BENCH_*.json files at the repo
-# root must parse and carry the keys documentation and dashboards read.
-run cargo test "${OFFLINE[@]}" -q -p ir-bench --test bench_schema
 # Policy-safety gate: the generated tiny world must audit clean (the
 # binary exits 1 on any Error-severity finding).
 run cargo run "${OFFLINE[@]}" --release -p ir-experiments --bin audit -- --scale tiny --seed 7
@@ -92,10 +89,10 @@ run cargo build --offline --release --locked --manifest-path benchmark/Cargo.tom
 run cargo test --offline --release --locked -q --manifest-path benchmark/Cargo.toml \
     --target-dir target
 # Size of the shipping code, reproducibly: non-test lines under crates/*/src
-# (everything up to a file's first `#[cfg(test)]`), without the legacy
-# crates/bench harness. CHANGES.md quotes this number.
+# (everything up to a file's first `#[cfg(test)]`). CHANGES.md quotes
+# this number.
 echo "==> non-test source lines"
-git ls-files 'crates/*/src/*.rs' 'crates/*/src/bin/*.rs' | grep -v '^crates/bench/' \
+git ls-files 'crates/*/src/*.rs' 'crates/*/src/bin/*.rs' \
     | xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}'
 
 echo "All checks passed."
