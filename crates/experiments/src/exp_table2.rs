@@ -90,20 +90,7 @@ pub fn run(s: &Scenario) -> Table2 {
             truth_agreement: 0.0,
         };
     };
-    let setup = monitor_setup(s);
-    let prefix = peering.prefixes()[0];
-    // One independent magnet run per mux; timestamps are derived from the
-    // mux's index so the parallel schedule cannot perturb them.
-    let indexed: Vec<(u64, Asn)> = peering
-        .muxes()
-        .iter()
-        .enumerate()
-        .map(|(i, &mux)| (i as u64, mux))
-        .collect();
-    let runs: Vec<MagnetRun> = indexed
-        .par_iter()
-        .map(|&(i, mux)| peering.run_magnet(prefix, mux, &setup, Timestamp(i * 2 * 90 * 60)))
-        .collect();
+    let runs = magnet_runs(&peering, &monitor_setup(s));
     let tally = analyze_runs(&s.inferred, &runs);
     let (total_feeds, total_traceroutes) = tally.totals();
 
@@ -195,6 +182,17 @@ pub fn run(s: &Scenario) -> Table2 {
     }
 }
 
+/// One independent magnet run per mux; timestamps are derived from the
+/// mux's index so the parallel schedule cannot perturb them.
+fn magnet_runs(peering: &Peering<'_>, setup: &ObservationSetup) -> Vec<MagnetRun> {
+    let prefix = peering.prefixes()[0];
+    let indexed: Vec<(u64, Asn)> = (0..).zip(peering.muxes().iter().copied()).collect();
+    indexed
+        .par_iter()
+        .map(|&(i, mux)| peering.run_magnet(prefix, mux, setup, Timestamp(i * 2 * 90 * 60)))
+        .collect()
+}
+
 impl Table2 {
     /// Paper-style text rendering.
     pub fn render(&self) -> String {
@@ -265,6 +263,38 @@ mod tests {
             "agreement {:.2}",
             t.truth_agreement
         );
+    }
+
+    /// Tiny seed 7, exactly: the simulator's ground-truth steps over every
+    /// AS of every magnet run, the inferred rows and their agreement.
+    #[test]
+    fn tiny_table2_is_pinned() {
+        let s = crate::testutil::tiny7();
+        let peering = Peering::new(&s.world).expect("tiny world has a testbed");
+        let runs = magnet_runs(&peering, &monitor_setup(s));
+        assert_eq!(runs.len(), 6);
+        let mut steps: BTreeMap<DecisionStep, usize> = BTreeMap::new();
+        for step in runs.iter().flat_map(|r| r.truth_steps.values()) {
+            *steps.entry(*step).or_default() += 1;
+        }
+        assert_eq!(
+            format!("{steps:?}"),
+            "{LocalPref: 94, PathLength: 130, IgpCost: 134, RouterId: 12, OnlyRoute: 218}"
+        );
+        let t = table2();
+        let rows: Vec<_> = t
+            .rows
+            .iter()
+            .map(|r| (&*r.decision, r.feeds, r.traceroutes))
+            .collect();
+        assert_eq!(
+            format!("{rows:?}"),
+            "[(\"Best relationship\", 12, 7), (\"Shorter path\", 74, 186), \
+             (\"Intradomain tie-breaker\", 23, 84), (\"Oldest route (magnet)\", 7, 22), \
+             (\"Violation\", 15, 19)]"
+        );
+        assert_eq!((t.total_feeds, t.total_traceroutes), (131, 318));
+        assert_eq!(format!("{:.3}", t.truth_agreement), "0.360");
     }
 
     #[test]
