@@ -3,7 +3,7 @@
 //! A [`crate::route::Route`] is the *API boundary* type — convenient,
 //! self-describing, but ~100+ heap bytes once the path clone is counted.
 //! The engines store routes as [`CompactRoute`]s instead: a path handle
-//! and seven scalars (25 bytes of column data; 14 in an adj-RIB-in, whose
+//! and seven scalars (25 bytes of column data; 10 in an adj-RIB-in, whose
 //! slots know their session), with the path reduced to a [`PathId`] into
 //! the per-context [`crate::patharena::PathArena`] and the neighbor
 //! reduced to a dense node index. [`RouteColumns`] lays a table
@@ -523,8 +523,8 @@ impl RouteColumns {
 }
 
 /// Memory accounting for the compact storage stack, reported through
-/// [`crate::EngineStats`] and the `scale` bench: how many bytes the route
-/// state actually costs, and how well the interning layer is sharing.
+/// [`crate::EngineStats`] and `diag internet_scale`: how many bytes the
+/// route state actually costs, and how well the interning layer is sharing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Bytes of route-column data (best table + adj-RIB-in).

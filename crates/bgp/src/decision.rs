@@ -7,17 +7,18 @@
 //! 2. shortest AS-path length (an AS-set counts as one hop),
 //! 3. lowest IGP cost to the exit ("intradomain tie-breaker" / hot potato),
 //! 4. oldest route,
-//! 5. lowest neighbor ASN (router-id proxy).
+//! 5. lowest neighbor ASN (router-id proxy), then entry city.
 //!
 //! Origin code and MED are skipped: all synthetic routes share them, just
 //! as the paper's analysis never needs them.
 
 use crate::route::Route;
+use ir_types::{Asn, CityId};
 use std::cmp::Ordering;
 
-/// Which decision step selected a route over the runner-up. This is the
-/// ground truth that the paper's magnet experiment (§3.2) tries to infer
-/// from the outside; `ir-core::magnet` checks its inferences against it.
+/// Which decision step selected a route over the runner-up, in decision
+/// order: the ground truth the paper's magnet experiment (§3.2) infers from
+/// the outside, checked against the inferences by `ir-experiments::exp_table2`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DecisionStep {
     /// Route won on local preference.
@@ -34,70 +35,79 @@ pub enum DecisionStep {
     OnlyRoute,
 }
 
-/// Returns `Ordering::Less` when `a` is **better** than `b`.
-pub fn compare(a: &Route, b: &Route) -> Ordering {
-    // 1. Local preference, higher wins.
-    b.local_pref
-        .cmp(&a.local_pref)
-        // 2. Path length, shorter wins.
-        .then_with(|| a.path.len().cmp(&b.path.len()))
-        // 3. IGP cost, lower wins.
-        .then_with(|| a.igp_cost.cmp(&b.igp_cost))
-        // 4. Route age, older (smaller timestamp) wins.
-        .then_with(|| a.age.cmp(&b.age))
-        // 5. Router id: lower neighbor ASN wins; local routes (None) first.
-        .then_with(|| a.learned_from.cmp(&b.learned_from))
-        // Total order fallback for determinism (sessions to the same
-        // neighbor in different cities).
-        .then_with(|| a.entry_city.cmp(&b.entry_city))
+/// What [`decide`] reads, in order; both [`Route`] and the engines' compact
+/// rows project into it. `router_id` (neighbor ASN, `None` for a local
+/// route, then entry city) is called only once the first four steps tie.
+pub struct DecisionKey<R> {
+    pub local_pref: i32,
+    pub path_len: usize,
+    pub igp_cost: u32,
+    pub age: u64,
+    pub router_id: R,
 }
 
-/// [`compare`] with the route-age step elided. The event-driven engine
-/// selects over cached adj-RIB-in entries whose stored ages are stale; in
-/// the synchronous model every live candidate carries the current logical
-/// clock (imports are stamped at evaluation time and an origination's
-/// announce time equals the clock of the event that produced it), so the
-/// age comparison between candidates is always a tie and skipping it is
-/// exact — this stays a total order because `learned_from`/`entry_city`
-/// still separate any two distinct candidates at one AS.
-///
-/// The live implementation of this order is `sim::compare_compact`, which
-/// runs on compact routes without materializing; this materialized form is
-/// kept as the oracle the sim's agreement test compares it against.
-#[cfg(test)]
-pub(crate) fn compare_ignoring_age(a: &Route, b: &Route) -> Ordering {
-    b.local_pref
-        .cmp(&a.local_pref)
-        .then_with(|| a.path.len().cmp(&b.path.len()))
-        .then_with(|| a.igp_cost.cmp(&b.igp_cost))
-        .then_with(|| a.learned_from.cmp(&b.learned_from))
-        .then_with(|| a.entry_city.cmp(&b.entry_city))
+/// The decision process: `Ordering::Less` when `a` is **better** than `b`,
+/// and the first step at which the two differ (`RouterId` once the first
+/// four tie, whatever the router id says). The only place the order lives;
+/// inlined, as the engine's selection calls it once per candidate.
+#[inline]
+pub fn decide<R: Fn() -> (Option<Asn>, Option<CityId>)>(
+    a: &DecisionKey<R>,
+    b: &DecisionKey<R>,
+) -> (Ordering, DecisionStep) {
+    use DecisionStep::*;
+    let differs = |o: Ordering, step| o.is_ne().then_some((o, step));
+    // Higher local preference, shorter path, lower IGP cost, older route;
+    // then lower neighbor ASN (local routes first), then entry city.
+    differs(b.local_pref.cmp(&a.local_pref), LocalPref)
+        .or_else(|| differs(a.path_len.cmp(&b.path_len), PathLength))
+        .or_else(|| differs(a.igp_cost.cmp(&b.igp_cost), IgpCost))
+        .or_else(|| differs(a.age.cmp(&b.age), RouteAge))
+        .unwrap_or_else(|| ((a.router_id)().cmp(&(b.router_id)()), RouterId))
+}
+
+/// A materialized route's decision key.
+fn key(r: &Route) -> DecisionKey<impl Fn() -> (Option<Asn>, Option<CityId>) + '_> {
+    DecisionKey {
+        local_pref: r.local_pref,
+        path_len: r.path.len(),
+        igp_cost: r.igp_cost,
+        age: r.age.0,
+        router_id: || (r.learned_from, r.entry_city),
+    }
+}
+
+/// Returns `Ordering::Less` when `a` is **better** than `b`.
+pub fn compare(a: &Route, b: &Route) -> Ordering {
+    decide(&key(a), &key(b)).0
+}
+
+/// One pass for the best candidate under [`decide`] (ties keep the earlier)
+/// and the step that separates it from the runner-up (`OnlyRoute` alone):
+/// the deepest step at which it beats any other, as no other agrees with it
+/// longer than the runner-up — which, for a new best, is the old best.
+pub(crate) fn rank<T, R: Fn() -> (Option<Asn>, Option<CityId>)>(
+    candidates: impl IntoIterator<Item = T>,
+    key: impl Fn(&T) -> DecisionKey<R>,
+) -> Option<(T, DecisionStep)> {
+    let mut candidates = candidates.into_iter();
+    let mut best = candidates.next()?;
+    let mut step = None;
+    for c in candidates {
+        let (order, s) = decide(&key(&c), &key(&best));
+        if order.is_lt() {
+            (best, step) = (c, Some(s));
+        } else {
+            step = step.max(Some(s));
+        }
+    }
+    Some((best, step.unwrap_or(DecisionStep::OnlyRoute)))
 }
 
 /// Picks the best route among candidates; also reports which decision step
 /// separated it from the runner-up.
 pub fn select(candidates: &[Route]) -> Option<(&Route, DecisionStep)> {
-    let best = candidates.iter().min_by(|a, b| compare(a, b))?;
-    if candidates.len() == 1 {
-        return Some((best, DecisionStep::OnlyRoute));
-    }
-    let runner_up = candidates
-        .iter()
-        .filter(|r| !std::ptr::eq(*r, best))
-        .min_by(|a, b| compare(a, b))
-        .unwrap_or_else(|| unreachable!("len checked ≥ 2 and only one ref is filtered"));
-    let step = if best.local_pref != runner_up.local_pref {
-        DecisionStep::LocalPref
-    } else if best.path.len() != runner_up.path.len() {
-        DecisionStep::PathLength
-    } else if best.igp_cost != runner_up.igp_cost {
-        DecisionStep::IgpCost
-    } else if best.age != runner_up.age {
-        DecisionStep::RouteAge
-    } else {
-        DecisionStep::RouterId
-    };
-    Some((best, step))
+    rank(candidates, |r| key(r))
 }
 
 #[cfg(test)]
@@ -160,6 +170,12 @@ mod tests {
         let sel = select(&cands).unwrap();
         assert_eq!(sel.0, &lo);
         assert_eq!(sel.1, DecisionStep::RouterId);
+
+        // Two sessions to the same neighbor: the entry city decides.
+        let mut far = lo.clone();
+        far.entry_city = Some(CityId(4));
+        let cands = [far, lo.clone()];
+        assert_eq!(select(&cands).unwrap(), (&lo, DecisionStep::RouterId));
     }
 
     #[test]
@@ -199,13 +215,14 @@ mod proptests {
     use proptest::prelude::*;
 
     prop_compose! {
+        // Narrow ranges, so candidates often tie deep into the order.
         fn arb_route()(
-            pref in -500i32..1500,
-            hops in 1usize..6,
-            igp in 0u32..12,
-            age in 0u64..1000,
-            from in proptest::option::of(1u32..50),
-            city in proptest::option::of(0u16..8),
+            pref in -1i32..2,
+            hops in 1usize..4,
+            igp in 0u32..3,
+            age in 0u64..3,
+            from in proptest::option::of(1u32..4),
+            city in proptest::option::of(0u16..3),
         ) -> Route {
             let mut path = AsPath::origin(Asn(9_999));
             for h in 0..hops.saturating_sub(1) {
@@ -243,17 +260,25 @@ mod proptests {
         }
 
         /// `select` always returns the minimum under `compare`, and the
-        /// reported decision step names an attribute that genuinely
-        /// separates best from runner-up.
+        /// reported decision step is the first attribute that separates it
+        /// from the true runner-up (the minimum of the other candidates).
         #[test]
         fn select_returns_the_minimum(routes in proptest::collection::vec(arb_route(), 1..8)) {
             let (best, step) = select(&routes).expect("non-empty");
             for r in &routes {
                 prop_assert_ne!(compare(r, best), Ordering::Less, "{:?} beats selected", r);
             }
-            if routes.len() == 1 {
-                prop_assert_eq!(step, DecisionStep::OnlyRoute);
-            }
+            let mut rest = routes.clone();
+            rest.remove(routes.iter().position(|r| std::ptr::eq(r, best)).unwrap());
+            let expected = match rest.iter().min_by(|a, b| compare(a, b)) {
+                None => DecisionStep::OnlyRoute,
+                Some(u) if u.local_pref != best.local_pref => DecisionStep::LocalPref,
+                Some(u) if u.path.len() != best.path.len() => DecisionStep::PathLength,
+                Some(u) if u.igp_cost != best.igp_cost => DecisionStep::IgpCost,
+                Some(u) if u.age != best.age => DecisionStep::RouteAge,
+                Some(_) => DecisionStep::RouterId,
+            };
+            prop_assert_eq!(step, expected);
         }
     }
 }

@@ -44,11 +44,6 @@ pub struct ExtensionCheck<'a> {
 }
 
 impl ExtensionCheck<'_> {
-    /// ASN of the AS applying the check.
-    pub fn me_asn(&self) -> Asn {
-        self.world.graph.asn(self.me)
-    }
-
     /// ASN of the session peer.
     pub fn peer_asn(&self) -> Asn {
         self.world.graph.asn(self.peer)

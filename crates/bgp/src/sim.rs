@@ -50,18 +50,18 @@ use crate::compact::{
     RouteColumns,
 };
 use crate::compact::{NO_CITY, NO_NODE};
+use crate::decision::{decide, rank, DecisionKey, DecisionStep};
 use crate::extension::{DefensePlan, ExtensionCheck};
 use crate::path::AsPath;
 use crate::patharena::{PathArena, PathId};
 use crate::policy_eval::PolicyEngine;
 use crate::route::Route;
 use crate::worklist::BitWorklist;
-use ir_topology::graph::{AsGraph, LinkKind, NodeIdx};
+use ir_topology::graph::{LinkKind, NodeIdx};
 use ir_topology::policy::{PolicySpec, TransitScope};
 use ir_topology::World;
 use ir_types::{Asn, CityId, Prefix, Relationship, Timestamp};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -576,22 +576,6 @@ pub(crate) fn materialize_route(
         igp_cost: r.igp_cost,
         age: Timestamp(u64::from(r.age)),
     }
-}
-
-/// [`crate::decision::compare_ignoring_age`] over compact routes. The
-/// neighbor tie-breaker compares **ASNs** (router-id proxy), not node
-/// indices, and local routes (`None`) still sort first — identical total
-/// order, resolved through the graph's O(1) index→ASN table.
-fn compare_compact(graph: &AsGraph, a: &CompactRoute, b: &CompactRoute) -> Ordering {
-    let neighbor =
-        |r: &CompactRoute| (r.learned_from != NO_NODE).then(|| graph.asn(r.learned_from as usize));
-    let city = |r: &CompactRoute| (r.city != NO_CITY).then_some(r.city);
-    b.local_pref
-        .cmp(&a.local_pref)
-        .then_with(|| a.path_len.cmp(&b.path_len))
-        .then_with(|| a.igp_cost.cmp(&b.igp_cost))
-        .then_with(|| neighbor(a).cmp(&neighbor(b)))
-        .then_with(|| city(a).cmp(&city(b)))
 }
 
 /// A converged per-shape routing table in compact form, carrying its own
@@ -1505,31 +1489,48 @@ impl<'w> PrefixSim<'w> {
     /// poisoning, but the simulator (like a looking glass) can enumerate.
     pub fn candidates(&self, x: NodeIdx) -> Vec<Route> {
         let mut cands = Vec::new();
-        if let (Some(origin_idx), Some(ann)) = (self.origin_idx, &self.announcement) {
-            if origin_idx == x {
-                cands.push(Route::originate(
-                    self.prefix,
-                    ann.origination_path(),
-                    self.announce_time,
-                ));
-            }
-        }
-        if let Some(e) = self.extra_origins.get(&x) {
-            cands.push(Route::originate(
-                self.prefix,
-                self.ctx.arena.materialize(e.path),
-                e.at,
-            ));
-        }
-        let base = self.ctx.rib_base(x);
-        for si in 0..self.ctx.sessions(x).len() {
-            if let Some(r) = self.rib.get(base + si) {
-                let mut r = self.materialize(r);
-                r.age = self.clock;
-                cands.push(r);
-            }
+        self.for_each_candidate(x, |r| cands.push(self.materialize(r)));
+        for r in cands.iter_mut().filter(|r| !r.is_local()) {
+            r.age = self.clock;
         }
         cands
+    }
+
+    /// The step that selected `x`'s route over the runner-up (`None` without
+    /// a route), read off the compact rows: the magnet experiment's truth.
+    pub fn decision_step(&self, x: NodeIdx) -> Option<DecisionStep> {
+        let mut rows = Vec::new();
+        self.for_each_candidate(x, |r| rows.push(r));
+        rank(rows, |r| self.key(*r)).map(|(_, step)| step)
+    }
+
+    /// The one candidate walk, inlined into the engine's selection loop: `f`
+    /// sees the origination, the extra (hijack) origin, then the adj-RIB-in.
+    #[inline]
+    fn for_each_candidate(&self, x: NodeIdx, mut f: impl FnMut(CompactRoute)) {
+        let local = CompactRoute::local;
+        if self.origin_idx == Some(x) && self.announcement.is_some() {
+            f(local(self.ann_path, self.ann_path_len, self.announce_time));
+        }
+        if let Some(e) = self.extra_origins.get(&x) {
+            f(local(e.path, e.path_len, e.at));
+        }
+        let rib = self.ctx.rib_base(x)..self.ctx.rib_base(x + 1);
+        rib.filter_map(|i| self.rib.get(i)).for_each(f);
+    }
+
+    /// A compact row's decision key. The adj-RIB-in stores no ages and every
+    /// live candidate carries the clock, so the age step always ties.
+    fn key(&self, r: CompactRoute) -> DecisionKey<impl Fn() -> (Option<Asn>, Option<CityId>) + '_> {
+        let from = (r.learned_from != NO_NODE).then_some(r.learned_from as usize);
+        let city = (r.city != NO_CITY).then_some(CityId(r.city));
+        DecisionKey {
+            local_pref: r.local_pref,
+            path_len: usize::from(r.path_len),
+            igp_cost: r.igp_cost,
+            age: self.clock.0,
+            router_id: move || (from.map(|i| self.ctx.world.graph.asn(i)), city),
+        }
     }
 
     /// Runs the worklist seeded with `seeds` to fixpoint (every event has
@@ -1754,36 +1755,12 @@ impl<'w> PrefixSim<'w> {
     /// the adj-RIB-in, with the winner re-stamped to the current clock (the
     /// age it would carry as a live candidate).
     fn select_at(&self, x: NodeIdx) -> Option<CompactRoute> {
-        let origination = match (self.origin_idx, &self.announcement) {
-            (Some(origin_idx), Some(_)) if origin_idx == x => Some(CompactRoute::local(
-                self.ann_path,
-                self.ann_path_len,
-                self.announce_time,
-            )),
-            _ => None,
-        };
-        let graph = &self.ctx.world.graph;
-        let mut best = origination;
-        if !self.extra_origins.is_empty() {
-            if let Some(e) = self.extra_origins.get(&x) {
-                let cand = CompactRoute::local(e.path, e.path_len, e.at);
-                best = match best {
-                    Some(b) if compare_compact(graph, &cand, &b).is_lt() => Some(cand),
-                    None => Some(cand),
-                    keep => keep,
-                };
+        let mut best: Option<CompactRoute> = None;
+        self.for_each_candidate(x, |r| {
+            if best.is_none_or(|b| decide(&self.key(r), &self.key(b)).0.is_lt()) {
+                best = Some(r);
             }
-        }
-        let base = self.ctx.rib_base(x);
-        for si in 0..self.ctx.sessions(x).len() {
-            if let Some(r) = self.rib.get(base + si) {
-                best = match best {
-                    Some(b) if compare_compact(graph, &r, &b).is_lt() => Some(r),
-                    None => Some(r),
-                    keep => keep,
-                };
-            }
-        }
+        });
         let mut winner = best?;
         winner.age = clamp_age(self.clock);
         Some(winner)
@@ -1848,15 +1825,6 @@ impl<'w> PrefixSim<'w> {
     /// materialized from compact storage.
     pub fn best(&self, x: NodeIdx) -> Option<Route> {
         self.best.get(x).map(|r| self.materialize(r))
-    }
-
-    /// The selected route at the AS with number `asn`.
-    pub fn best_by_asn(&self, asn: Asn) -> Option<Route> {
-        self.ctx
-            .world
-            .graph
-            .index_of(asn)
-            .and_then(|i| self.best(i))
     }
 
     /// Next-hop node and interconnection city at `x`, if `x` has a
@@ -2391,28 +2359,50 @@ mod tests {
     }
 
     #[test]
-    fn compact_compare_agrees_with_route_compare() {
+    fn decision_step_agrees_with_materialized_select() {
         let w = world();
         let (origin, prefix) = some_origin(&w);
+        let origin_idx = w.graph.index_of(origin).unwrap();
         let mut sim = PrefixSim::new(&w, prefix);
-        sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-        let graph = &w.graph;
-        for x in 0..graph.len() {
-            let base = sim.ctx.rib_base(x);
-            let m = sim.ctx.sessions(x).len();
-            let compacts: Vec<CompactRoute> =
-                (0..m).filter_map(|si| sim.rib.get(base + si)).collect();
-            for a in &compacts {
-                for b in &compacts {
-                    let (ra, rb) = (sim.materialize(*a), sim.materialize(*b));
-                    assert_eq!(
-                        compare_compact(graph, a, b),
-                        crate::decision::compare_ignoring_age(&ra, &rb),
-                        "order diverges at {} between {ra:?} and {rb:?}",
-                        graph.asn(x)
-                    );
-                }
+        let mut seen = BTreeSet::new();
+        let mut check = |sim: &PrefixSim, event: &str| {
+            for x in 0..w.graph.len() {
+                let cands = sim.candidates(x);
+                let selected = crate::decision::select(&cands);
+                let step = sim.decision_step(x);
+                assert_eq!(
+                    step,
+                    selected.map(|(_, s)| s),
+                    "{event} at {}",
+                    w.graph.asn(x)
+                );
+                assert_eq!(
+                    selected.map(|(r, _)| (r.learned_from, r.entry_city)),
+                    sim.best(x).map(|r| (r.learned_from, r.entry_city)),
+                    "{event}: winner at {}",
+                    w.graph.asn(x)
+                );
+                seen.extend(step);
             }
+        };
+        sim.announce(Announcement::plain(origin, prefix), Timestamp(0));
+        check(&sim, "announce");
+        let victim = w.graph.providers(origin_idx).next().unwrap();
+        let mut poisoned = Announcement::plain(origin, prefix);
+        poisoned.poison = vec![w.graph.asn(victim)];
+        sim.announce(poisoned, Timestamp(100));
+        check(&sim, "poisoned re-announce");
+        sim.fail_link(origin, w.graph.asn(victim), Timestamp(200));
+        check(&sim, "link failure");
+        let attacker = (0..w.graph.len())
+            .map(|x| w.graph.asn(x))
+            .find(|a| a.value() >= 20_000 && *a != origin)
+            .unwrap();
+        sim.hijack(attacker, None, &[], false, Timestamp(300));
+        check(&sim, "hijack");
+        use DecisionStep::*;
+        for step in [LocalPref, PathLength, IgpCost, RouterId, OnlyRoute] {
+            assert!(seen.contains(&step), "{step:?} never decided");
         }
     }
 

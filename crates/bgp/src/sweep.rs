@@ -319,15 +319,6 @@ impl<'w> SweepSim<'w> {
         self.best[x].clone()
     }
 
-    /// The selected route at the AS with number `asn`.
-    pub fn best_by_asn(&self, asn: Asn) -> Option<Route> {
-        self.ctx
-            .world()
-            .graph
-            .index_of(asn)
-            .and_then(|i| self.best(i))
-    }
-
     /// Next-hop node and interconnection city at `x`, if `x` has a
     /// non-local route.
     pub fn next_hop(&self, x: NodeIdx) -> Option<(NodeIdx, CityId)> {

@@ -9,7 +9,7 @@
 //! real work to do (and stale links — the Netflix/AS3549 story — can
 //! survive into the aggregate).
 
-use ir_bgp::{PrefixSim, RoutingUniverse};
+use ir_bgp::RoutingUniverse;
 use ir_topology::graph::{AsRole, LinkKind, NodeIdx};
 use ir_topology::World;
 use ir_types::{Asn, Prefix, Relationship};
@@ -197,29 +197,6 @@ pub fn extract_feed(world: &World, universe: &RoutingUniverse, vantages: &[Asn])
             }
             feed.entries.push(FeedEntry { prefix, path });
         }
-    }
-    feed
-}
-
-/// Extracts the feed for a single prefix from a live [`PrefixSim`] — used
-/// by the active experiments, which watch collector feeds between
-/// announcement rounds (§3.2).
-pub fn extract_prefix_feed(sim: &PrefixSim<'_>, vantages: &[Asn]) -> BgpFeed {
-    let world = sim.world();
-    let mut feed = BgpFeed::default();
-    for &v in vantages {
-        let Some(idx) = world.graph.index_of(v) else {
-            continue;
-        };
-        let Some(route) = sim.best(idx) else { continue };
-        let mut path = vec![v];
-        if !route.is_local() {
-            path.extend(route.path.sequence_asns());
-        }
-        feed.entries.push(FeedEntry {
-            prefix: sim.prefix(),
-            path,
-        });
     }
     feed
 }

@@ -21,7 +21,7 @@
 //! from monitor probes. Interdomain routing is destination-based, so one
 //! observed path exposes the route of every AS along it.
 
-use ir_bgp::decision::{self, DecisionStep};
+use ir_bgp::decision::DecisionStep;
 use ir_bgp::{Announcement, PrefixSim, SimContext};
 use ir_fault::{FaultDomain, FaultPlane};
 use ir_topology::World;
@@ -458,13 +458,9 @@ impl<'w> Peering<'w> {
         );
         let after = observe_routes(&sim, setup);
         // Ground-truth decision steps after the anycast.
-        let mut truth_steps = BTreeMap::new();
-        for x in 0..self.world.graph.len() {
-            let cands = sim.candidates(x);
-            if let Some((_, step)) = decision::select(&cands) {
-                truth_steps.insert(self.world.graph.asn(x), step);
-            }
-        }
+        let truth_steps = (0..self.world.graph.len())
+            .filter_map(|x| Some((self.world.graph.asn(x), sim.decision_step(x)?)))
+            .collect();
         MagnetRun {
             magnet,
             before,

@@ -48,10 +48,4 @@ impl Client {
         self.send_line(line)?;
         self.recv_line()
     }
-
-    /// Half-closes the write side so the server sees EOF (used to model a
-    /// client disconnecting with responses still owed).
-    pub fn close_write(&mut self) -> std::io::Result<()> {
-        self.writer.shutdown(std::net::Shutdown::Write)
-    }
 }

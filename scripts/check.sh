@@ -16,7 +16,7 @@ run() {
 
 run cargo build "${OFFLINE[@]}" --release --workspace
 run cargo test "${OFFLINE[@]}" -q --workspace
-run cargo clippy "${OFFLINE[@]}" --workspace -- -D warnings
+run cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 # Graceful-degradation gate: every workspace library must not panic on
 # malformed input. All lib targets deny clippy::unwrap_used /
 # clippy::expect_used (tests are exempt via cfg_attr); this pass fails
