@@ -8,8 +8,9 @@
 //! states must stay safe too) — and that the serving integration keeps
 //! free-order answers exact:
 //!
-//! * randomized agreement: 1000+ (certified world, delta batch) pairs
-//!   where `Preserved` ⇔ every cumulative edited world still certifies,
+//! * randomized agreement: 1000+ (certified world, delta batch) pairs,
+//!   on certifiably-safe worlds and a 1 000-AS internet-scale one, where
+//!   `Preserved` ⇔ every cumulative edited world still certifies,
 //!   and `Unknown` never appears for well-formed edits on certified bases;
 //! * per-rule fixtures: each audit rule IR-A001..A010 pinned to the one
 //!   way a delta interacts with it — revocation, preservation-as-warning,
@@ -184,19 +185,33 @@ fn randomized_delta_batches_agree_with_full_reaudit() {
     let mut pairs = 0usize;
     let mut preserved = 0usize;
     let mut revoked = 0usize;
-    for seed in [2u64, 4, 6] {
-        let world = GeneratorConfig::certifiably_safe().build(seed);
-        let auditor = DeltaAuditor::new(&world);
-        assert!(auditor.base_certified(), "seed {seed} must certify");
-        let links = spread_links(&world, 24);
+    // Three certifiably-safe worlds carry the bulk of the pairs; a
+    // 1 000-AS internet-scale world (certified at seed 7, pinned by
+    // `internet_scale_certifies`) checks the verdicts on that preset too.
+    let mut inputs: Vec<(&str, u64, World, usize)> = [2u64, 4, 6]
+        .into_iter()
+        .map(|seed| {
+            let world = GeneratorConfig::certifiably_safe().build(seed);
+            ("certifiably_safe", seed, world, 350)
+        })
+        .collect();
+    let world = GeneratorConfig::internet_scale_sized(1_000).build(7);
+    inputs.push(("internet_scale_sized(1000)", 7, world, 64));
+    for (preset, seed, world, batches) in &inputs {
+        let auditor = DeltaAuditor::new(world);
+        assert!(
+            auditor.base_certified(),
+            "{preset} seed {seed} must certify"
+        );
+        let links = spread_links(world, 24);
         let mut rng = Rng::new(seed ^ 0xD1FF);
-        for batch in 0..350 {
+        for batch in 0..*batches {
             let len = 1 + rng.below(4);
             let deltas: Vec<Delta> = (0..len)
-                .map(|_| random_delta(&mut rng, &world, &links))
+                .map(|_| random_delta(&mut rng, world, &links))
                 .collect();
-            let tag = format!("seed {seed} batch {batch}");
-            if assert_agrees(&auditor, &world, &deltas, &tag) {
+            let tag = format!("{preset} seed {seed} batch {batch}");
+            if assert_agrees(&auditor, world, &deltas, &tag) {
                 preserved += 1;
             } else {
                 revoked += 1;

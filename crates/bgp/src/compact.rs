@@ -523,8 +523,9 @@ impl RouteColumns {
 }
 
 /// Memory accounting for the compact storage stack, reported through
-/// [`crate::EngineStats`] and `diag internet_scale`: how many bytes the
-/// route state actually costs, and how well the interning layer is sharing.
+/// [`crate::EngineStats`] and asserted at internet scale by the
+/// `scale_smoke` test: how many bytes the route state actually costs, and
+/// how well the interning layer is sharing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Bytes of route-column data (best table + adj-RIB-in).

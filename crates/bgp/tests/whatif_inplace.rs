@@ -13,6 +13,9 @@
 //!   threads released together onto one prefix.
 //! * `a_panic_mid_reconvergence_leaves_the_base_usable` — a defense
 //!   extension that panics half-way through a reconvergence.
+//! * `a_query_that_waits_for_its_shape_is_counted` — a second caller
+//!   parked behind a query held inside its reconvergence shows up in
+//!   [`WhatIfEngine::shape_waits`] and still gets the same answer.
 
 use ir_bgp::universe::prefix_owners;
 use ir_bgp::{
@@ -24,8 +27,9 @@ use ir_types::{Asn, Prefix};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 /// Deterministic xorshift64* so one proptest salt expands into a whole
 /// query sequence reproducibly.
@@ -409,4 +413,102 @@ fn a_panic_mid_reconvergence_leaves_the_base_usable() {
         );
         assert!(base_routes(&engine) == base, "fuse {fuse}: base changed");
     }
+}
+
+/// A defense extension that accepts everything; once armed, its first
+/// import check meets the test thread at `entered` and then blocks at
+/// `release` until the test lets it go.
+struct Gate {
+    armed: AtomicBool,
+    entered: Barrier,
+    release: Barrier,
+}
+
+impl PolicyExtension for Gate {
+    fn name(&self) -> &'static str {
+        "gate"
+    }
+
+    fn accept_import(&self, _check: &ExtensionCheck<'_>) -> bool {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.entered.wait();
+            self.release.wait();
+        }
+        true
+    }
+}
+
+#[test]
+fn a_query_that_waits_for_its_shape_is_counted() {
+    let w = world(Flavor::WaveExact, 5);
+    let owners = prefix_owners(&w);
+    let prefixes = resident(&w);
+    let gate = Arc::new(Gate {
+        armed: AtomicBool::new(false),
+        entered: Barrier::new(2),
+        release: Barrier::new(2),
+    });
+    let mut plan = DefensePlan::for_world(&w);
+    let id = plan
+        .register(Arc::clone(&gate) as Arc<dyn PolicyExtension>)
+        .expect("one extension fits");
+    plan.adopt_all(id);
+    let engine = WhatIfEngine::with_order_defended(
+        &w,
+        &prefixes,
+        ActivationOrder::WaveExact,
+        Some(Arc::new(plan)),
+    );
+    let base = base_routes(&engine);
+
+    let prefix = prefixes[0];
+    let origin = owners[&prefix];
+    let victim = w
+        .graph
+        .asn(w.graph.links(w.graph.index_of(origin).unwrap())[0].peer);
+    let q = WhatIfQuery::single(
+        prefix,
+        Delta::Announce(Announcement {
+            origin,
+            prefix,
+            via: None,
+            poison: vec![victim],
+        }),
+    );
+    // One caller at a time never waits.
+    let sequential = engine.query(&q).expect("resident prefix");
+    for _ in 0..3 {
+        assert_eq!(engine.query(&q).expect("resident prefix"), sequential);
+    }
+    assert_eq!(engine.shape_waits().queries, 0);
+    assert_eq!(engine.shape_waits().total_us, 0);
+
+    gate.armed.store(true, Ordering::SeqCst);
+    let b_ready = Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let (engine, q) = (&engine, &q);
+        // Caller A parks inside the gate, holding the shape.
+        let a = s.spawn(move || engine.query(q));
+        gate.entered.wait();
+        let b_ready = &b_ready;
+        let b = s.spawn(move || {
+            b_ready.wait();
+            engine.query(q)
+        });
+        // Release A only once B is about to ask, and then some.
+        b_ready.wait();
+        std::thread::sleep(Duration::from_millis(250));
+        gate.release.wait();
+        (
+            a.join().expect("caller A panicked"),
+            b.join().expect("caller B panicked"),
+        )
+    });
+    let (a, b) = (a.expect("resident prefix"), b.expect("resident prefix"));
+    assert_eq!(a, sequential);
+    assert_eq!(b, a);
+    let waits = engine.shape_waits();
+    assert_eq!(waits.queries, 1, "{waits:?}");
+    assert!(waits.total_us > 0, "{waits:?}");
+    assert!(base_routes(&engine) == base, "base changed");
 }

@@ -21,7 +21,7 @@
 //!   degraded-mode answers, graceful drain, and crash-safe snapshot
 //!   autosave through the atomic temp + fsync + rename path.
 //! * [`client`] — a thin blocking socket client used by the tests, the
-//!   smoke script, and `diag serve`.
+//!   smoke script, and the benchmark's `serve_mixed` workload.
 //!
 //! Robustness invariants the integration suites pin:
 //!

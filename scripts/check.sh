@@ -74,6 +74,12 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-serve \
 # Policy-safety gate: the generated tiny world must audit clean (the
 # binary exits 1 on any Error-severity finding).
 run cargo run "${OFFLINE[@]}" --release -p ir-experiments --bin audit -- --scale tiny --seed 7
+# Scenario-dump smoke (release): `diag` must build the tiny world under
+# chaos faults and the paper world with its oscillation witnesses, and
+# exit 0. Stdout is discarded; a non-zero exit fails the gate.
+echo "==> diag tiny 7 0.4 && diag paper 7 (stdout discarded)"
+cargo run "${OFFLINE[@]}" --release -q -p ir-experiments --bin diag -- tiny 7 0.4 >/dev/null
+cargo run "${OFFLINE[@]}" --release -q -p ir-experiments --bin diag -- paper 7 >/dev/null
 # Artifact freshness: the committed repro_paper_seed7.* files must match
 # a fresh zero-fault paper-scale run (minutes; release only).
 run cargo test "${OFFLINE[@]}" --release -q -p ir-experiments --test artifact_freshness \
