@@ -21,9 +21,10 @@
 //!   per-AS opt-outs, which is what makes poisoning *fail* in the ways §4.4
 //!   describes;
 //! * an event-driven worklist fixpoint engine per prefix
-//!   ([`sim::PrefixSim`], with the legacy full-sweep oracle in [`sweep`])
-//!   over a per-world shared [`sim::SimContext`], and a rayon-parallel
-//!   multi-prefix layer ([`universe`]).
+//!   ([`sim::PrefixSim`]) over a per-world shared [`sim::SimContext`], and
+//!   a rayon-parallel multi-prefix layer ([`universe`]). The full-sweep
+//!   oracle the differential suites compare it against is test code
+//!   (`tests/support`), built from the public model alone.
 //!
 //! Hybrid relationships are modeled the way they arise operationally: a
 //! link interconnecting in two cities is **two BGP sessions**, each with the
@@ -39,7 +40,6 @@ pub mod policy_eval;
 pub mod route;
 pub mod sim;
 mod snapshot;
-pub mod sweep;
 pub mod universe;
 pub mod whatif;
 mod worklist;
@@ -53,7 +53,6 @@ pub use sim::{
     hijack_origination, ActivationOrder, Announcement, Convergence, Delta, EngineStats,
     Oscillation, PrefixSim, SimContext, StepBudget,
 };
-pub use sweep::SweepSim;
 pub use universe::{snapshot_staging_path, RoutingUniverse, UniverseResilience};
 pub use whatif::{
     CertificateDelta, DeltaCertifier, DeltaStats, QueryError, RouteDiff, ShapeWaits, WhatIfAnswer,

@@ -6,13 +6,11 @@
 //! per-neighbor deltas, a +1000 domestic tier, a −400 backup-link penalty.
 
 use crate::compact::{rel_tag, CompactRoute};
-use crate::path::AsPath;
 use crate::patharena::{PathArena, PathId};
-use crate::route::Route;
 use ir_topology::graph::{LinkKind, NodeIdx};
 use ir_topology::policy::{PolicySpec, TransitScope};
 use ir_topology::World;
-use ir_types::{CityId, Prefix, Relationship, Timestamp};
+use ir_types::{Asn, CityId, Prefix, Relationship};
 
 /// Base local preference for a relationship tier.
 pub fn base_pref(rel: Relationship) -> i32 {
@@ -29,228 +27,143 @@ pub const DOMESTIC_BONUS: i32 = 1000;
 /// Penalty applied to routes arriving over a [`LinkKind::Backup`] link.
 pub const BACKUP_PENALTY: i32 = -400;
 
-/// Policy evaluator bound to a world.
-pub struct PolicyEngine<'w> {
-    world: &'w World,
+/// Whether every AS on the interned `path` is registered in `me`'s home
+/// country (the condition for the §6 domestic-path preference): one arena
+/// walk, no materialization.
+fn path_is_domestic(world: &World, me: NodeIdx, arena: &PathArena, path: PathId) -> bool {
+    let home = world.graph.node(me).home_country;
+    arena.asns_all(path, |asn| {
+        world
+            .graph
+            .index_of(asn)
+            .map(|i| world.graph.node(i).home_country == home)
+            .unwrap_or(false)
+    })
 }
 
-impl<'w> PolicyEngine<'w> {
-    /// Binds the engine to a world.
-    pub fn new(world: &'w World) -> Self {
-        PolicyEngine { world }
+/// Import filter + attribute computation for the interned `path` announced
+/// by neighbor `from` over the session at `city` with relationship `rel`
+/// (of `from`, as seen from `me`, hybrid-resolved by the caller).
+///
+/// Returns `None` when the announcement is rejected (loop prevention,
+/// AS-set filtering). Compact routes carry no prefix — the per-prefix
+/// engine holds it.
+///
+/// `policy` is `me`'s *resolved* spec: the world's ground truth, or a
+/// per-sim overlay entry when a [`crate::sim::Delta`] edited it. The
+/// engine never resolves the spec itself so delta edits stay scoped to
+/// the simulation that applied them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn import(
+    world: &World,
+    policy: &PolicySpec,
+    arena: &PathArena,
+    me: NodeIdx,
+    from: NodeIdx,
+    city: CityId,
+    rel: Relationship,
+    kind: LinkKind,
+    path: PathId,
+    igp_cost: u32,
+    age: u32,
+) -> Option<CompactRoute> {
+    let me_asn = world.graph.asn(me);
+
+    // BGP loop prevention. A real routing loop (own ASN in a sequence
+    // segment) is always rejected; ASes with `no_loop_prevention` skip
+    // only the AS-*set* check, which is precisely what makes poisoning
+    // ineffective against them (§4.4 "Limitations") without letting the
+    // control plane converge onto genuine loops.
+    if arena.seq_contains(path, me_asn) {
+        return None;
+    }
+    if !policy.no_loop_prevention && arena.contains(path, me_asn) {
+        return None;
+    }
+    // Poisoned-announcement filtering (§4.4 "Limitations").
+    if policy.filters_as_sets && arena.has_set(path) {
+        return None;
     }
 
-    /// Whether every AS on `path` is registered in `country_of` `me`'s home
-    /// country (the condition for the §6 domestic-path preference).
-    pub fn path_is_domestic(&self, me: NodeIdx, path: &AsPath) -> bool {
-        let home = self.world.graph.node(me).home_country;
-        path.asns().all(|asn| {
-            self.world
-                .graph
-                .index_of(asn)
-                .map(|i| self.world.graph.node(i).home_country == home)
-                .unwrap_or(false)
-        })
+    let mut pref = base_pref(rel);
+    pref += i32::from(policy.pref_delta(world.graph.asn(from)));
+    if kind == LinkKind::Backup {
+        pref += BACKUP_PENALTY;
+    }
+    if policy.domestic_pref && path_is_domestic(world, me, arena, path) {
+        pref += DOMESTIC_BONUS;
     }
 
-    /// [`PolicyEngine::path_is_domestic`] over an interned path: one arena
-    /// walk, no materialization.
-    fn path_is_domestic_c(&self, me: NodeIdx, arena: &PathArena, path: PathId) -> bool {
-        let home = self.world.graph.node(me).home_country;
-        arena.asns_all(path, |asn| {
-            self.world
-                .graph
-                .index_of(asn)
-                .map(|i| self.world.graph.node(i).home_country == home)
-                .unwrap_or(false)
-        })
-    }
+    Some(CompactRoute {
+        path,
+        path_len: arena.len(path) as u16,
+        learned_from: from as u32,
+        city: city.0,
+        rel: rel_tag(Some(rel)),
+        local_pref: pref,
+        igp_cost,
+        age,
+    })
+}
 
-    /// Import filter + attribute computation for a route announced by
-    /// neighbor `from` over the session at `city` with relationship `rel`
-    /// (of `from`, as seen from `me`, hybrid-resolved by the caller).
-    ///
-    /// Returns `None` when the announcement is rejected (loop prevention,
-    /// AS-set filtering). Takes the path by value: callers build the
-    /// exported path fresh, so accepting it moves it straight into the
-    /// [`Route`] without another clone.
-    #[allow(clippy::too_many_arguments)]
-    pub fn import(
-        &self,
-        me: NodeIdx,
-        from: NodeIdx,
-        city: CityId,
-        rel: Relationship,
-        kind: LinkKind,
-        prefix: Prefix,
-        path: AsPath,
-        igp_cost: u32,
-        clock: Timestamp,
-    ) -> Option<Route> {
-        let me_node = self.world.graph.node(me);
-        let policy = self.world.policy(me);
-
-        // BGP loop prevention. A real routing loop (own ASN in a sequence
-        // segment) is always rejected; ASes with `no_loop_prevention` skip
-        // only the AS-*set* check, which is precisely what makes poisoning
-        // ineffective against them (§4.4 "Limitations") without letting the
-        // control plane converge onto genuine loops.
-        if path.sequence_asns().contains(&me_node.asn) {
-            return None;
+/// Export filter: may an AS with resolved spec `policy` announce its
+/// current route — learned on class `learned_rel` (`None` = local
+/// origination) — to neighbor `to`, whose relationship over the session in
+/// question is `rel_to`? `prefix` is consulted only for local routes'
+/// selective-announcement policy.
+///
+/// Checks, in order: Gao–Rexford export (driven by the class the route
+/// was learned on), partial transit, and — for locally-originated
+/// routes — the origin's selective-announcement table.
+pub(crate) fn may_export(
+    policy: &PolicySpec,
+    learned_rel: Option<Relationship>,
+    prefix: Prefix,
+    to: Asn,
+    rel_to: Relationship,
+) -> bool {
+    match learned_rel {
+        // Class the route was learned on; partial transit then limits `to`
+        // to customer-learned routes.
+        Some(learned_rel) => {
+            learned_rel.exportable_to(rel_to)
+                && (policy.transit_scope(to) != TransitScope::CustomerRoutesOnly
+                    || matches!(learned_rel, Relationship::Customer | Relationship::Sibling))
         }
-        if !policy.no_loop_prevention && path.contains(me_node.asn) {
-            return None;
-        }
-        // Poisoned-announcement filtering (§4.4 "Limitations").
-        if policy.filters_as_sets && path.has_set() {
-            return None;
-        }
-
-        let mut pref = base_pref(rel);
-        pref += i32::from(policy.pref_delta(self.world.graph.asn(from)));
-        if kind == LinkKind::Backup {
-            pref += BACKUP_PENALTY;
-        }
-        if policy.domestic_pref && self.path_is_domestic(me, &path) {
-            pref += DOMESTIC_BONUS;
-        }
-
-        Some(Route {
-            prefix,
-            path,
-            learned_from: Some(self.world.graph.asn(from)),
-            entry_city: Some(city),
-            rel: Some(rel),
-            local_pref: pref,
-            igp_cost,
-            age: clock,
-        })
-    }
-
-    /// [`PolicyEngine::import`] over interned paths: same filters, same
-    /// preference computation, but the path stays a [`PathId`] (loop and
-    /// set checks walk the arena) and the result is a [`CompactRoute`].
-    /// Compact routes carry no prefix — the per-prefix engine holds it.
-    ///
-    /// `policy` is `me`'s *resolved* spec: the world's ground truth, or a
-    /// per-sim overlay entry when a [`crate::sim::Delta`] edited it. The
-    /// engine never resolves the spec itself so delta edits stay scoped to
-    /// the simulation that applied them.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn import_compact(
-        &self,
-        policy: &PolicySpec,
-        arena: &PathArena,
-        me: NodeIdx,
-        from: NodeIdx,
-        city: CityId,
-        rel: Relationship,
-        kind: LinkKind,
-        path: PathId,
-        igp_cost: u32,
-        age: u32,
-    ) -> Option<CompactRoute> {
-        let me_node = self.world.graph.node(me);
-
-        // Loop prevention, exactly as in `import`: sequence hits are always
-        // fatal; `no_loop_prevention` only waives the AS-set check.
-        if arena.seq_contains(path, me_node.asn) {
-            return None;
-        }
-        if !policy.no_loop_prevention && arena.contains(path, me_node.asn) {
-            return None;
-        }
-        if policy.filters_as_sets && arena.has_set(path) {
-            return None;
-        }
-
-        let mut pref = base_pref(rel);
-        pref += i32::from(policy.pref_delta(self.world.graph.asn(from)));
-        if kind == LinkKind::Backup {
-            pref += BACKUP_PENALTY;
-        }
-        if policy.domestic_pref && self.path_is_domestic_c(me, arena, path) {
-            pref += DOMESTIC_BONUS;
-        }
-
-        Some(CompactRoute {
-            path,
-            path_len: arena.len(path) as u16,
-            learned_from: from as u32,
-            city: city.0,
-            rel: rel_tag(Some(rel)),
-            local_pref: pref,
-            igp_cost,
-            age,
-        })
-    }
-
-    /// Export filter: may `me` announce its current `route` to neighbor
-    /// `to`, whose relationship over the session in question is `rel_to`?
-    ///
-    /// Checks, in order: Gao–Rexford export (driven by the class the route
-    /// was learned on), partial transit, and — for locally-originated
-    /// routes — the origin's selective-announcement table.
-    pub fn may_export(
-        &self,
-        me: NodeIdx,
-        route: &Route,
-        to: NodeIdx,
-        rel_to: Relationship,
-    ) -> bool {
-        self.may_export_parts(self.world.policy(me), route.rel, route.prefix, to, rel_to)
-    }
-
-    /// [`PolicyEngine::may_export`] from the decomposed inputs the compact
-    /// engine has on hand: the class the route was learned on (`None` =
-    /// local origination) and the prefix (consulted only for local routes'
-    /// selective-announcement policy). `policy` is `me`'s resolved spec —
-    /// see [`PolicyEngine::import_compact`].
-    pub(crate) fn may_export_parts(
-        &self,
-        policy: &PolicySpec,
-        learned_rel: Option<Relationship>,
-        prefix: Prefix,
-        to: NodeIdx,
-        rel_to: Relationship,
-    ) -> bool {
-        let to_asn = self.world.graph.asn(to);
-
-        // Class the route was learned on; local originations export freely.
-        if let Some(learned_rel) = learned_rel {
-            if !learned_rel.exportable_to(rel_to) {
-                return false;
-            }
-            // Partial transit: `to` only gets customer-learned routes.
-            if policy.transit_scope(to_asn) == TransitScope::CustomerRoutesOnly
-                && !matches!(learned_rel, Relationship::Customer | Relationship::Sibling)
-            {
-                return false;
-            }
-        } else {
-            // Origin-side prefix-specific policy (§4.3).
-            if !policy.may_announce(&prefix, to_asn) {
-                return false;
-            }
-        }
-        true
+        // Origin-side prefix-specific policy (§4.3).
+        None => policy.may_announce(&prefix, to),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::AsPath;
     use ir_topology::GeneratorConfig;
-    use ir_types::Asn;
 
     fn world() -> World {
         GeneratorConfig::tiny().build(1)
     }
 
+    /// [`import`] of `path` into `me` under its ground-truth spec, interned
+    /// into a fresh arena (IGP cost 1, age 0).
+    fn import_path(
+        w: &World,
+        me: NodeIdx,
+        from: NodeIdx,
+        city: CityId,
+        rel: Relationship,
+        kind: LinkKind,
+        path: &AsPath,
+    ) -> Option<CompactRoute> {
+        let arena = PathArena::new();
+        let id = arena.intern(path);
+        import(w, w.policy(me), &arena, me, from, city, rel, kind, id, 1, 0)
+    }
+
     #[test]
     fn loop_prevention_rejects_own_asn() {
         let w = world();
-        let eng = PolicyEngine::new(&w);
         // Find an AS with loop prevention enabled and one without.
         let me = (0..w.graph.len())
             .find(|&i| !w.policy(i).no_loop_prevention)
@@ -259,34 +172,10 @@ mod tests {
         let city = w.graph.links(me)[0].cities[0];
         let my_asn = w.graph.asn(me);
         let looped = AsPath::origin(Asn(9_999_999)).prepend(my_asn);
-        let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
-        assert!(eng
-            .import(
-                me,
-                from,
-                city,
-                Relationship::Peer,
-                LinkKind::Normal,
-                pfx,
-                looped,
-                1,
-                Timestamp(0)
-            )
-            .is_none());
+        let (peer, normal) = (Relationship::Peer, LinkKind::Normal);
+        assert!(import_path(&w, me, from, city, peer, normal, &looped).is_none());
         let clean = AsPath::origin(Asn(9_999_999));
-        assert!(eng
-            .import(
-                me,
-                from,
-                city,
-                Relationship::Peer,
-                LinkKind::Normal,
-                pfx,
-                clean,
-                1,
-                Timestamp(0)
-            )
-            .is_some());
+        assert!(import_path(&w, me, from, city, peer, normal, &clean).is_some());
     }
 
     #[test]
@@ -295,24 +184,11 @@ mod tests {
         let me = 0;
         w.policies[me].filters_as_sets = true;
         w.policies[me].no_loop_prevention = false;
-        let eng = PolicyEngine::new(&w);
         let from = w.graph.links(me)[0].peer;
         let city = w.graph.links(me)[0].cities[0];
         let poisoned = AsPath::poisoned(Asn(9_999_999), &[Asn(123)]);
-        let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
-        assert!(eng
-            .import(
-                me,
-                from,
-                city,
-                Relationship::Peer,
-                LinkKind::Normal,
-                pfx,
-                poisoned,
-                1,
-                Timestamp(0)
-            )
-            .is_none());
+        let (peer, normal) = (Relationship::Peer, LinkKind::Normal);
+        assert!(import_path(&w, me, from, city, peer, normal, &poisoned).is_none());
     }
 
     #[test]
@@ -323,37 +199,29 @@ mod tests {
         let from_asn = w.graph.asn(from);
         w.policies[me].neighbor_pref.insert(from_asn, -150);
         w.policies[me].domestic_pref = false;
-        let eng = PolicyEngine::new(&w);
         let city = w.graph.links(me)[0].cities[0];
         let path = AsPath::origin(Asn(9_999_999));
-        let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
-        let r = eng
-            .import(
-                me,
-                from,
-                city,
-                Relationship::Customer,
-                LinkKind::Normal,
-                pfx,
-                path.clone(),
-                1,
-                Timestamp(0),
-            )
-            .unwrap();
+        let r = import_path(
+            &w,
+            me,
+            from,
+            city,
+            Relationship::Customer,
+            LinkKind::Normal,
+            &path,
+        )
+        .unwrap();
         assert_eq!(r.local_pref, 300 - 150);
-        let r = eng
-            .import(
-                me,
-                from,
-                city,
-                Relationship::Provider,
-                LinkKind::Backup,
-                pfx,
-                path.clone(),
-                1,
-                Timestamp(0),
-            )
-            .unwrap();
+        let r = import_path(
+            &w,
+            me,
+            from,
+            city,
+            Relationship::Provider,
+            LinkKind::Backup,
+            &path,
+        )
+        .unwrap();
         assert_eq!(r.local_pref, 100 - 150 + BACKUP_PENALTY);
     }
 
@@ -380,158 +248,117 @@ mod tests {
         // The generator hands ~10% of ASes a random neighbor_pref override;
         // clear it so only the domestic bonus is measured.
         w.policies[me].neighbor_pref.clear();
-        let eng = PolicyEngine::new(&w);
-        let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
-        let domestic_path = AsPath::origin(w.graph.asn(link.peer));
-        let r = eng
-            .import(
+        let (from, city) = (link.peer, link.cities[0]);
+        let import_peer = |path: &AsPath| {
+            import_path(
+                &w,
                 me,
-                link.peer,
-                link.cities[0],
+                from,
+                city,
                 Relationship::Peer,
                 LinkKind::Normal,
-                pfx,
-                domestic_path.clone(),
-                1,
-                Timestamp(0),
+                path,
             )
-            .unwrap();
-        assert_eq!(r.local_pref, 200 + DOMESTIC_BONUS);
+            .unwrap()
+        };
+        let domestic_path = AsPath::origin(w.graph.asn(from));
+        assert_eq!(import_peer(&domestic_path).local_pref, 200 + DOMESTIC_BONUS);
         // A path containing an unknown (foreign) ASN gets no bonus.
         let foreign_path = domestic_path.prepend(Asn(9_999_999));
-        let r2 = eng
-            .import(
-                me,
-                link.peer,
-                link.cities[0],
-                Relationship::Peer,
-                LinkKind::Normal,
-                pfx,
-                foreign_path,
-                1,
-                Timestamp(0),
-            )
-            .unwrap();
-        assert_eq!(r2.local_pref, 200);
+        assert_eq!(import_peer(&foreign_path).local_pref, 200);
     }
 
     #[test]
     fn gao_rexford_export_enforced() {
         let w = world();
-        let eng = PolicyEngine::new(&w);
         let me = 0;
-        let to = w.graph.links(me)[0].peer;
+        let to = w.graph.asn(w.graph.links(me)[0].peer);
         let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
-        let mk = |rel: Relationship| Route {
-            prefix: pfx,
-            path: AsPath::origin(Asn(42)),
-            learned_from: Some(Asn(42)),
-            entry_city: None,
-            rel: Some(rel),
-            local_pref: 100,
-            igp_cost: 1,
-            age: Timestamp(0),
+        let may = |learned: Relationship, rel_to: Relationship| {
+            may_export(w.policy(me), Some(learned), pfx, to, rel_to)
         };
         // Peer-learned routes only go to customers/siblings.
-        assert!(!eng.may_export(me, &mk(Relationship::Peer), to, Relationship::Peer));
-        assert!(eng.may_export(me, &mk(Relationship::Peer), to, Relationship::Customer));
+        assert!(!may(Relationship::Peer, Relationship::Peer));
+        assert!(may(Relationship::Peer, Relationship::Customer));
         // Customer-learned routes go anywhere.
-        assert!(eng.may_export(me, &mk(Relationship::Customer), to, Relationship::Provider));
+        assert!(may(Relationship::Customer, Relationship::Provider));
     }
 
     #[test]
     fn partial_transit_limits_customer() {
         let mut w = world();
         let me = 0;
-        let to = w.graph.links(me)[0].peer;
-        let to_asn = w.graph.asn(to);
+        let to = w.graph.asn(w.graph.links(me)[0].peer);
         w.policies[me]
             .partial_transit
-            .insert(to_asn, TransitScope::CustomerRoutesOnly);
-        let eng = PolicyEngine::new(&w);
+            .insert(to, TransitScope::CustomerRoutesOnly);
         let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
-        let provider_route = Route {
-            prefix: pfx,
-            path: AsPath::origin(Asn(42)),
-            learned_from: Some(Asn(42)),
-            entry_city: None,
-            rel: Some(Relationship::Provider),
-            local_pref: 100,
-            igp_cost: 1,
-            age: Timestamp(0),
-        };
+        let customer = Relationship::Customer;
         // Even though `to` is a customer, provider-learned routes are withheld.
-        assert!(!eng.may_export(me, &provider_route, to, Relationship::Customer));
-        let customer_route = Route {
-            rel: Some(Relationship::Customer),
-            ..provider_route
-        };
-        assert!(eng.may_export(me, &customer_route, to, Relationship::Customer));
+        let provider_learned = Some(Relationship::Provider);
+        assert!(!may_export(
+            w.policy(me),
+            provider_learned,
+            pfx,
+            to,
+            customer
+        ));
+        assert!(may_export(w.policy(me), Some(customer), pfx, to, customer));
     }
 
+    /// Expected verdicts for 5 paths × 3 relationships × 2 link kinds at
+    /// every AS, restated from the rules: `[o]` and `[from, o]` are
+    /// accepted; `[me, o]` is a real loop and always rejected; a path
+    /// poisoned with `{me}` is rejected unless the AS skips loop
+    /// prevention; any AS-set is rejected where the AS filters them. An
+    /// accepted route carries the tier, the neighbor delta and the backup
+    /// penalty (no path here is domestic: the origin is unknown).
     #[test]
-    fn import_compact_agrees_with_import() {
+    fn import_verdicts_follow_the_loop_and_set_rules() {
         let w = world();
-        let eng = PolicyEngine::new(&w);
         let arena = PathArena::new();
-        let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
+        let o = Asn(9_999_999);
         for me in 0..w.graph.len() {
             let links = w.graph.links(me);
             let Some(link) = links.first() else { continue };
             let (from, city) = (link.peer, link.cities[0]);
+            let (me_asn, from_asn) = (w.graph.asn(me), w.graph.asn(from));
+            let spec = w.policy(me);
             let paths = [
-                AsPath::origin(Asn(9_999_999)),
-                AsPath::origin(Asn(9_999_999)).prepend(w.graph.asn(from)),
-                AsPath::poisoned(Asn(9_999_999), &[w.graph.asn(me)]),
-                AsPath::poisoned(Asn(9_999_999), &[Asn(123)]),
-                AsPath::origin(Asn(9_999_999)).prepend(w.graph.asn(me)),
+                (AsPath::origin(o), true),
+                (AsPath::origin(o).prepend(from_asn), true),
+                (
+                    AsPath::poisoned(o, &[me_asn]),
+                    spec.no_loop_prevention && !spec.filters_as_sets,
+                ),
+                (AsPath::poisoned(o, &[Asn(123)]), !spec.filters_as_sets),
+                (AsPath::origin(o).prepend(me_asn), false),
             ];
-            for path in paths {
+            for (path, accepted) in paths {
                 for rel in [
                     Relationship::Customer,
                     Relationship::Peer,
                     Relationship::Provider,
                 ] {
                     for kind in [LinkKind::Normal, LinkKind::Backup] {
-                        let full = eng.import(
-                            me,
-                            from,
-                            city,
-                            rel,
-                            kind,
-                            pfx,
-                            path.clone(),
-                            3,
-                            Timestamp(60),
-                        );
-                        let compact = eng.import_compact(
-                            w.policy(me),
-                            &arena,
-                            me,
-                            from,
-                            city,
-                            rel,
-                            kind,
-                            arena.intern(&path),
-                            3,
-                            60,
-                        );
-                        match (full, compact) {
-                            (None, None) => {}
-                            (Some(r), Some(c)) => {
-                                assert_eq!(r.local_pref, c.local_pref);
-                                assert_eq!(r.igp_cost, c.igp_cost);
-                                assert_eq!(r.path, arena.materialize(c.path));
-                                assert_eq!(usize::from(c.path_len), r.path.len());
-                                assert_eq!(c.learned_from, from as u32);
-                                assert_eq!(Some(CityId(c.city)), r.entry_city);
-                            }
-                            (a, b) => panic!(
-                                "verdicts diverge at node {me}: full={} compact={}",
-                                a.is_some(),
-                                b.is_some()
-                            ),
-                        }
+                        let id = arena.intern(&path);
+                        let got = import(&w, spec, &arena, me, from, city, rel, kind, id, 3, 60);
+                        assert_eq!(got.is_some(), accepted, "node {me}: {path:?}");
+                        let Some(r) = got else { continue };
+                        let backup = if kind == LinkKind::Backup { -400 } else { 0 };
+                        let tier = match rel {
+                            Relationship::Customer => 300,
+                            Relationship::Peer => 200,
+                            _ => 100,
+                        };
+                        let delta = i32::from(spec.pref_delta(from_asn));
+                        assert_eq!(r.local_pref, tier + delta + backup, "node {me}");
+                        assert_eq!(r.igp_cost, 3);
+                        assert_eq!(r.age, 60);
+                        assert_eq!(r.learned_from, from as u32);
+                        assert_eq!(CityId(r.city), city);
+                        assert_eq!(usize::from(r.path_len), path.len());
+                        assert_eq!(arena.materialize(r.path), path);
                     }
                 }
             }
@@ -549,11 +376,11 @@ mod tests {
         w.policies[me]
             .selective_announce
             .insert(pfx, [to_asn].into_iter().collect());
-        let eng = PolicyEngine::new(&w);
-        let local = Route::originate(pfx, AsPath::origin(w.graph.asn(me)), Timestamp(0));
-        assert!(eng.may_export(me, &local, to, Relationship::Customer));
+        let customer = Relationship::Customer;
+        assert!(may_export(w.policy(me), None, pfx, to_asn, customer));
         if let Some(other) = other {
-            assert!(!eng.may_export(me, &local, other, Relationship::Customer));
+            let other = w.graph.asn(other);
+            assert!(!may_export(w.policy(me), None, pfx, other, customer));
         }
     }
 }

@@ -24,15 +24,17 @@
 //! sweep-oracle differentials — observe exactly the routes the legacy
 //! representation produced.
 //!
-//! The shared, immutable per-world state (CSR session table, policy
-//! engine, reverse session index) lives in a [`SimContext`] built once per
-//! [`World`] and shared across prefixes via `Arc`, making
-//! [`PrefixSim::with_context`] O(n + sessions) in allocation and free of
-//! per-prefix session construction. The legacy full-sweep Gauss–Seidel
-//! engine survives as [`crate::sweep::SweepSim`] — the reference
-//! implementation the differential tests compare against; it still stores
-//! materialized [`Route`]s, so the differentials also cross-check the
-//! compact layout against the original one.
+//! The shared, immutable per-world state (CSR session table, reverse
+//! session index) lives in a [`SimContext`] built once per [`World`] and
+//! shared across prefixes via `Arc`, making [`PrefixSim::with_context`]
+//! O(n + sessions) in allocation and free of per-prefix session
+//! construction. Import and export policy are the plain functions of
+//! [`crate::policy_eval`]. The reference the differential tests compare
+//! against is a full-sweep Gauss–Seidel engine in this crate's test support
+//! (`tests/support`): it rebuilds its sessions and restates every policy
+//! check from the [`World`] alone and stores materialized [`Route`]s, so
+//! the differentials also cross-check the compact layout against the
+//! original one.
 //!
 //! The engine models exactly the announcement shapes the paper's PEERING
 //! experiments use (§3.2): plain originations, **poisoned** originations
@@ -54,7 +56,7 @@ use crate::decision::{decide, rank, DecisionKey, DecisionStep};
 use crate::extension::{DefensePlan, ExtensionCheck};
 use crate::path::AsPath;
 use crate::patharena::{PathArena, PathId};
-use crate::policy_eval::PolicyEngine;
+use crate::policy_eval;
 use crate::route::Route;
 use crate::worklist::BitWorklist;
 use ir_topology::graph::{LinkKind, NodeIdx};
@@ -281,7 +283,8 @@ pub struct EngineStats {
     pub deadline_aborts: usize,
     /// Memory accounting of the compact route storage (columns + path
     /// arena), refreshed on every [`PrefixSim::stats`] call; zeros for the
-    /// sweep oracle, which keeps materialized routes.
+    /// test-support sweep oracle (`tests/support`), which keeps
+    /// materialized routes.
     pub memory: MemoryBudget,
 }
 
@@ -397,16 +400,14 @@ impl CsrTopology {
 }
 
 /// Immutable per-world simulation state, shared by every per-prefix
-/// simulation over the same [`World`]: the CSR session table, the policy
-/// engine, and the path arena routes intern into. Build it once with
-/// [`SimContext::shared`] and hand clones of the `Arc` to
-/// [`PrefixSim::with_context`] / [`crate::sweep::SweepSim::with_context`];
+/// simulation over the same [`World`]: the CSR session table and the path
+/// arena routes intern into. Build it once with [`SimContext::shared`] and
+/// hand clones of the `Arc` to [`PrefixSim::with_context`];
 /// [`SimContext::fork`] shares the session table but gives the fork a
 /// fresh arena (how the universe keeps per-shape arenas small and
 /// contention-free).
 pub struct SimContext<'w> {
     pub(crate) world: &'w World,
-    pub(crate) engine: PolicyEngine<'w>,
     topo: Arc<CsrTopology>,
     pub(crate) arena: Arc<PathArena>,
 }
@@ -416,7 +417,6 @@ impl<'w> SimContext<'w> {
     pub fn new(world: &'w World) -> SimContext<'w> {
         SimContext {
             world,
-            engine: PolicyEngine::new(world),
             topo: Arc::new(CsrTopology::build(world)),
             arena: Arc::new(PathArena::new()),
         }
@@ -436,7 +436,6 @@ impl<'w> SimContext<'w> {
     pub fn fork(&self) -> Arc<SimContext<'w>> {
         Arc::new(SimContext {
             world: self.world,
-            engine: PolicyEngine::new(self.world),
             topo: Arc::clone(&self.topo),
             arena: Arc::new(PathArena::new()),
         })
@@ -471,55 +470,12 @@ impl<'w> SimContext<'w> {
 
     /// What `from` exports toward `to` over session `s` (the session as
     /// held by `to`, i.e. `s.peer == from`), given `from`'s current best
-    /// route: the path as announced, with `from` prepended (plus export
-    /// prepending), or `None` if policy withholds the route. Kept on
-    /// materialized routes for the sweep oracle; the event engine uses the
-    /// arena-native [`SimContext::export_compact`].
-    pub(crate) fn export_path(
-        &self,
-        from: NodeIdx,
-        to: NodeIdx,
-        s: &Session,
-        best: &Route,
-        ann: Option<&Announcement>,
-    ) -> Option<AsPath> {
-        // Relationship of `to` as seen from `from` at this city: the mirror
-        // of the session relationship (set_hybrid keeps both sides
-        // consistent).
-        let rel_of_to_from_from = s.rel.reverse();
-        // The `via` restriction applies at the origin for local routes.
-        if best.is_local() {
-            if let Some(ann) = ann {
-                if let Some(via) = &ann.via {
-                    if !via.contains(&self.world.graph.asn(to)) {
-                        return None;
-                    }
-                }
-            }
-        }
-        if !self.engine.may_export(from, best, to, rel_of_to_from_from) {
-            return None;
-        }
-        let from_asn = self.world.graph.asn(from);
-        // Export-side prepending (inbound traffic engineering), plus the
-        // ordinary prepend for learned routes, in one allocation.
-        let extra = self
-            .world
-            .policy(from)
-            .prepends_to(self.world.graph.asn(to)) as usize;
-        Some(if best.is_local() {
-            best.path.prepend_n(from_asn, extra)
-        } else {
-            best.path.prepend_n(from_asn, extra + 1)
-        })
-    }
-
-    /// [`SimContext::export_path`] over compact routes: same policy
-    /// decisions, but the prepend is an arena cons and the result a path
-    /// handle. `prefix` is the prefix being simulated (compact routes do
-    /// not carry it; it is constant per sim). `from_policy` is the
-    /// exporter's resolved spec — the world's ground truth, or the sim's
-    /// overlay entry after a [`Delta`] edited it.
+    /// route: the path handle as announced — an arena cons of `from` (plus
+    /// export prepending) — or `None` if policy withholds the route.
+    /// `prefix` is the prefix being simulated (compact routes do not carry
+    /// it; it is constant per sim). `from_policy` is the exporter's
+    /// resolved spec — the world's ground truth, or the sim's overlay entry
+    /// after a [`Delta`] edited it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn export_compact(
         &self,
@@ -531,27 +487,34 @@ impl<'w> SimContext<'w> {
         prefix: Prefix,
         ann: Option<&Announcement>,
     ) -> Option<PathId> {
+        // Relationship of `to` as seen from `from` at this city: the mirror
+        // of the session relationship (set_hybrid keeps both sides
+        // consistent).
         let rel_of_to_from_from = s.rel.reverse();
+        let to_asn = self.world.graph.asn(to);
+        // The `via` restriction applies at the origin for local routes.
         if best.is_local() {
             if let Some(ann) = ann {
                 if let Some(via) = &ann.via {
-                    if !via.contains(&self.world.graph.asn(to)) {
+                    if !via.contains(&to_asn) {
                         return None;
                     }
                 }
             }
         }
-        if !self.engine.may_export_parts(
+        if !policy_eval::may_export(
             from_policy,
             rel_of_tag(best.rel),
             prefix,
-            to,
+            to_asn,
             rel_of_to_from_from,
         ) {
             return None;
         }
         let from_asn = self.world.graph.asn(from);
-        let extra = from_policy.prepends_to(self.world.graph.asn(to)) as usize;
+        // Export-side prepending (inbound traffic engineering), plus the
+        // ordinary prepend for learned routes, in one cons.
+        let extra = from_policy.prepends_to(to_asn) as usize;
         let count = if best.is_local() { extra } else { extra + 1 };
         Some(self.arena.prepend_n(best.path, from_asn, count))
     }
@@ -812,8 +775,8 @@ impl<'a> Transfer<'a, '_> {
             return None;
         }
         let policy = overlay_policy(ctx.world, self.overlay, to);
-        ctx.engine.import_compact(
-            policy, &ctx.arena, to, s.peer, s.city, s.rel, s.kind, path, s.igp, self.age,
+        policy_eval::import(
+            ctx.world, policy, &ctx.arena, to, s.peer, s.city, s.rel, s.kind, path, s.igp, self.age,
         )
     }
 

@@ -23,13 +23,12 @@
 //! each route carries. The universe groups prefixes by shape, propagates
 //! once per shape, and fans the converged RIB out to the other members by
 //! rewriting the carried prefix, which is byte-identical to (and much
-//! cheaper than) re-running propagation per member.
-//! [`RoutingUniverse::compute_per_prefix`] keeps the unbatched path alive as
-//! the oracle the batching-invariance proptests compare against;
+//! cheaper than) re-running propagation per member. The batching-invariance
+//! tests compare against one singleton universe per prefix;
 //! [`EngineStats::shapes_computed`] / [`EngineStats::prefixes_shared`]
 //! (via [`RoutingUniverse::engine_stats`]) make the sharing observable.
 
-use crate::compact::{CompactRoute, MemoryBudget, RouteColumns};
+use crate::compact::{CompactRoute, MemoryBudget, RouteColumns, NO_NODE};
 use crate::patharena::{PathArena, PathId};
 use crate::route::Route;
 use crate::sim::{ActivationOrder, Announcement, EngineStats, PrefixSim, ShapeTable, SimContext};
@@ -64,10 +63,6 @@ pub struct RoutingUniverse {
     /// ascending. Generated worlds do contain live dispute wheels — the
     /// seed-7 paper world reports 410 of its 1 212 prefixes here.
     unconverged: Vec<Prefix>,
-    /// Announced prefixes sorted by `(base, len)` — the LPM index.
-    lpm_index: Vec<Prefix>,
-    /// Shortest announced prefix length; bounds the LPM backward walk.
-    lpm_min_len: u8,
     /// Fault-recovery accounting (all zero when computed without faults).
     resilience: UniverseResilience,
     /// Aggregate engine effort across shapes, including the batching
@@ -125,26 +120,17 @@ type PrefixResult = (Prefix, Asn, Arc<ShapeTable>, bool);
 type ShapeKey = (NodeIdx, Option<BTreeSet<Asn>>);
 
 /// Groups `prefixes` by announcement shape (insertion order within a
-/// group, key order across groups — both deterministic). With `batch`
-/// off every prefix is its own singleton group: the per-prefix oracle
-/// path.
+/// group, key order across groups — both deterministic).
 fn shape_groups(
     world: &World,
     prefixes: &[Prefix],
     owners: &BTreeMap<Prefix, Asn>,
-    batch: bool,
 ) -> Vec<(Asn, Vec<Prefix>)> {
-    let owner = |prefix: Prefix| -> Asn {
-        *owners
-            .get(&prefix)
-            .unwrap_or_else(|| panic!("prefix {prefix} has no owner"))
-    };
-    if !batch {
-        return prefixes.iter().map(|&p| (owner(p), vec![p])).collect();
-    }
     let mut groups: BTreeMap<ShapeKey, (Asn, Vec<Prefix>)> = BTreeMap::new();
     for &prefix in prefixes {
-        let origin = owner(prefix);
+        let origin = *owners
+            .get(&prefix)
+            .unwrap_or_else(|| panic!("prefix {prefix} has no owner"));
         let idx = world
             .graph
             .index_of(origin)
@@ -181,10 +167,9 @@ fn fan_out(
 
 /// Converges `prefixes` shape by shape — the one loop behind every
 /// [`RoutingUniverse`] `compute*` entry and the [`crate::WhatIfEngine`]
-/// base convergence. Prefixes are grouped by announcement shape (`batch`
-/// off: every prefix its own group, the oracle path) and each group runs in
-/// parallel on a fork of one shared context — shared CSR topology and policy
-/// engine, private path arena, so shapes never contend on interning:
+/// base convergence. Prefixes are grouped by announcement shape and each
+/// group runs in parallel on a fork of one shared context — shared CSR
+/// topology, private path arena, so shapes never contend on interning:
 /// `prepare` installs filters or defenses on the fresh sim, the
 /// representative is announced plainly at t=0, `schedule` is replayed, and
 /// the sim — with whether every event converged — is handed to `finish`
@@ -193,14 +178,13 @@ pub(crate) fn converge_shapes<'w, T: Send>(
     world: &'w World,
     prefixes: &[Prefix],
     order: ActivationOrder,
-    batch: bool,
     schedule: &[TimedFault],
     prepare: impl Fn(&mut PrefixSim<'w>) + Sync,
     finish: impl Fn(PrefixSim<'w>, bool, Asn, &[Prefix]) -> T + Sync,
 ) -> Vec<T> {
     let owners = prefix_owners(world);
     let ctx = SimContext::shared(world);
-    shape_groups(world, prefixes, &owners, batch)
+    shape_groups(world, prefixes, &owners)
         .par_iter()
         .map(|(origin, members)| {
             let rep = members[0];
@@ -215,14 +199,6 @@ pub(crate) fn converge_shapes<'w, T: Send>(
             finish(sim, converged, *origin, members)
         })
         .collect()
-}
-
-fn prefix_mask(len: u8) -> u32 {
-    if len == 0 {
-        0
-    } else {
-        !0u32 << (32 - len.min(32))
-    }
 }
 
 impl RoutingUniverse {
@@ -258,29 +234,6 @@ impl RoutingUniverse {
         plane: &FaultPlane,
         order: ActivationOrder,
     ) -> RoutingUniverse {
-        Self::converge(world, prefixes, plane, order, true)
-    }
-
-    /// [`RoutingUniverse::compute_with_faults_ordered`] without cross-prefix
-    /// batching: every prefix runs its own propagation. Same result byte for
-    /// byte — kept as the oracle the batching-invariance tests compare
-    /// against.
-    pub fn compute_per_prefix(
-        world: &World,
-        prefixes: &[Prefix],
-        plane: &FaultPlane,
-        order: ActivationOrder,
-    ) -> RoutingUniverse {
-        Self::converge(world, prefixes, plane, order, false)
-    }
-
-    fn converge(
-        world: &World,
-        prefixes: &[Prefix],
-        plane: &FaultPlane,
-        order: ActivationOrder,
-        batch: bool,
-    ) -> RoutingUniverse {
         // Poison filters and the timed schedule are prefix-independent, so
         // the announcement-shape grouping stays valid under faults.
         let filters: Vec<Asn> = world
@@ -294,7 +247,6 @@ impl RoutingUniverse {
             world,
             prefixes,
             order,
-            batch,
             plane.schedule(),
             |sim| sim.set_poison_filters(filters.iter().copied()),
             |sim, converged, origin, members| {
@@ -315,7 +267,7 @@ impl RoutingUniverse {
             // Shared members skip the replay but would have produced the
             // exact counters of their representative (identical dynamics is
             // the batching premise); scaling keeps the resilience accounting
-            // byte-identical to the per-prefix path.
+            // byte-identical to propagating every prefix on its own.
             let members = shape_results.len();
             resilience.fault_events += shape_stats.recovery_events * members;
             resilience.recovery_rounds += shape_stats.recovery_rounds * members;
@@ -340,8 +292,6 @@ impl RoutingUniverse {
             asns: world.graph.nodes().iter().map(|n| n.asn).collect(),
             origins: BTreeMap::new(),
             unconverged: Vec::new(),
-            lpm_index: Vec::new(),
-            lpm_min_len: 32,
             resilience,
             stats,
         };
@@ -352,14 +302,9 @@ impl RoutingUniverse {
             universe.tables.insert(prefix, table);
             universe.origins.insert(prefix, origin);
         }
-        // Results arrive grouped by shape; canonicalize so batched and
-        // per-prefix computations report unconverged prefixes identically.
+        // Results arrive grouped by shape; report unconverged prefixes in
+        // ascending order whatever the grouping.
         universe.unconverged.sort_unstable();
-        universe.lpm_index = universe.tables.keys().copied().collect();
-        universe
-            .lpm_index
-            .sort_unstable_by_key(|p| (p.base.0, p.len));
-        universe.lpm_min_len = universe.lpm_index.iter().map(|p| p.len).min().unwrap_or(32);
         universe
     }
 
@@ -399,31 +344,6 @@ impl RoutingUniverse {
             .filter(|t| seen.insert(Arc::as_ptr(t) as usize))
             .map(|t| t.bytes())
             .sum()
-    }
-
-    /// Longest-prefix match: the covering announced prefix for `ip`.
-    ///
-    /// Sorted-index lookup: any prefix containing `ip` has its base in
-    /// `[ip & mask(min_len), ip]`, so a binary search for the insertion
-    /// point followed by a short backward walk over that window finds the
-    /// longest match without scanning the whole table. The retry scheduler
-    /// re-resolves destinations per attempt, so this path is hot under
-    /// fault-heavy campaigns.
-    pub fn lpm(&self, ip: Ipv4) -> Option<Prefix> {
-        let floor = ip.0 & prefix_mask(self.lpm_min_len);
-        let mut i = self.lpm_index.partition_point(|p| p.base.0 <= ip.0);
-        let mut best: Option<Prefix> = None;
-        while i > 0 {
-            let p = self.lpm_index[i - 1];
-            if p.base.0 < floor {
-                break;
-            }
-            if p.contains(ip) && best.is_none_or(|b| p.len > b.len) {
-                best = Some(p);
-            }
-            i -= 1;
-        }
-        best
     }
 
     /// Origin AS of a prefix.
@@ -466,9 +386,8 @@ impl RoutingUniverse {
     }
 
     /// Serializes the converged universe — compact columns, path arenas,
-    /// shape sharing, accounting — into a deterministic byte image.
-    /// Everything derivable (the LPM index) is rebuilt on load; everything
-    /// else round-trips exactly, so
+    /// shape sharing, accounting — into a deterministic byte image that
+    /// round-trips exactly, so
     /// [`RoutingUniverse::from_snapshot_bytes`] followed by another
     /// `to_snapshot_bytes` is byte-identical. Shape tables shared across
     /// member prefixes are written once and re-shared on load.
@@ -570,12 +489,25 @@ impl RoutingUniverse {
     }
 
     /// Decodes a [`RoutingUniverse::to_snapshot_bytes`] image. Fully
-    /// validating: truncation, bad counts, dangling shape/path references,
-    /// or a corrupt arena all return an [`Error`] instead of panicking.
+    /// validating: truncation, bad counts, dangling shape/path/neighbor
+    /// references, prefix lengths over 32, or a corrupt arena all return an
+    /// [`Error`] instead of panicking. The CRC only proves the bytes are the
+    /// ones that were sealed, not that they make sense.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<RoutingUniverse, Error> {
         fn to_usize(v: u64) -> Result<usize, Error> {
             usize::try_from(v)
                 .map_err(|_| Error::parse(None, format!("snapshot counter {v} overflows usize")))
+        }
+        fn read_prefix(r: &mut Reader<'_>, field: &str) -> Result<Prefix, Error> {
+            let base = Ipv4(r.u32()?);
+            let len = r.u8()?;
+            if len > 32 {
+                return Err(Error::parse(
+                    None,
+                    format!("snapshot {field} prefix length {len} exceeds 32"),
+                ));
+            }
+            Ok(Prefix { base, len })
         }
         // A recognizable foreign version magic reports as a format mismatch
         // first: older layouts differ in length or lack the trailer, so the
@@ -636,19 +568,26 @@ impl RoutingUniverse {
                         format!("snapshot row references unknown path cell {pid}"),
                     ));
                 }
-                rows.set(
-                    x,
-                    Some(CompactRoute {
-                        path: PathId(pid),
-                        path_len: r.u16()?,
-                        learned_from: r.u32()?,
-                        city: r.u16()?,
-                        rel: r.u8()?,
-                        local_pref: r.i32()?,
-                        igp_cost: r.u32()?,
-                        age: r.u32()?,
-                    }),
-                );
+                let route = CompactRoute {
+                    path: PathId(pid),
+                    path_len: r.u16()?,
+                    learned_from: r.u32()?,
+                    city: r.u16()?,
+                    rel: r.u8()?,
+                    local_pref: r.i32()?,
+                    igp_cost: r.u32()?,
+                    age: r.u32()?,
+                };
+                if route.learned_from != NO_NODE && route.learned_from as usize >= n_asns {
+                    return Err(Error::parse(
+                        None,
+                        format!(
+                            "snapshot row learned_from {} is outside the {n_asns}-entry ASN table",
+                            route.learned_from
+                        ),
+                    ));
+                }
+                rows.set(x, Some(route));
             }
             shapes.push(Arc::new(ShapeTable::from_parts(rows, Arc::new(arena))));
         }
@@ -656,10 +595,7 @@ impl RoutingUniverse {
         let mut tables = BTreeMap::new();
         let mut origins = BTreeMap::new();
         for _ in 0..n_prefixes {
-            let prefix = Prefix {
-                base: Ipv4(r.u32()?),
-                len: r.u8()?,
-            };
+            let prefix = read_prefix(&mut r, "table")?;
             let origin = Asn(r.u32()?);
             let si = r.u32()? as usize;
             let table = shapes.get(si).ok_or_else(|| {
@@ -674,10 +610,7 @@ impl RoutingUniverse {
         let n_unconverged = r.len(5)?;
         let mut unconverged = Vec::with_capacity(n_unconverged);
         for _ in 0..n_unconverged {
-            unconverged.push(Prefix {
-                base: Ipv4(r.u32()?),
-                len: r.u8()?,
-            });
+            unconverged.push(read_prefix(&mut r, "unconverged")?);
         }
         let resilience = UniverseResilience {
             fault_events: to_usize(r.u64()?)?,
@@ -708,23 +641,14 @@ impl RoutingUniverse {
             },
         };
         r.done()?;
-        let mut universe = RoutingUniverse {
+        Ok(RoutingUniverse {
             tables,
             asns,
             origins,
             unconverged,
-            lpm_index: Vec::new(),
-            lpm_min_len: 32,
             resilience,
             stats,
-        };
-        // Rebuild the derived LPM index exactly as assemble does.
-        universe.lpm_index = universe.tables.keys().copied().collect();
-        universe
-            .lpm_index
-            .sort_unstable_by_key(|p| (p.base.0, p.len));
-        universe.lpm_min_len = universe.lpm_index.iter().map(|p| p.len).min().unwrap_or(32);
-        Ok(universe)
+        })
     }
 
     /// Writes [`RoutingUniverse::to_snapshot_bytes`] to `path` atomically:
@@ -801,49 +725,44 @@ mod tests {
             // The origin itself holds a local route.
             let oidx = w.graph.index_of(owners[p]).unwrap();
             assert!(u.route(*p, oidx).unwrap().is_local());
-            // LPM on an address inside the prefix finds it.
-            assert_eq!(u.lpm(p.addr(7)), Some(*p));
         }
-        assert_eq!(u.prefixes().count(), some.len());
+        // The prefix set with its origins is what longest-prefix match
+        // (the data plane's `OriginTable`) is built from.
+        assert!(u.prefixes().eq(some.iter().copied()));
         assert_eq!(u.resilience(), UniverseResilience::default());
     }
 
-    #[test]
-    fn lpm_prefers_longer_match() {
-        // Two nested prefixes can't come from the generator (validate()
-        // forbids cross-AS nesting), so exercise lpm() directly on a
-        // hand-built universe via compute of disjoint prefixes + manual check.
-        let w = GeneratorConfig::tiny().build(9);
-        let owners = prefix_owners(&w);
-        let ps: Vec<Prefix> = owners.keys().copied().take(2).collect();
-        let u = RoutingUniverse::compute(&w, &ps);
-        // An address outside every prefix has no match.
-        assert_eq!(u.lpm(Ipv4::new(203, 0, 113, 1)), None);
-    }
-
-    #[test]
-    fn lpm_index_agrees_with_linear_scan_everywhere() {
-        let w = GeneratorConfig::tiny().build(11);
-        let u = RoutingUniverse::compute_all(&w);
-        let prefixes: Vec<Prefix> = u.prefixes().collect();
-        // Probe inside, at the edges of, and just outside every prefix.
-        for p in &prefixes {
-            for ip in [p.addr(0), p.addr(1), p.addr(p.size() - 1)] {
-                let linear = prefixes
-                    .iter()
-                    .filter(|q| q.contains(ip))
-                    .max_by_key(|q| q.len)
-                    .copied();
-                assert_eq!(u.lpm(ip), linear, "mismatch at {ip}");
+    /// Asserts that `batched` equals `ps` converged one prefix at a time:
+    /// routes and origins per prefix, unconverged as the sorted union, and
+    /// resilience summed field by field (links down at the end: the max).
+    /// Each singleton runs exactly one shape and shares nothing.
+    fn assert_matches_singletons(
+        w: &World,
+        ps: &[Prefix],
+        plane: &FaultPlane,
+        batched: &RoutingUniverse,
+    ) {
+        let mut unconverged = Vec::new();
+        let mut resilience = UniverseResilience::default();
+        for &p in ps {
+            let order = ActivationOrder::default();
+            let single = RoutingUniverse::compute_with_faults_ordered(w, &[p], plane, order);
+            assert_eq!(batched.origin(p), single.origin(p));
+            for x in 0..w.graph.len() {
+                assert_eq!(batched.route(p, x), single.route(p, x), "{p} at {x}");
             }
-            let outside = Ipv4(p.base.0.wrapping_sub(1));
-            let linear = prefixes
-                .iter()
-                .filter(|q| q.contains(outside))
-                .max_by_key(|q| q.len)
-                .copied();
-            assert_eq!(u.lpm(outside), linear, "mismatch just below {p}");
+            unconverged.extend_from_slice(single.unconverged());
+            let r = single.resilience();
+            resilience.fault_events += r.fault_events;
+            resilience.recovery_rounds += r.recovery_rounds;
+            resilience.sessions_torn += r.sessions_torn;
+            resilience.links_down_at_end = resilience.links_down_at_end.max(r.links_down_at_end);
+            let stats = single.engine_stats();
+            assert_eq!((stats.shapes_computed, stats.prefixes_shared), (1, 0));
         }
+        unconverged.sort_unstable();
+        assert_eq!(batched.unconverged(), unconverged.as_slice());
+        assert_eq!(batched.resilience(), resilience);
     }
 
     #[test]
@@ -851,28 +770,12 @@ mod tests {
         let w = GeneratorConfig::tiny().build(9);
         let ps: Vec<Prefix> = prefix_owners(&w).keys().copied().collect();
         let batched = RoutingUniverse::compute(&w, &ps);
-        let oracle = RoutingUniverse::compute_per_prefix(
-            &w,
-            &ps,
-            &FaultPlane::quiet(),
-            ActivationOrder::default(),
-        );
-        for p in &ps {
-            assert_eq!(batched.origin(*p), oracle.origin(*p));
-            for x in 0..w.graph.len() {
-                assert_eq!(batched.route(*p, x), oracle.route(*p, x), "{p} at {x}");
-            }
-        }
-        assert_eq!(batched.unconverged(), oracle.unconverged());
-        assert_eq!(batched.resilience(), oracle.resilience());
+        assert_matches_singletons(&w, &ps, &FaultPlane::quiet(), &batched);
         // Sharing really happened: the generator gives transit/content ASes
         // multiple prefixes with no PSP split, so shapes < prefixes.
         let stats = batched.engine_stats();
         assert!(stats.prefixes_shared > 0, "no prefixes shared");
         assert_eq!(stats.shapes_computed + stats.prefixes_shared, ps.len());
-        let oracle_stats = oracle.engine_stats();
-        assert_eq!(oracle_stats.shapes_computed, ps.len());
-        assert_eq!(oracle_stats.prefixes_shared, 0);
     }
 
     #[test]
@@ -893,20 +796,41 @@ mod tests {
             .selective_announce
             .insert(ps[0], [keep].into_iter().collect());
         let u = RoutingUniverse::compute(&w, &ps);
-        let oracle = RoutingUniverse::compute_per_prefix(
-            &w,
-            &ps,
-            &FaultPlane::quiet(),
-            ActivationOrder::default(),
-        );
-        for p in &ps {
-            for x in 0..w.graph.len() {
-                assert_eq!(u.route(*p, x), oracle.route(*p, x), "{p} at {x}");
-            }
-        }
+        assert_matches_singletons(&w, &ps, &FaultPlane::quiet(), &u);
         // Both shapes ran: the PSP-restricted prefix plus the shared rest.
         assert_eq!(u.engine_stats().shapes_computed, 2);
         assert_eq!(u.engine_stats().prefixes_shared, ps.len() - 2);
+    }
+
+    #[test]
+    fn sealed_but_inconsistent_snapshots_are_rejected() {
+        // The CRC proves only that the bytes are the ones sealed; an image
+        // sealed over inconsistent state must still fail to decode rather
+        // than decode and then panic on the first lookup.
+        let w = GeneratorConfig::tiny().build(9);
+        let ps: Vec<Prefix> = prefix_owners(&w).keys().copied().take(4).collect();
+        // An ASN table shorter than a row's `learned_from`.
+        let mut short = RoutingUniverse::compute(&w, &ps);
+        short.asns.truncate(1);
+        let Err(err) = RoutingUniverse::from_snapshot_bytes(&short.to_snapshot_bytes().unwrap())
+        else {
+            panic!("row pointing past the ASN table accepted");
+        };
+        assert!(err.to_string().contains("learned_from"), "{err}");
+        // A /40 prefix key.
+        let mut wide = RoutingUniverse::compute(&w, &ps);
+        let bogus = Prefix {
+            base: Ipv4(0x0a00_0000),
+            len: 40,
+        };
+        let table = Arc::clone(&wide.tables[&ps[0]]);
+        wide.tables.insert(bogus, table);
+        wide.origins.insert(bogus, Asn(1));
+        let Err(err) = RoutingUniverse::from_snapshot_bytes(&wide.to_snapshot_bytes().unwrap())
+        else {
+            panic!("/40 prefix accepted");
+        };
+        assert!(err.to_string().contains("prefix length 40"), "{err}");
     }
 
     #[test]

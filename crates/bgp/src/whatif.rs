@@ -387,7 +387,6 @@ impl<'w> WhatIfEngine<'w> {
             world,
             prefixes,
             order,
-            true,
             &[],
             |sim| sim.set_defenses(defenses.clone()),
             |sim, converged, _, members| (ShapeState::new(sim, converged), members.to_vec()),

@@ -1,8 +1,9 @@
 //! Differential tests: the event-driven engine ([`PrefixSim`]) against the
-//! legacy full-sweep oracle ([`SweepSim`]).
+//! full-sweep oracle ([`SweepSim`], `tests/support`), which shares only the
+//! model with it.
 //!
-//! Every scenario drives both engines through the same event sequence over
-//! a shared [`SimContext`] and asserts identical fixpoints route-for-route
+//! Every scenario drives both engines through the same event sequence and
+//! asserts identical fixpoints route-for-route
 //! — full [`ir_bgp::Route`] equality, so paths, sessions, preferences,
 //! *and ages* must agree after every event. The deterministic sweep below
 //! covers 25 seeded worlds × 8+ events each (200+ compared fixpoints:
@@ -11,10 +12,14 @@
 //! and re-announcements); a proptest adds randomized poison sets and
 //! origins on top.
 
-use ir_bgp::{Announcement, PrefixSim, SimContext, SweepSim};
+#[allow(dead_code)]
+mod support;
+
+use ir_bgp::{Announcement, PrefixSim};
 use ir_topology::{GeneratorConfig, World};
 use ir_types::{Asn, Prefix, Timestamp};
 use std::collections::BTreeSet;
+use support::SweepSim;
 
 /// 90 minutes between events, like the paper's experiment cadence.
 const ROUND: u64 = 90 * 60;
@@ -25,27 +30,11 @@ struct Pair<'w> {
     compared: usize,
 }
 
-/// Ceiling on worlds the sweep oracle is asked to replay. The oracle
-/// recomputes every node each round over materialized routes — O(rounds ·
-/// E) with per-route allocations — which is the point (independence from
-/// the compact engine) and also why it must never meet an internet-scale
-/// world: the guard turns an accidental hookup into an immediate,
-/// explainable failure instead of a CI hang. Scale coverage lives in the
-/// release-mode `scale_smoke` suite instead.
-const MAX_ORACLE_ASES: usize = 2_000;
-
 impl<'w> Pair<'w> {
     fn new(world: &'w World, prefix: Prefix) -> Pair<'w> {
-        assert!(
-            world.graph.len() <= MAX_ORACLE_ASES,
-            "sweep-oracle differentials are gated to <= {MAX_ORACLE_ASES} ASes, got {}; \
-             use the ignored scale smoke test for internet-scale worlds",
-            world.graph.len()
-        );
-        let ctx = SimContext::shared(world);
         Pair {
-            event: PrefixSim::with_context(ctx.clone(), prefix),
-            sweep: SweepSim::with_context(ctx, prefix),
+            event: PrefixSim::new(world, prefix),
+            sweep: SweepSim::new(world, prefix),
             compared: 0,
         }
     }
@@ -146,6 +135,30 @@ fn poisoning_loop(pair: &mut Pair<'_>, origin: Asn, prefix: Prefix, seed: u64) {
             &format!("seed {seed}: poison step {step}"),
         );
     }
+}
+
+#[test]
+fn sweep_engine_converges_and_clears_on_withdraw() {
+    let w = GeneratorConfig::tiny().build(3);
+    let node = w
+        .graph
+        .nodes()
+        .iter()
+        .find(|n| n.asn.value() >= 20_000)
+        .unwrap();
+    let (origin, prefix) = (node.asn, node.prefixes[0]);
+    let mut sim = SweepSim::new(&w, prefix);
+    let conv = sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
+    assert!(conv.converged);
+    assert!(conv.imports > 0);
+    let reached = (0..w.graph.len())
+        .filter(|&x| sim.best(x).is_some())
+        .count();
+    assert!(reached as f64 >= 0.95 * w.graph.len() as f64);
+    let conv = sim.withdraw(Timestamp(60));
+    assert!(conv.converged);
+    assert!((0..w.graph.len()).all(|x| sim.best(x).is_none()));
+    assert_eq!(sim.stats().events, 2);
 }
 
 #[test]
@@ -539,8 +552,10 @@ mod proptests {
 
         /// Cross-prefix batching is invisible: a universe computed with
         /// shape batching is byte-identical (routes, origins, unconverged,
-        /// resilience) to one propagating every prefix separately — plain
-        /// and under a synthesized fault schedule.
+        /// resilience) to one singleton universe per prefix — plain and
+        /// under a synthesized fault schedule. Unconverged prefixes are the
+        /// sorted union; resilience is the field sum, except links down at
+        /// the end, which every prefix shares (the max).
         #[test]
         fn universe_batching_is_invariant(
             seed in 0u64..200,
@@ -571,16 +586,25 @@ mod proptests {
             }
             let order = ActivationOrder::default();
             let batched = RoutingUniverse::compute_with_faults_ordered(&w, &ps, &plane, order);
-            let oracle =
-                RoutingUniverse::compute_per_prefix(&w, &ps, &plane, order);
-            for p in &ps {
-                prop_assert_eq!(batched.origin(*p), oracle.origin(*p));
+            let mut unconverged = Vec::new();
+            let mut resilience = ir_bgp::UniverseResilience::default();
+            for &p in &ps {
+                let single = RoutingUniverse::compute_with_faults_ordered(&w, &[p], &plane, order);
+                prop_assert_eq!(batched.origin(p), single.origin(p));
                 for x in 0..w.graph.len() {
-                    prop_assert_eq!(batched.route(*p, x), oracle.route(*p, x), "{} at {}", p, x);
+                    prop_assert_eq!(batched.route(p, x), single.route(p, x), "{} at {}", p, x);
                 }
+                unconverged.extend_from_slice(single.unconverged());
+                let r = single.resilience();
+                resilience.fault_events += r.fault_events;
+                resilience.recovery_rounds += r.recovery_rounds;
+                resilience.sessions_torn += r.sessions_torn;
+                resilience.links_down_at_end =
+                    resilience.links_down_at_end.max(r.links_down_at_end);
             }
-            prop_assert_eq!(batched.unconverged(), oracle.unconverged());
-            prop_assert_eq!(batched.resilience(), oracle.resilience());
+            unconverged.sort_unstable();
+            prop_assert_eq!(batched.unconverged(), unconverged.as_slice());
+            prop_assert_eq!(batched.resilience(), resilience);
         }
     }
 }

@@ -12,27 +12,19 @@
 //!    link, poison-filtering ASes never hold an AS-set-carrying route, and
 //!    every injected fault is visible in the recovery counters.
 
-use ir_bgp::{Announcement, PrefixSim, SimContext, SweepSim};
+#[allow(dead_code)]
+mod support;
+
+use ir_bgp::{Announcement, PrefixSim, SimContext};
 use ir_fault::{FaultConfig, FaultPlane};
 use ir_topology::{GeneratorConfig, World};
 use ir_types::{Asn, Prefix, Timestamp};
 use std::collections::BTreeSet;
+use support::SweepSim;
 
 const ROUND: u64 = 90 * 60;
 
-/// Same gate as the main differential suite: every test here replays its
-/// fault schedule through the sweep oracle too, so internet-scale worlds
-/// must fail loudly rather than grind. Every test funnels through
-/// `stub_origin`, which is where the guard lives.
-const MAX_ORACLE_ASES: usize = 2_000;
-
 fn stub_origin(world: &World, pick: usize) -> (Asn, Prefix) {
-    assert!(
-        world.graph.len() <= MAX_ORACLE_ASES,
-        "sweep-oracle differentials are gated to <= {MAX_ORACLE_ASES} ASes, got {}; \
-         use the ignored scale smoke test for internet-scale worlds",
-        world.graph.len()
-    );
     let stubs: Vec<_> = world
         .graph
         .nodes()
@@ -85,7 +77,7 @@ fn quiet_fault_surface_is_a_strict_noop() {
 
         // Faulted-but-quiet: empty filters, a quiet plane's (empty)
         // schedule, restore/reset of links that were never failed.
-        let mut quiet = PrefixSim::with_context(ctx.clone(), prefix);
+        let mut quiet = PrefixSim::with_context(ctx, prefix);
         quiet.set_poison_filters(std::iter::empty());
         quiet.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
         let plane = FaultPlane::quiet();
@@ -104,9 +96,9 @@ fn quiet_fault_surface_is_a_strict_noop() {
         assert!(quiet.downed_links().is_empty());
 
         // Same property for the sweep oracle.
-        let mut splain = SweepSim::with_context(ctx.clone(), prefix);
+        let mut splain = SweepSim::new(&w, prefix);
         splain.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-        let mut squiet = SweepSim::with_context(ctx, prefix);
+        let mut squiet = SweepSim::new(&w, prefix);
         squiet.set_poison_filters(std::iter::empty());
         squiet.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
         squiet.restore_link(links[0].0, links[0].1, Timestamp(60));
@@ -122,9 +114,8 @@ fn engines_agree_through_fail_reset_restore_cycles() {
     for seed in [2u64, 11, 29, 41] {
         let w = GeneratorConfig::tiny().build(seed);
         let (origin, prefix) = stub_origin(&w, seed as usize);
-        let ctx = SimContext::shared(&w);
-        let mut event = PrefixSim::with_context(ctx.clone(), prefix);
-        let mut sweep = SweepSim::with_context(ctx, prefix);
+        let mut event = PrefixSim::new(&w, prefix);
+        let mut sweep = SweepSim::new(&w, prefix);
 
         event.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
         sweep.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
@@ -184,9 +175,8 @@ fn engines_agree_on_poison_filtering() {
     for seed in [3u64, 17] {
         let w = GeneratorConfig::tiny().build(seed);
         let (origin, prefix) = stub_origin(&w, seed as usize);
-        let ctx = SimContext::shared(&w);
-        let mut event = PrefixSim::with_context(ctx.clone(), prefix);
-        let mut sweep = SweepSim::with_context(ctx, prefix);
+        let mut event = PrefixSim::new(&w, prefix);
+        let mut sweep = SweepSim::new(&w, prefix);
         event.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
         sweep.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
 
@@ -355,9 +345,8 @@ mod proptests {
             plane_b.synthesize_link_schedule(&links, Timestamp(20 * ROUND));
             prop_assert_eq!(plane_a.schedule(), plane_b.schedule());
 
-            let ctx = SimContext::shared(&w);
-            let mut event = PrefixSim::with_context(ctx.clone(), prefix);
-            let mut sweep = SweepSim::with_context(ctx, prefix);
+            let mut event = PrefixSim::new(&w, prefix);
+            let mut sweep = SweepSim::new(&w, prefix);
             event.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
             sweep.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
             for fault in plane_a.schedule() {

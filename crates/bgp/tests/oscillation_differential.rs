@@ -9,9 +9,12 @@
 //! the two must agree route-for-route — ages included — on
 //! `converged == false` and on every table after the follow-up events.
 
+#[allow(dead_code)]
+mod support;
+
 use ir_bgp::{
     Announcement, Convergence, DefensePlan, Delta, ExtensionCheck, PolicyExtension, PrefixSim,
-    RoutingUniverse, SimContext, StepBudget, SweepSim, WhatIfEngine, WhatIfQuery,
+    RoutingUniverse, SimContext, StepBudget, WhatIfEngine, WhatIfQuery,
 };
 use ir_topology::graph::{AsNode, AsRole};
 use ir_topology::policy::PolicySpec;
@@ -19,6 +22,7 @@ use ir_topology::{GeneratorConfig, LinkKind, World};
 use ir_types::{Asn, CityId, CountryId, Ipv4, OrgId, Prefix, Relationship, Timestamp};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use support::SweepSim;
 
 /// 90 minutes between events, like the paper's experiment cadence.
 const ROUND: u64 = 90 * 60;
@@ -50,10 +54,9 @@ struct Pair<'w> {
 
 impl<'w> Pair<'w> {
     fn new(world: &'w World, prefix: Prefix) -> Pair<'w> {
-        let ctx = SimContext::shared(world);
         Pair {
-            event: PrefixSim::with_context(ctx.clone(), prefix),
-            sweep: SweepSim::with_context(ctx, prefix),
+            event: PrefixSim::new(world, prefix),
+            sweep: SweepSim::new(world, prefix),
             capped: 0,
         }
     }
@@ -467,7 +470,7 @@ fn paper_world_universe_is_the_oracles_at_a_fraction_of_the_work() {
     for i in 0..16 {
         let prefix = unconverged[i * unconverged.len() / 16];
         let origin = universe.origin(prefix).unwrap();
-        let mut oracle = SweepSim::with_context(ctx.clone(), prefix);
+        let mut oracle = SweepSim::new(&world, prefix);
         let conv = oracle.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
         assert!(!conv.converged);
         for x in 0..world.graph.len() {

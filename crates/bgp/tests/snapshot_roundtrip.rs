@@ -32,13 +32,12 @@ fn loaded_universe_equals_original_route_for_route() {
     let u = RoutingUniverse::compute(&w, &ps);
     let loaded = RoutingUniverse::from_snapshot_bytes(&u.to_snapshot_bytes().expect("serialize"))
         .expect("deserialize");
+    assert!(u.prefixes().eq(loaded.prefixes()));
     for &p in &ps {
         assert_eq!(u.origin(p), loaded.origin(p));
         for x in 0..w.graph.len() {
             assert_eq!(u.route(p, x), loaded.route(p, x), "{p} at node {x}");
         }
-        // LPM was rebuilt, not stored: probe it.
-        assert_eq!(u.lpm(p.addr(1)), loaded.lpm(p.addr(1)));
     }
     assert_eq!(u.unconverged(), loaded.unconverged());
     assert_eq!(u.resilience(), loaded.resilience());

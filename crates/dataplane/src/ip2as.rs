@@ -190,6 +190,26 @@ mod tests {
         assert_eq!(t.lookup(Ipv4::new(11, 0, 0, 1)), None);
     }
 
+    #[test]
+    fn lpm_index_agrees_with_linear_scan_everywhere() {
+        // A generated world's whole universe: probe inside, at the edges
+        // of, and just outside every announced prefix.
+        let w = ir_topology::GeneratorConfig::tiny().build(11);
+        let t = OriginTable::from_universe(&RoutingUniverse::compute_all(&w));
+        let prefixes: Vec<Prefix> = t.entries.iter().map(|&(p, _)| p).collect();
+        for p in &prefixes {
+            let outside = Ipv4(p.base.0.wrapping_sub(1));
+            for ip in [p.addr(0), p.addr(1), p.addr(p.size() - 1), outside] {
+                let linear = prefixes
+                    .iter()
+                    .filter(|q| q.contains(ip))
+                    .max_by_key(|q| q.len)
+                    .copied();
+                assert_eq!(t.lookup_prefix(ip), linear, "mismatch at {ip}");
+            }
+        }
+    }
+
     fn mk_trace(hops: Vec<Hop>, reached: bool) -> Traceroute {
         Traceroute {
             src_as: Asn(1),

@@ -16,6 +16,7 @@
 //! * **unresponsive hops** — `*`.
 
 use crate::addr::AddressPlan;
+use crate::ip2as::OriginTable;
 use ir_bgp::RoutingUniverse;
 use ir_topology::graph::NodeIdx;
 use ir_topology::World;
@@ -116,6 +117,10 @@ impl Default for TraceConfig {
 pub struct Tracer<'a> {
     world: &'a World,
     universe: &'a RoutingUniverse,
+    /// Longest-prefix match over the universe's announced prefixes, built
+    /// once per tracer: the retry scheduler re-resolves destinations per
+    /// attempt, so this lookup is hot under fault-heavy campaigns.
+    origins: OriginTable,
     plan: &'a AddressPlan,
     cfg: TraceConfig,
     seed: u64,
@@ -134,6 +139,7 @@ impl<'a> Tracer<'a> {
         Tracer {
             world,
             universe,
+            origins: OriginTable::from_universe(universe),
             plan,
             cfg,
             seed,
@@ -165,7 +171,7 @@ impl<'a> Tracer<'a> {
         let Some(src_idx) = self.world.graph.index_of(src) else {
             return tr;
         };
-        let Some(dst_pfx) = self.universe.lpm(dst_ip) else {
+        let Some(dst_pfx) = self.origins.lookup_prefix(dst_ip) else {
             return tr; // destination not routed at all
         };
 
@@ -267,7 +273,7 @@ impl<'a> Tracer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ip2as::{as_path_of, OriginTable};
+    use crate::ip2as::as_path_of;
     use ir_topology::GeneratorConfig;
 
     struct Fixture {
@@ -304,6 +310,7 @@ mod tests {
         // A stub probe and a content deployment server whose prefix the
         // probe's AS actually has a route toward — random worlds may leave
         // some (stub, deployment) pairs unreachable under policy.
+        let table = OriginTable::from_universe(&f.universe);
         for src in f
             .world
             .graph
@@ -315,9 +322,8 @@ mod tests {
             for p in f.world.content.providers() {
                 for d in &p.deployments {
                     let ip = d.server_ip();
-                    let reachable = f
-                        .universe
-                        .lpm(ip)
+                    let reachable = table
+                        .lookup_prefix(ip)
                         .is_some_and(|pfx| f.universe.route(pfx, src_idx).is_some());
                     if reachable {
                         return (src.asn, ip);
@@ -341,7 +347,7 @@ mod tests {
         assert_eq!(converted, tr.true_as_path());
         // And the ground-truth path matches the control plane: src's best
         // route toward the destination prefix.
-        let pfx = f.universe.lpm(dst).unwrap();
+        let pfx = table.lookup_prefix(dst).unwrap();
         let src_idx = f.world.graph.index_of(src).unwrap();
         let route = f.universe.route(pfx, src_idx).unwrap();
         let mut control = vec![src];

@@ -410,6 +410,17 @@ fn hostile_lines_get_errors_and_the_connection_survives() {
         at_cap.push(b'\n');
         at_cap.extend_from_slice(b"{\"op\":\"health\",\"id\":3}\n");
         ask(&at_cap);
+        // Nesting far past the parser's depth cap: 10 000 levels, then a
+        // line of nothing but `[` up to just under the line cap. Either
+        // used to overflow the reader's stack and abort the process.
+        let head = b"{\"op\":\"health\",\"x\":";
+        for depth in [10_000, (1 << 20) - head.len() - 1] {
+            let mut deep = head.to_vec();
+            deep.resize(head.len() + depth, b'[');
+            deep.push(b'\n');
+            ask(&deep);
+        }
+        ask(b"{\"op\":\"health\",\"id\":4}\n");
     });
     let got: Vec<(Option<u64>, String)> =
         replies.iter().map(|r| (id_of(r), status_of(r))).collect();
@@ -421,6 +432,9 @@ fn hostile_lines_get_errors_and_the_connection_survives() {
             (None, "error".to_string()),
             (Some(2), "ok".to_string()),
             (Some(3), "ok".to_string()),
+            (None, "error".to_string()),
+            (None, "error".to_string()),
+            (Some(4), "ok".to_string()),
         ],
         "replies: {replies:?}"
     );
@@ -434,7 +448,10 @@ fn hostile_lines_get_errors_and_the_connection_survives() {
         "got: {}",
         replies[2]
     );
-    assert_eq!(stats.errors, 2);
+    for deep in &replies[5..7] {
+        assert!(deep.contains("nesting deeper than 128"), "got: {deep}");
+    }
+    assert_eq!(stats.errors, 4);
     assert_eq!(stats.disconnects, 0);
 }
 

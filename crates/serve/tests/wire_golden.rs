@@ -659,6 +659,15 @@ fn rejections_have_golden_messages_and_keep_the_id() {
     let whatif = |delta: &str| {
         format!(r#"{{"op":"whatif","id":7,"prefix":"10.0.0.0/24","deltas":[{delta}]}}"#)
     };
+    // A health request nested `depth` levels deep, its object included.
+    let deep = |depth: usize| {
+        let arrays = depth - 1;
+        format!(
+            r#"{{"op":"health","id":1,"x":{}{}}}"#,
+            "[".repeat(arrays),
+            "]".repeat(arrays)
+        )
+    };
     let table: Vec<(String, Option<u64>, &str)> = vec![
         (
             "".into(),
@@ -768,6 +777,11 @@ fn rejections_have_golden_messages_and_keep_the_id() {
             Some(9),
             "field `asn` is required",
         ),
+        (
+            deep(129),
+            None,
+            "malformed JSON: deserialization error: nesting deeper than 128 at byte 153",
+        ),
     ];
     for (line, id, message) in table {
         let err = parse_request(&line).expect_err(&line);
@@ -777,4 +791,6 @@ fn rejections_have_golden_messages_and_keep_the_id() {
             "line: {line}"
         );
     }
+    // The cap itself still parses.
+    assert!(parse_request(&deep(128)).is_ok());
 }

@@ -29,7 +29,7 @@ fn data_plane_follows_control_plane() {
         .filter(|t| t.reached)
         .take(300)
     {
-        let Some(pfx) = s.universe.lpm(tr.dst_ip) else {
+        let Some(pfx) = s.origin_table.lookup_prefix(tr.dst_ip) else {
             continue;
         };
         let Some(src_idx) = s.world.graph.index_of(tr.src_as) else {
