@@ -79,7 +79,7 @@ pub(crate) fn valley_announcements(
     out: &mut Vec<Diagnostic>,
 ) {
     let mut reported: BTreeSet<Vec<Asn>> = BTreeSet::new();
-    for entry in &feed.entries {
+    for entry in feed.entries() {
         // Collapse prepending: consecutive duplicates are one AS hop.
         let mut path: Vec<Asn> = Vec::with_capacity(entry.path.len());
         for &a in &entry.path {

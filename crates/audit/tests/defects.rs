@@ -214,12 +214,10 @@ fn valley_announcement_fires() {
             (provs.len() >= 2).then(|| (m, provs[0], provs[1]))
         })
         .expect("no multihomed AS");
-    let feed = BgpFeed {
-        entries: vec![FeedEntry {
-            prefix: Prefix::new(Ipv4(0x0a00_0000), 24),
-            path: vec![g.asn(down), g.asn(mid), g.asn(up)],
-        }],
-    };
+    let feed = BgpFeed::new(vec![FeedEntry {
+        prefix: Prefix::new(Ipv4(0x0a00_0000), 24),
+        path: vec![g.asn(down), g.asn(mid), g.asn(up)],
+    }]);
     let report = Auditor::new().world(&world).feed(&feed).run();
     assert_fires_alone(&report, RuleId::ValleyAnnouncement);
 }

@@ -48,7 +48,7 @@ fn ground_truth_feeds_have_no_valleys() {
         let universe = RoutingUniverse::compute_all(&world);
         let vantages = pick_vantages(&world, &FeedConfig::default(), seed);
         let feed = extract_feed(&world, &universe, &vantages);
-        assert!(!feed.entries.is_empty(), "seed {seed}: empty feed");
+        assert!(!feed.entries().is_empty(), "seed {seed}: empty feed");
         let report = Auditor::new().world(&world).feed(&feed).run();
         assert!(
             report.is_clean(),

@@ -44,6 +44,11 @@ pub mod universe;
 pub mod whatif;
 mod worklist;
 
+/// The data-parallel façade the engine fans out on, re-exported so crates
+/// that drive the engine (the testbed's poisoning campaigns) fan out over
+/// it without a dependency of their own.
+pub use rayon;
+
 pub use compact::MemoryBudget;
 pub use extension::{DefenseId, DefensePlan, ExtensionCheck, PolicyExtension, MAX_DEFENSES};
 pub use path::{AsPath, Segment};

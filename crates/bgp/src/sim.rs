@@ -66,7 +66,7 @@ use ir_types::{Asn, CityId, Prefix, Relationship, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// An origination event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -905,7 +905,7 @@ pub struct PrefixSim<'w> {
 /// back by [`PrefixSim::end_query`]. The rows are restored from the
 /// tables' first-write journals instead. (`ctx` and `defenses` are never
 /// written by a query; `next` is scratch that every event resets.)
-pub(crate) struct QueryCheckpoint {
+struct QueryCheckpoint {
     prefix: Prefix,
     order: ActivationOrder,
     announcement: Option<Announcement>,
@@ -932,6 +932,48 @@ pub(crate) struct QueryCheckpoint {
 pub(crate) struct QueryJournals {
     best: ColumnJournal,
     rib: ColumnJournal,
+}
+
+/// One query running in place on a sim: the sim it edits plus what the
+/// sim must be restored to. Dropping it — after the answer is built, on a
+/// tripped budget or cancel, or while unwinding from a panic — rolls the
+/// sim back, so a caller that reaches the sim through a lock declares the
+/// query after the lock guard and no other caller ever sees a query's
+/// edits. Journal storage comes from `pool` and goes back to it when there
+/// is one (fresh, and dropped after, when there is not).
+pub(crate) struct InPlaceQuery<'a, 'w> {
+    pub(crate) sim: &'a mut PrefixSim<'w>,
+    saved: Option<QueryCheckpoint>,
+    pool: Option<&'a Mutex<Vec<QueryJournals>>>,
+}
+
+impl<'a, 'w> InPlaceQuery<'a, 'w> {
+    /// Begins a query for `member` on `sim`, with journal storage from
+    /// `pool` (or fresh when there is no pool or every stored journal is
+    /// in use).
+    pub(crate) fn begin(
+        sim: &'a mut PrefixSim<'w>,
+        member: Prefix,
+        pool: Option<&'a Mutex<Vec<QueryJournals>>>,
+    ) -> InPlaceQuery<'a, 'w> {
+        let journals = pool.and_then(|p| p.lock().unwrap_or_else(PoisonError::into_inner).pop());
+        let journals = journals.unwrap_or_else(|| sim.new_journals());
+        let saved = Some(sim.begin_query(member, journals));
+        InPlaceQuery { sim, saved, pool }
+    }
+}
+
+impl Drop for InPlaceQuery<'_, '_> {
+    fn drop(&mut self) {
+        if let Some(saved) = self.saved.take() {
+            let journals = self.sim.end_query(saved);
+            if let (Some(pool), Some(journals)) = (self.pool, journals) {
+                pool.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(journals);
+            }
+        }
+    }
 }
 
 impl<'w> PrefixSim<'w> {
@@ -1819,8 +1861,25 @@ impl<'w> PrefixSim<'w> {
         ShapeTable { rows, arena }
     }
 
+    /// Runs `f` on this sim in a rolled-back scope: whatever `f`
+    /// announces, fails or edits, the sim leaves the call as it entered it
+    /// (best table, adj-RIB-in, clock, faults, counters and every other
+    /// field) on every exit, a panic unwinding out of `f` included. Inside
+    /// the scope the sim starts with fresh per-query state: zero counters,
+    /// no step budget, no certificate token, no oscillation witness. Paths
+    /// `f` interns stay in the context's append-only arena.
+    ///
+    /// This is how one converged state serves many independent
+    /// continuations — each poisoning target's rounds after a shared
+    /// unpoisoned round 0 — at the cost of the rows each one writes.
+    pub fn scoped<R>(&mut self, f: impl FnOnce(&mut PrefixSim<'w>) -> R) -> R {
+        let prefix = self.prefix;
+        let query = InPlaceQuery::begin(self, prefix, None);
+        f(&mut *query.sim)
+    }
+
     /// Empty first-write journals sized for this sim's two route tables.
-    pub(crate) fn new_journals(&self) -> QueryJournals {
+    fn new_journals(&self) -> QueryJournals {
         QueryJournals {
             best: self.best.new_journal(),
             rib: self.rib.new_journal(),
@@ -1835,11 +1894,7 @@ impl<'w> PrefixSim<'w> {
     /// certificate token, no witness), and attaches `journals` to both
     /// route tables. The caller must hand the returned checkpoint to
     /// [`PrefixSim::end_query`] on every path out of the query.
-    pub(crate) fn begin_query(
-        &mut self,
-        member: Prefix,
-        journals: QueryJournals,
-    ) -> QueryCheckpoint {
+    fn begin_query(&mut self, member: Prefix, journals: QueryJournals) -> QueryCheckpoint {
         let saved = QueryCheckpoint {
             prefix: std::mem::replace(&mut self.prefix, member),
             order: self.order,
@@ -1875,7 +1930,7 @@ impl<'w> PrefixSim<'w> {
     /// [`PrefixSim::begin_query`] found it. Safe to call while unwinding
     /// from a panic anywhere inside the query. Returns the emptied
     /// journals for reuse.
-    pub(crate) fn end_query(&mut self, saved: QueryCheckpoint) -> Option<QueryJournals> {
+    fn end_query(&mut self, saved: QueryCheckpoint) -> Option<QueryJournals> {
         let journals = match (self.best.roll_back(), self.rib.roll_back()) {
             (Some(best), Some(rib)) => Some(QueryJournals { best, rib }),
             _ => None,

@@ -26,7 +26,7 @@
 use crate::extension::DefensePlan;
 use crate::route::Route;
 use crate::sim::{
-    ActivationOrder, Delta, PrefixSim, QueryCheckpoint, QueryJournals, ShapeTable, SimContext,
+    ActivationOrder, Delta, InPlaceQuery, PrefixSim, QueryJournals, ShapeTable, SimContext,
     StepBudget,
 };
 use crate::universe::{converge_shapes, RoutingUniverse, UniverseResilience};
@@ -259,46 +259,6 @@ impl<'w> ShapeState<'w> {
     /// unwinding, before the lock was released.
     fn read(&self) -> RwLockReadGuard<'_, PrefixSim<'w>> {
         self.sim.read().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// One query running in place on a shape's sim: the write lock plus what
-/// the sim must be restored to. Dropping it — after the answer is built,
-/// on a tripped budget or cancel, or while unwinding from a panic — rolls
-/// the sim back *before* the lock is released (a struct's fields drop
-/// after its `drop` runs), so no other caller ever sees a query's edits.
-/// The journal storage goes back to the engine's pool.
-struct InPlaceQuery<'a, 'w> {
-    sim: RwLockWriteGuard<'a, PrefixSim<'w>>,
-    saved: Option<QueryCheckpoint>,
-    pool: &'a Mutex<Vec<QueryJournals>>,
-}
-
-impl<'a, 'w> InPlaceQuery<'a, 'w> {
-    /// Begins a query for `member` on the locked `sim`, with journal
-    /// storage from `pool` (or fresh when every stored journal is in use).
-    fn begin(
-        mut sim: RwLockWriteGuard<'a, PrefixSim<'w>>,
-        member: Prefix,
-        pool: &'a Mutex<Vec<QueryJournals>>,
-    ) -> InPlaceQuery<'a, 'w> {
-        let journals = pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        let journals = journals.unwrap_or_else(|| sim.new_journals());
-        let saved = Some(sim.begin_query(member, journals));
-        InPlaceQuery { sim, saved, pool }
-    }
-}
-
-impl Drop for InPlaceQuery<'_, '_> {
-    fn drop(&mut self) {
-        if let Some(saved) = self.saved.take() {
-            if let Some(journals) = self.sim.end_query(saved) {
-                self.pool
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(journals);
-            }
-        }
     }
 }
 
@@ -536,7 +496,10 @@ impl<'w> WhatIfEngine<'w> {
             Some(c) if self.order == ActivationOrder::Free => Some(c.audit_deltas(&q.deltas)),
             _ => None,
         };
-        let mut query = InPlaceQuery::begin(self.lock_shape(state), q.prefix, &self.journals);
+        // The query is declared after the lock guard, so it drops — and
+        // rolls the sim back — before the lock is released.
+        let mut shape = self.lock_shape(state);
+        let query = InPlaceQuery::begin(&mut shape, q.prefix, Some(&self.journals));
         let sim = &mut *query.sim;
         match &certificate {
             Some(CertificateDelta::Preserved) => sim.grant_certificate_token(),

@@ -179,12 +179,10 @@ mod tests {
         let world = ir_topology::GeneratorConfig::tiny().build(1);
         let siblings = SiblingGroups::infer(&world.orgs);
         // Feed: 5 announces the prefix only toward 2 (never toward 1).
-        let feed = BgpFeed {
-            entries: vec![FeedEntry {
-                prefix: "10.9.0.0/24".parse().unwrap(),
-                path: vec![Asn(1), Asn(2), Asn(5)],
-            }],
-        };
+        let feed = BgpFeed::new(vec![FeedEntry {
+            prefix: "10.9.0.0/24".parse().unwrap(),
+            path: vec![Asn(1), Asn(2), Asn(5)],
+        }]);
         let inputs = RefineInputs {
             complex: &complex,
             siblings: &siblings,

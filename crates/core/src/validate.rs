@@ -117,20 +117,18 @@ mod tests {
         db.insert(Asn(5), Asn(2), Relationship::Provider);
         let pfx: Prefix = "10.0.0.0/24".parse().unwrap();
         let other: Prefix = "10.0.1.0/24".parse().unwrap();
-        let feed = BgpFeed {
-            entries: vec![
-                FeedEntry {
-                    prefix: pfx,
-                    path: vec![Asn(9), Asn(1), Asn(5)],
-                },
-                // The 5–2 edge carries *another* prefix, so its silence on
-                // `pfx` is a policy signal, not poor visibility.
-                FeedEntry {
-                    prefix: other,
-                    path: vec![Asn(9), Asn(2), Asn(5)],
-                },
-            ],
-        };
+        let feed = BgpFeed::new(vec![
+            FeedEntry {
+                prefix: pfx,
+                path: vec![Asn(9), Asn(1), Asn(5)],
+            },
+            // The 5–2 edge carries *another* prefix, so its silence on
+            // `pfx` is a policy signal, not poor visibility.
+            FeedEntry {
+                prefix: other,
+                path: vec![Asn(9), Asn(2), Asn(5)],
+            },
+        ]);
         let cases = psp_cases(&db, &feed, &[(Asn(5), pfx)]);
         // Edge 5–1 evidenced for `pfx`; 5–2 evidenced only for `other`.
         assert_eq!(
@@ -142,12 +140,10 @@ mod tests {
             }]
         );
         // Without any evidence on an edge, no case is raised (the gate).
-        let silent = BgpFeed {
-            entries: vec![FeedEntry {
-                prefix: pfx,
-                path: vec![Asn(9), Asn(1), Asn(5)],
-            }],
-        };
+        let silent = BgpFeed::new(vec![FeedEntry {
+            prefix: pfx,
+            path: vec![Asn(9), Asn(1), Asn(5)],
+        }]);
         assert!(
             psp_cases(&db, &silent, &[(Asn(5), pfx)]).is_empty() || {
                 // 5–1 carries pfx, so only 5–2 could be a case — and it is

@@ -10,9 +10,9 @@ use crate::exp_table2::monitor_setup;
 use crate::report::{count_pct, TextTable};
 use crate::scenario::Scenario;
 use ir_core::alternates::{check_order, LinkAccounting, OrderSummary, OrderVerdict};
+use ir_fault::FaultPlane;
 use ir_measure::peering::{observe_routes, AlternateDiscovery, Peering};
 use ir_types::{Asn, Timestamp};
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// The full result.
@@ -34,13 +34,38 @@ pub struct Alternates {
     pub degraded: Vec<String>,
 }
 
+/// Rounds per target in the §3.2 poisoning campaign.
+const MAX_ROUNDS: usize = 8;
+
+/// The §3.2 poisoning campaign both active experiments learn from, on the
+/// testbed's first prefix through the monitor setup. Its targets are the
+/// ASes observed on paths toward the testbed after the unpoisoned anycast
+/// (§3.2 targeted the 360 ASes it saw), muxes excluded, capped at
+/// `max_targets` (0 = all observed). `None` when the world was generated
+/// without a testbed AS.
+pub fn poisoning_campaign(s: &Scenario, max_targets: usize) -> Option<Vec<AlternateDiscovery>> {
+    let peering = Peering::new(&s.world)?;
+    let setup = monitor_setup(s);
+    let prefix = peering.prefixes()[0];
+    let mut sim = peering.sim(prefix);
+    sim.announce(peering.anycast(prefix, &[]), Timestamp::ZERO);
+    let mut targets: Vec<Asn> = observe_routes(&sim, &setup)
+        .into_keys()
+        .filter(|a| *a != Asn::TESTBED && !peering.muxes().contains(a))
+        .collect();
+    if max_targets > 0 {
+        targets.truncate(max_targets);
+    }
+    Some(peering.campaign(prefix, &targets, &setup, MAX_ROUNDS, &FaultPlane::quiet()))
+}
+
 /// Runs the experiment. `max_targets` caps runtime (0 = all observed).
 ///
 /// A world generated without a testbed AS cannot run active experiments;
 /// the result is then the empty (all-zero) accounting rather than a panic,
 /// so the rest of the pipeline still reports.
 pub fn run(s: &Scenario, max_targets: usize) -> Alternates {
-    let Some(peering) = Peering::new(&s.world) else {
+    let Some(discoveries) = poisoning_campaign(s, max_targets) else {
         let mut degraded = s.degraded(&["universe", "inferred"]);
         degraded.push("world: no testbed AS — active experiments skipped".into());
         return Alternates {
@@ -58,29 +83,6 @@ pub fn run(s: &Scenario, max_targets: usize) -> Alternates {
             poisoning_only_fraction: 0.0,
         };
     };
-    let setup = monitor_setup(s);
-    let prefix = peering.prefixes()[0];
-
-    // Target set: ASes observed on paths toward the testbed (§3.2 targeted
-    // the 360 ASes it saw).
-    let mut sim = peering.sim(prefix);
-    sim.announce(peering.anycast(prefix, &[]), Timestamp::ZERO);
-    let observed = observe_routes(&sim, &setup);
-    let mut targets: Vec<Asn> = observed
-        .keys()
-        .copied()
-        .filter(|a| *a != Asn::TESTBED && !peering.muxes().contains(a))
-        .collect();
-    if max_targets > 0 {
-        targets.truncate(max_targets);
-    }
-
-    // Per-target discoveries are independent poisoning campaigns; rayon's
-    // collect keeps them in target order, so results stay deterministic.
-    let discoveries: Vec<AlternateDiscovery> = targets
-        .par_iter()
-        .map(|&t| peering.discover_alternates(prefix, t, &setup, 8))
-        .collect();
     let verdicts: Vec<OrderVerdict> = discoveries
         .iter()
         .map(|d| check_order(&s.inferred, d))
@@ -90,7 +92,7 @@ pub fn run(s: &Scenario, max_targets: usize) -> Alternates {
 
     Alternates {
         degraded: s.degraded(&["universe", "inferred"]),
-        targets: targets.len(),
+        targets: discoveries.len(),
         informative_targets: summary.total(),
         both: summary.both,
         best_only: summary.best_only,

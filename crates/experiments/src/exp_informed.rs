@@ -3,14 +3,11 @@
 //! detected domestic preference — against the plain model on the same
 //! campaign dataset.
 
-use crate::exp_table2::monitor_setup;
+use crate::exp_alternates::poisoning_campaign;
 use crate::report::TextTable;
 use crate::scenario::Scenario;
 use ir_core::classify::{Classifier, ClassifyConfig};
 use ir_core::nextmodel::InformedModel;
-use ir_measure::peering::{observe_routes, Peering};
-use ir_types::{Asn, Timestamp};
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// The result.
@@ -37,7 +34,7 @@ pub struct Informed {
 /// than a panic, so the rest of the pipeline still reports.
 pub fn run(s: &Scenario, max_targets: usize) -> Informed {
     // Reuse the active-experiment machinery to learn rankings.
-    let Some(peering) = Peering::new(&s.world) else {
+    let Some(discoveries) = poisoning_campaign(s, max_targets) else {
         let mut degraded = s.degraded(&["decisions", "inferred", "measured"]);
         degraded.push("world: no testbed AS — ranking discovery skipped".into());
         return Informed {
@@ -51,25 +48,6 @@ pub fn run(s: &Scenario, max_targets: usize) -> Informed {
             domestic_ases: 0,
         };
     };
-    let setup = monitor_setup(s);
-    let prefix = peering.prefixes()[0];
-    let mut sim = peering.sim(prefix);
-    sim.announce(peering.anycast(prefix, &[]), Timestamp::ZERO);
-    let observed = observe_routes(&sim, &setup);
-    let mut targets: Vec<Asn> = observed
-        .keys()
-        .copied()
-        .filter(|a| *a != Asn::TESTBED && !peering.muxes().contains(a))
-        .collect();
-    if max_targets > 0 {
-        targets.truncate(max_targets);
-    }
-    // Independent per-target poisoning campaigns, in parallel (order
-    // preserved by collect).
-    let discoveries: Vec<_> = targets
-        .par_iter()
-        .map(|&t| peering.discover_alternates(prefix, t, &setup, 8))
-        .collect();
 
     let learn_classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
     let model = InformedModel::learn(

@@ -280,7 +280,7 @@ impl Scenario {
                 self.universe.unconverged().len()
             ));
         }
-        if need("feed") && self.feed.entries.is_empty() {
+        if need("feed") && self.feed.entries().is_empty() {
             reasons.push("feed: collectors returned no entries".into());
         }
         if need("inferred") && self.inferred.is_empty() {

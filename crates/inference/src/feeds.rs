@@ -15,7 +15,7 @@ use ir_topology::World;
 use ir_types::{Asn, Prefix, Relationship};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Which ASes peer with the collectors, and how many.
 #[derive(Debug, Clone)]
@@ -51,13 +51,43 @@ pub struct FeedEntry {
     pub path: Vec<Asn>,
 }
 
-/// A set of feed entries (one collector dump).
+/// A set of feed entries (one collector dump), with its origin edges
+/// indexed once at construction for the §4.3 PSP evidence tests.
+///
+/// The entries are private and fixed after [`BgpFeed::new`], so the index
+/// can never go stale.
 #[derive(Debug, Clone, Default)]
 pub struct BgpFeed {
-    pub entries: Vec<FeedEntry>,
+    entries: Vec<FeedEntry>,
+    /// `(origin, neighbor, prefix)` for every entry with an origin edge.
+    prefix_edges: HashSet<(Asn, Asn, Prefix)>,
+    /// `(origin, neighbor)` for every entry with an origin edge.
+    edges: HashSet<(Asn, Asn)>,
 }
 
 impl BgpFeed {
+    /// A feed over `entries`, indexing each entry's origin edge.
+    pub fn new(entries: Vec<FeedEntry>) -> BgpFeed {
+        let mut prefix_edges = HashSet::new();
+        let mut edges = HashSet::new();
+        for e in &entries {
+            if let Some((neighbor, origin)) = Self::origin_edge(&e.path) {
+                prefix_edges.insert((origin, neighbor, e.prefix));
+                edges.insert((origin, neighbor));
+            }
+        }
+        BgpFeed {
+            entries,
+            prefix_edges,
+            edges,
+        }
+    }
+
+    /// The feed's entries, in dump order.
+    pub fn entries(&self) -> &[FeedEntry] {
+        &self.entries
+    }
+
     /// All AS paths (without prefixes).
     pub fn paths(&self) -> impl Iterator<Item = &[Asn]> {
         self.entries.iter().map(|e| e.path.as_slice())
@@ -89,17 +119,13 @@ impl BgpFeed {
     /// prefix, prepending collapsed). The §4.3 PSP criterion-1 evidence
     /// test.
     pub fn announces_to(&self, origin: Asn, neighbor: Asn, prefix: Prefix) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.prefix == prefix && Self::origin_edge(&e.path) == Some((neighbor, origin)))
+        self.prefix_edges.contains(&(origin, neighbor, prefix))
     }
 
     /// Whether the feed shows `origin` announcing *any* prefix to
     /// `neighbor` (criterion-2 precondition).
     pub fn announces_any_to(&self, origin: Asn, neighbor: Asn) -> bool {
-        self.entries
-            .iter()
-            .any(|e| Self::origin_edge(&e.path) == Some((neighbor, origin)))
+        self.edges.contains(&(origin, neighbor))
     }
 }
 
@@ -168,21 +194,21 @@ pub fn extract_feed_lossy(
     seed: u64,
 ) -> BgpFeed {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFEED_1055);
-    let full = extract_feed(world, universe, vantages);
-    BgpFeed {
-        entries: full
-            .entries
-            .into_iter()
-            .filter(|_| !rng.random_bool(loss))
-            .collect(),
-    }
+    let mut entries = feed_entries(world, universe, vantages);
+    entries.retain(|_| !rng.random_bool(loss));
+    BgpFeed::new(entries)
 }
 
 /// Extracts the feed from a converged universe: the path each vantage AS
 /// uses for every prefix, with the vantage prepended (as it would export to
 /// the collector).
 pub fn extract_feed(world: &World, universe: &RoutingUniverse, vantages: &[Asn]) -> BgpFeed {
-    let mut feed = BgpFeed::default();
+    BgpFeed::new(feed_entries(world, universe, vantages))
+}
+
+/// The entries of [`extract_feed`], in prefix-then-vantage order.
+fn feed_entries(world: &World, universe: &RoutingUniverse, vantages: &[Asn]) -> Vec<FeedEntry> {
+    let mut entries = Vec::new();
     for prefix in universe.prefixes() {
         for &v in vantages {
             let Some(idx) = world.graph.index_of(v) else {
@@ -195,10 +221,10 @@ pub fn extract_feed(world: &World, universe: &RoutingUniverse, vantages: &[Asn])
             if !route.is_local() {
                 path.extend(route.path.sequence_asns());
             }
-            feed.entries.push(FeedEntry { prefix, path });
+            entries.push(FeedEntry { prefix, path });
         }
     }
-    feed
+    entries
 }
 
 // `0x5eedfeed` spelled as a function to keep the seed-derivation constants
@@ -320,8 +346,8 @@ mod tests {
         let w = world();
         let v = pick_vantages(w, &FeedConfig::default(), 1);
         let feed = extract_feed(w, universe(), &v);
-        assert!(!feed.entries.is_empty());
-        for e in &feed.entries {
+        assert!(!feed.entries().is_empty());
+        for e in feed.entries() {
             assert!(v.contains(&e.path[0]));
             let origin = universe().origin(e.prefix).unwrap();
             assert_eq!(*e.path.last().unwrap(), origin);
@@ -348,12 +374,130 @@ mod tests {
         let v = pick_vantages(w, &FeedConfig::default(), 1);
         let feed = extract_feed(w, universe(), &v);
         // Take any multi-hop observed path and check its origin edge.
-        let e = feed.entries.iter().find(|e| e.path.len() >= 2).unwrap();
+        let e = feed.entries().iter().find(|e| e.path.len() >= 2).unwrap();
         let origin = *e.path.last().unwrap();
         let neigh = e.path[e.path.len() - 2];
         assert!(feed.announces_to(origin, neigh, e.prefix));
         assert!(feed.announces_any_to(origin, neigh));
         assert!(!feed.announces_to(origin, Asn(999_999), e.prefix));
+    }
+
+    /// The pre-index PSP evidence tests: a full scan of the entries.
+    fn scan_announces_to(feed: &BgpFeed, origin: Asn, neighbor: Asn, prefix: Prefix) -> bool {
+        feed.entries().iter().any(|e| {
+            e.prefix == prefix && BgpFeed::origin_edge(&e.path) == Some((neighbor, origin))
+        })
+    }
+
+    fn scan_announces_any_to(feed: &BgpFeed, origin: Asn, neighbor: Asn) -> bool {
+        feed.entries()
+            .iter()
+            .any(|e| BgpFeed::origin_edge(&e.path) == Some((neighbor, origin)))
+    }
+
+    /// Asks both predicates of `feed` and of the scan for every (origin,
+    /// neighbor, prefix) drawn from `origins × neighbors × prefixes`, and
+    /// returns how many triples the feed evidences.
+    fn assert_index_matches_scan(
+        feed: &BgpFeed,
+        origins: &BTreeSet<Asn>,
+        neighbors: &BTreeSet<Asn>,
+        prefixes: &BTreeSet<Prefix>,
+    ) -> usize {
+        let mut hits = 0;
+        for &o in origins {
+            for &n in neighbors {
+                assert_eq!(
+                    feed.announces_any_to(o, n),
+                    scan_announces_any_to(feed, o, n),
+                    "announces_any_to({o}, {n})"
+                );
+                for &p in prefixes {
+                    let indexed = feed.announces_to(o, n, p);
+                    assert_eq!(
+                        indexed,
+                        scan_announces_to(feed, o, n, p),
+                        "announces_to({o}, {n}, {p})"
+                    );
+                    hits += usize::from(indexed);
+                }
+            }
+        }
+        hits
+    }
+
+    #[test]
+    fn origin_edge_index_matches_linear_scan_on_generated_feeds() {
+        for seed in 1..=4u64 {
+            let w = GeneratorConfig::tiny().build(seed);
+            let u = RoutingUniverse::compute_all(&w);
+            let v = pick_vantages(&w, &FeedConfig::default(), seed);
+            let lossy = extract_feed_lossy(&w, &u, &v, 0.03, seed);
+            let full = extract_feed(&w, &u, &v);
+            let reread = BgpFeed::from_dump(&lossy.to_dump()).unwrap();
+            assert_eq!(reread.entries(), lossy.entries(), "seed {seed}: dump");
+            let origins: BTreeSet<Asn> = full.paths().filter_map(|p| p.last().copied()).collect();
+            // Every AS on a path plus one that never appears, so misses are
+            // asked as well as hits.
+            let mut neighbors: BTreeSet<Asn> = full.paths().flatten().copied().collect();
+            neighbors.insert(Asn(999_999));
+            // Per origin, only its own prefixes plus one foreign prefix can
+            // hit; asking every prefix of the world at every origin would
+            // cost O(entries) per scan for nothing.
+            let foreign: Prefix = "192.0.2.0/24".parse().unwrap();
+            let mut evidenced = 0;
+            for &o in &origins {
+                let own: BTreeSet<Prefix> = full
+                    .entries()
+                    .iter()
+                    .filter(|e| e.path.last() == Some(&o))
+                    .map(|e| e.prefix)
+                    .chain([foreign])
+                    .collect();
+                let one = BTreeSet::from([o]);
+                for f in [&full, &lossy, &reread] {
+                    evidenced += assert_index_matches_scan(f, &one, &neighbors, &own);
+                }
+            }
+            assert!(evidenced > 0, "seed {seed}: some edge evidenced");
+        }
+    }
+
+    #[test]
+    fn origin_edge_index_matches_linear_scan_on_edge_cases() {
+        let p: Prefix = "10.1.0.0/24".parse().unwrap();
+        let q: Prefix = "10.2.0.0/24".parse().unwrap();
+        let (v, n, o) = (Asn(100), Asn(7), Asn(42));
+        let feed = BgpFeed::new(vec![
+            // A prepended origin: the edge is still (n, o).
+            FeedEntry {
+                prefix: p,
+                path: vec![v, n, o, o],
+            },
+            // A one-AS path (the vantage is the origin): no origin edge.
+            FeedEntry {
+                prefix: q,
+                path: vec![Asn(9)],
+            },
+            // Only the origin, repeated: no origin edge either.
+            FeedEntry {
+                prefix: q,
+                path: vec![Asn(11), Asn(11), Asn(11)],
+            },
+        ]);
+        assert!(feed.announces_to(o, n, p));
+        assert!(feed.announces_any_to(o, n));
+        assert!(!feed.announces_to(o, o, p), "prepending is no self edge");
+        assert!(!feed.announces_to(o, v, p), "v is not adjacent to o");
+        assert!(!feed.announces_to(o, n, q), "q never crossed n–o");
+        assert!(!feed.announces_any_to(Asn(9), Asn(9)));
+        assert!(!feed.announces_any_to(Asn(11), Asn(11)));
+        let ases = BTreeSet::from([v, n, o, Asn(9), Asn(11)]);
+        let prefixes = BTreeSet::from([p, q]);
+        let reread = BgpFeed::from_dump(&feed.to_dump()).unwrap();
+        for f in [&feed, &reread, &BgpFeed::default()] {
+            assert_index_matches_scan(f, &ases, &ases, &prefixes);
+        }
     }
 
     #[test]
@@ -442,7 +586,7 @@ impl BgpFeed {
             }
             entries.push(FeedEntry { prefix, path });
         }
-        Ok(BgpFeed { entries })
+        Ok(BgpFeed::new(entries))
     }
 }
 
@@ -451,18 +595,16 @@ mod dump_tests {
     use super::*;
 
     fn feed() -> BgpFeed {
-        BgpFeed {
-            entries: vec![
-                FeedEntry {
-                    prefix: "10.1.0.0/24".parse().unwrap(),
-                    path: vec![Asn(100), Asn(7), Asn(42)],
-                },
-                FeedEntry {
-                    prefix: "10.2.0.0/24".parse().unwrap(),
-                    path: vec![Asn(9)],
-                },
-            ],
-        }
+        BgpFeed::new(vec![
+            FeedEntry {
+                prefix: "10.1.0.0/24".parse().unwrap(),
+                path: vec![Asn(100), Asn(7), Asn(42)],
+            },
+            FeedEntry {
+                prefix: "10.2.0.0/24".parse().unwrap(),
+                path: vec![Asn(9)],
+            },
+        ])
     }
 
     #[test]
@@ -470,7 +612,7 @@ mod dump_tests {
         let f = feed();
         let text = f.to_dump();
         let back = BgpFeed::from_dump(&text).unwrap();
-        assert_eq!(back.entries, f.entries);
+        assert_eq!(back.entries(), f.entries());
         assert!(text.contains("10.1.0.0/24|100 7 42"));
     }
 
@@ -492,7 +634,7 @@ mod dump_tests {
         assert!(
             BgpFeed::from_dump("# hi\n\n10.0.0.0/24|1 2\n")
                 .unwrap()
-                .entries
+                .entries()
                 .len()
                 == 1
         );

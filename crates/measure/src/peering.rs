@@ -8,9 +8,10 @@
 //!
 //! Two experiment drivers live here:
 //!
-//! * [`Peering::discover_alternates`] — iteratively poison the target AS's
-//!   current next hop to force it onto ever-less-preferred routes,
-//!   recording the revealed preference order;
+//! * [`Peering::campaign`] — iteratively poison each target AS's current
+//!   next hop to force it onto ever-less-preferred routes, recording the
+//!   revealed preference order ([`Peering::discover_alternates`] for one
+//!   target);
 //! * [`Peering::run_magnet`] — announce from a single *magnet* mux, wait
 //!   for convergence, then anycast from all muxes; whether an AS sticks
 //!   with the magnet route or switches reveals which BGP decision step it
@@ -22,6 +23,7 @@
 //! observed path exposes the route of every AS along it.
 
 use ir_bgp::decision::DecisionStep;
+use ir_bgp::rayon::prelude::*;
 use ir_bgp::{Announcement, PrefixSim, SimContext};
 use ir_fault::{FaultDomain, FaultPlane};
 use ir_topology::World;
@@ -234,7 +236,7 @@ pub struct DegradedRound {
 }
 
 /// The outcome of an alternate-route discovery for one target.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlternateDiscovery {
     pub target: Asn,
     /// Routes in revealed preference order (most preferred first).
@@ -260,12 +262,54 @@ pub struct MagnetRun {
     pub truth_steps: BTreeMap<Asn, DecisionStep>,
 }
 
+/// A campaign's round 0 as one worker played it: the sim every target's
+/// poisoned rounds continue from, and what those rounds read of it.
+struct RoundZero<'w> {
+    sim: PrefixSim<'w>,
+    /// Entries of the plane's schedule replayed before round 0.
+    replayed: usize,
+    /// Round 0's record, if its window was disturbed.
+    degraded: Option<DegradedRound>,
+    /// What the channels saw after round 0; `None` if it was lost.
+    observed: Option<BTreeMap<Asn, Observation>>,
+}
+
+/// Records `target`'s route in `observed` as round `round`'s discovery and
+/// poisons its next hop for the next round. Returns whether the campaign
+/// goes on: it stops when the target vanishes from the channels, when
+/// poisoning did not dislodge the next hop (loop prevention disabled /
+/// AS-set filtering upstream), or at a direct mux adjacency.
+fn reveal(
+    observed: &BTreeMap<Asn, Observation>,
+    routes: &mut Vec<DiscoveredRoute>,
+    poison: &mut Vec<Asn>,
+    target: Asn,
+    round: usize,
+) -> bool {
+    let Some(o) = observed.get(&target) else {
+        return false;
+    };
+    let Some(next) = o.next_hop() else {
+        return false;
+    };
+    routes.push(DiscoveredRoute {
+        round,
+        next_hop: next,
+        suffix: o.suffix.to_vec(),
+    });
+    if poison.contains(&next) || next == Asn::TESTBED {
+        return false;
+    }
+    poison.push(next);
+    true
+}
+
 /// The testbed controller.
 pub struct Peering<'w> {
     world: &'w World,
-    /// Shared per-world simulation context: the experiment drivers spin up
-    /// many per-prefix sims (one per discovery target / magnet run), all
-    /// over the same session table.
+    /// Per-world simulation context: the experiment drivers spin up many
+    /// per-prefix sims (one per campaign worker / magnet run), all over
+    /// its session table, each on its own fork ([`Peering::sim`]).
     ctx: Arc<SimContext<'w>>,
     muxes: Vec<Asn>,
     prefixes: Vec<Prefix>,
@@ -290,10 +334,12 @@ impl<'w> Peering<'w> {
         })
     }
 
-    /// A fresh, not-yet-announced simulation for `prefix` over the shared
-    /// per-world context.
+    /// A fresh, not-yet-announced simulation for `prefix` on a fork of the
+    /// per-world context: it shares the session table but interns paths
+    /// into a private arena, so sims on parallel workers never contend on
+    /// one arena lock.
     pub fn sim(&self, prefix: Prefix) -> PrefixSim<'w> {
-        PrefixSim::with_context(self.ctx.clone(), prefix)
+        PrefixSim::with_context(self.ctx.fork(), prefix)
     }
 
     /// The university muxes (provider ASNs).
@@ -341,9 +387,10 @@ impl<'w> Peering<'w> {
             .collect()
     }
 
-    /// §3.2 alternate-route discovery: anycast, observe the target's next
-    /// hop, poison it, repeat — until the target loses the route, vanishes
-    /// from the channels, or `max_rounds` is hit.
+    /// §3.2 alternate-route discovery for one target: anycast, observe the
+    /// target's next hop, poison it, repeat — until the target loses the
+    /// route, vanishes from the channels, or `max_rounds` is hit. A
+    /// one-target [`Peering::campaign`] under a quiet plane.
     pub fn discover_alternates(
         &self,
         prefix: Prefix,
@@ -360,15 +407,8 @@ impl<'w> Peering<'w> {
         )
     }
 
-    /// [`Peering::discover_alternates`] under a fault plane: the plane's
-    /// timed schedule is replayed between rounds (a mux can flap mid-
-    /// campaign), each round announces only via the muxes that are up —
-    /// neither outage-sampled nor with their testbed link currently down —
-    /// and observes through possibly-gapped channels. Disturbed rounds are
-    /// recorded in [`AlternateDiscovery::degraded`]; a round with every mux
-    /// down is lost (no announcement change) but still recorded, mirroring
-    /// a real testbed outage window instead of silently shortening the
-    /// campaign.
+    /// [`Peering::discover_alternates`] under a fault plane (see
+    /// [`Peering::campaign`] for what the plane does to a round).
     pub fn discover_alternates_with_faults(
         &self,
         prefix: Prefix,
@@ -377,67 +417,157 @@ impl<'w> Peering<'w> {
         max_rounds: usize,
         plane: &FaultPlane,
     ) -> AlternateDiscovery {
+        let mut zero = self.round_zero(prefix, setup, plane);
+        self.discover_after(&mut zero, target, setup, max_rounds, plane)
+    }
+
+    /// One §3.2 poisoning campaign: [`Peering::discover_alternates`] for
+    /// every target, in target order, on the rayon workers.
+    ///
+    /// Under a fault plane the plane's timed schedule is replayed between
+    /// rounds (a mux can flap mid-campaign), each round announces only via
+    /// the muxes that are up — neither outage-sampled nor with their
+    /// testbed link currently down — and observes through possibly-gapped
+    /// channels. Disturbed rounds are recorded in
+    /// [`AlternateDiscovery::degraded`]; a round with every mux down is
+    /// lost (no announcement change) but still recorded, mirroring a real
+    /// testbed outage window instead of silently shortening the campaign.
+    ///
+    /// Round 0 — the unpoisoned announcement, after whatever the plane
+    /// replays before it — is the same for every target. Each worker
+    /// converges and observes it once, then runs each of its targets'
+    /// poisoned rounds in a [`PrefixSim::scoped`] call that rolls back to
+    /// it. The discoveries equal a fresh sim per target's, field for field
+    /// (`tests/warm_campaign.rs`); round 0 still counts as one announcement
+    /// per target, because each target's campaign announced it. Only the
+    /// plane's fire counters tell the two apart: they see round 0's mux,
+    /// feed and probe samples once per worker, not once per target.
+    pub fn campaign(
+        &self,
+        prefix: Prefix,
+        targets: &[Asn],
+        setup: &ObservationSetup,
+        max_rounds: usize,
+        plane: &FaultPlane,
+    ) -> Vec<AlternateDiscovery> {
+        targets
+            .par_iter()
+            .map_init(
+                || self.round_zero(prefix, setup, plane),
+                |zero, &target| self.discover_after(zero, target, setup, max_rounds, plane),
+            )
+            .collect()
+    }
+
+    /// Plays and observes round 0 of a campaign on a fresh sim.
+    fn round_zero(
+        &self,
+        prefix: Prefix,
+        setup: &ObservationSetup,
+        plane: &FaultPlane,
+    ) -> RoundZero<'w> {
         let mut sim = self.sim(prefix);
+        let mut replayed = 0;
+        let (degraded, announced) = self.play_round(&mut sim, 0, &[], plane, &mut replayed);
+        let observed = announced.then(|| observe_routes_with_faults(&sim, setup, plane, 0));
+        RoundZero {
+            sim,
+            replayed,
+            degraded,
+            observed,
+        }
+    }
+
+    /// One target's campaign from a played round 0: reads the target's
+    /// round-0 route from the shared observation, then plays the poisoned
+    /// rounds in a scope that leaves `zero` as it found it.
+    fn discover_after(
+        &self,
+        zero: &mut RoundZero<'w>,
+        target: Asn,
+        setup: &ObservationSetup,
+        max_rounds: usize,
+        plane: &FaultPlane,
+    ) -> AlternateDiscovery {
+        let mut d = AlternateDiscovery {
+            target,
+            routes: Vec::new(),
+            announcements: 0,
+            degraded: Vec::new(),
+        };
+        if max_rounds == 0 {
+            return d;
+        }
         let mut poison: Vec<Asn> = Vec::new();
-        let mut routes = Vec::new();
-        let mut announcements = 0usize;
-        let mut degraded = Vec::new();
-        let mut schedule = plane.schedule().iter().peekable();
-        for round in 0..max_rounds {
-            let at = Timestamp(round as u64 * ROUND);
-            // Replay timed faults landing before this round's announcement:
-            // the §5 methodology's sensitivity to transient unreachability.
-            let mut timed_faults = 0usize;
-            while let Some(fault) = schedule.peek() {
-                if fault.at > at {
+        d.degraded.extend(zero.degraded);
+        if let Some(observed) = &zero.observed {
+            d.announcements += 1;
+            if !reveal(observed, &mut d.routes, &mut poison, target, 0) {
+                return d;
+            }
+        }
+        let mut replayed = zero.replayed;
+        zero.sim.scoped(|sim| {
+            for round in 1..max_rounds {
+                let (degraded, announced) =
+                    self.play_round(sim, round, &poison, plane, &mut replayed);
+                d.degraded.extend(degraded);
+                if !announced {
+                    continue;
+                }
+                d.announcements += 1;
+                let observed = observe_routes_with_faults(sim, setup, plane, round as u64);
+                if !reveal(&observed, &mut d.routes, &mut poison, target, round) {
                     break;
                 }
-                sim.apply_fault(fault);
-                schedule.next();
-                timed_faults += 1;
             }
-            let live: Vec<Asn> = self
-                .live_muxes(plane, round as u64)
-                .into_iter()
-                .filter(|&m| !sim.is_link_down(Asn::TESTBED, m))
-                .collect();
-            if timed_faults > 0 || live.len() < self.muxes.len() {
-                degraded.push(DegradedRound {
-                    round,
-                    live_muxes: live.len(),
-                    total_muxes: self.muxes.len(),
-                    timed_faults,
-                });
-            }
-            if live.is_empty() {
-                // Total testbed outage: the round's announcement is lost
-                // (recorded above).
-                continue;
-            }
-            sim.announce(self.via(prefix, &live, &poison), at);
-            announcements += 1;
-            let obs = observe_routes_with_faults(&sim, setup, plane, round as u64);
-            let Some(o) = obs.get(&target) else { break };
-            let Some(next) = o.next_hop() else { break };
-            routes.push(DiscoveredRoute {
+        });
+        d
+    }
+
+    /// Plays one campaign round on `sim`: replays the plane's timed faults
+    /// due by the round's announcement (`replayed` counts the schedule
+    /// entries already applied), then announces `poison` via every mux
+    /// still up. Returns the round's record if the window was disturbed,
+    /// and whether anything was announced (with every mux down the round
+    /// is lost).
+    fn play_round(
+        &self,
+        sim: &mut PrefixSim<'w>,
+        round: usize,
+        poison: &[Asn],
+        plane: &FaultPlane,
+        replayed: &mut usize,
+    ) -> (Option<DegradedRound>, bool) {
+        let at = Timestamp(round as u64 * ROUND);
+        // Replay timed faults landing before this round's announcement:
+        // the §5 methodology's sensitivity to transient unreachability.
+        let due = plane.schedule()[*replayed..]
+            .iter()
+            .take_while(|fault| fault.at <= at);
+        let mut timed_faults = 0usize;
+        for fault in due {
+            sim.apply_fault(fault);
+            timed_faults += 1;
+        }
+        *replayed += timed_faults;
+        let live: Vec<Asn> = self
+            .live_muxes(plane, round as u64)
+            .into_iter()
+            .filter(|&m| !sim.is_link_down(Asn::TESTBED, m))
+            .collect();
+        let degraded =
+            (timed_faults > 0 || live.len() < self.muxes.len()).then_some(DegradedRound {
                 round,
-                next_hop: next,
-                suffix: o.suffix.to_vec(),
+                live_muxes: live.len(),
+                total_muxes: self.muxes.len(),
+                timed_faults,
             });
-            if poison.contains(&next) || next == Asn::TESTBED {
-                // Poisoning this neighbor did not dislodge it (loop
-                // prevention disabled / AS-set filtering upstream), or we
-                // reached a direct mux adjacency: nothing more to reveal.
-                break;
-            }
-            poison.push(next);
+        if live.is_empty() {
+            return (degraded, false);
         }
-        AlternateDiscovery {
-            target,
-            routes,
-            announcements,
-            degraded,
-        }
+        sim.announce(self.via(sim.prefix(), &live, poison), at);
+        (degraded, true)
     }
 
     /// §3.2 magnet experiment for one magnet mux.

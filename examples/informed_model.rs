@@ -13,6 +13,7 @@ use ir_core::classify::{Category, Classifier, ClassifyConfig};
 use ir_core::nextmodel::InformedModel;
 use ir_experiments::exp_table2::monitor_setup;
 use ir_experiments::scenario::{Scenario, ScenarioConfig};
+use ir_fault::FaultPlane;
 use ir_measure::peering::{observe_routes, Peering};
 use ir_types::{Asn, Timestamp};
 
@@ -40,10 +41,7 @@ fn main() {
         "poisoning {} target ASes to reveal their preference orders…",
         targets.len()
     );
-    let discoveries: Vec<_> = targets
-        .iter()
-        .map(|&t| peering.discover_alternates(prefix, t, &setup, 8))
-        .collect();
+    let discoveries = peering.campaign(prefix, &targets, &setup, 8, &FaultPlane::quiet());
 
     let learn_cl = Classifier::new(&s.inferred, ClassifyConfig::default());
     let model = InformedModel::learn(&discoveries, &s.measured, &learn_cl, &s.world.orgs, 3);

@@ -12,6 +12,7 @@
 
 use ir_bgp::PrefixSim;
 use ir_core::alternates::{check_order, LinkAccounting, OrderSummary};
+use ir_fault::FaultPlane;
 use ir_inference::feeds::{self, FeedConfig};
 use ir_inference::relinfer::{infer_relationships, InferConfig};
 use ir_measure::peering::{observe_routes, ObservationSetup, Peering};
@@ -103,10 +104,7 @@ fn main() {
         .filter(|a| *a != Asn::TESTBED)
         .take(25)
         .collect();
-    let discoveries: Vec<_> = targets
-        .iter()
-        .map(|&t| peering.discover_alternates(prefix, t, &setup, 8))
-        .collect();
+    let discoveries = peering.campaign(prefix, &targets, &setup, 8, &FaultPlane::quiet());
     let verdicts: Vec<_> = discoveries
         .iter()
         .map(|d| check_order(&inferred, d))

@@ -55,6 +55,15 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-audit \
 # every defense and both certifier verdicts.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-scenarios \
     --test hijack_differential --test sweep_invariants --test warm_hijack
+# Warm-campaign gate (release): a poisoning campaign that converges round 0
+# once per worker and rolls every target back to it must equal a fresh sim
+# per target — routes, announcement counts and degraded rounds — under the
+# quiet plane and under chaos planes that flap mux links and lose whole
+# rounds (round 0 included), and a scope whose closure panics must leave
+# best table, adj-RIB-in and observations untouched. The second run is the
+# paper world's 120-target campaign (ignored by default; ~1 s).
+run cargo test "${OFFLINE[@]}" --release -q -p ir-measure --test warm_campaign
+run cargo test "${OFFLINE[@]}" --release -q -p ir-measure --test warm_campaign -- --ignored
 # Internet-scale smoke (release, ignored by default): a ≥50k-AS world must
 # converge a single prefix and a 1000-prefix universe slice inside the
 # compact storage's memory budget. Minutes on one core.
