@@ -143,83 +143,34 @@ impl<'w> DeltaAuditor<'w> {
                         touched.extend([ia, ib]);
                     }
                 }
-                Delta::NeighborPref {
-                    of,
-                    neighbor,
-                    delta,
-                } => {
+                Delta::NeighborPref { of, neighbor, .. } => {
                     let (Some(x), Some(_)) = (resolve(*of), resolve(*neighbor)) else {
                         return CertificateDelta::Unknown;
                     };
-                    let spec = self.overlaid(&mut overlay, x);
-                    match delta {
-                        Some(d) => {
-                            spec.neighbor_pref.insert(*neighbor, *d);
-                        }
-                        None => {
-                            spec.neighbor_pref.remove(neighbor);
-                        }
-                    }
+                    delta.edit_policy(self.overlaid(&mut overlay, x));
                     touched.push(x);
                 }
-                Delta::ExportPrepend {
-                    of,
-                    neighbor,
-                    count,
-                } => {
+                Delta::ExportPrepend { of, neighbor, .. }
+                | Delta::PartialTransit { of, neighbor, .. } => {
                     // Export-side: prepending lengthens what neighbors
                     // see, it never reorders this AS's own import tiers —
-                    // certificate-neutral, but the overlay stays in sync
-                    // so later checks read the true effective spec.
-                    let (Some(x), Some(_)) = (resolve(*of), resolve(*neighbor)) else {
-                        return CertificateDelta::Unknown;
-                    };
-                    let spec = self.overlaid(&mut overlay, x);
-                    match count {
-                        Some(c) => {
-                            spec.export_prepend.insert(*neighbor, *c);
-                        }
-                        None => {
-                            spec.export_prepend.remove(neighbor);
-                        }
-                    }
-                }
-                Delta::PartialTransit {
-                    of,
-                    neighbor,
-                    customer_routes_only,
-                } => {
-                    // Export-scope restriction; the only rule reading this
+                    // certificate-neutral. Partial transit is an
+                    // export-scope restriction; the only rule reading that
                     // table (IR-A004) is warning-severity and cannot block
-                    // certification.
+                    // certification. The overlay stays in sync so later
+                    // checks read the true effective spec.
                     let (Some(x), Some(_)) = (resolve(*of), resolve(*neighbor)) else {
                         return CertificateDelta::Unknown;
                     };
-                    let spec = self.overlaid(&mut overlay, x);
-                    if *customer_routes_only {
-                        spec.partial_transit
-                            .insert(*neighbor, TransitScope::CustomerRoutesOnly);
-                    } else {
-                        spec.partial_transit.remove(neighbor);
-                    }
+                    delta.edit_policy(self.overlaid(&mut overlay, x));
                 }
-                Delta::SelectiveAnnounce {
-                    of,
-                    prefix,
-                    allowed,
-                } => {
+                Delta::SelectiveAnnounce { of, allowed, .. } => {
                     let Some(x) = resolve(*of) else {
                         return CertificateDelta::Unknown;
                     };
-                    let spec = self.overlaid(&mut overlay, x);
-                    match allowed {
-                        Some(set) => {
-                            spec.selective_announce.insert(*prefix, set.clone());
-                            psp_check = Some(x);
-                        }
-                        None => {
-                            spec.selective_announce.remove(prefix);
-                        }
+                    delta.edit_policy(self.overlaid(&mut overlay, x));
+                    if allowed.is_some() {
+                        psp_check = Some(x);
                     }
                 }
                 Delta::PoisonFilter { of, .. } => {

@@ -5,7 +5,10 @@
 //! policies carry the same edit**. This closes the loop the engine-side
 //! differentials cannot: there, cold replay reuses the same overlay
 //! machinery; here, the ground truth bypasses overlays entirely — the
-//! edit is baked into `World::policies` before any propagation happens.
+//! edit is baked into `World::policies` by [`edited_world`] before any
+//! propagation happens. `edited_world` states each edit on its own rather
+//! than through the engine's `Delta::edit_policy`, so a wrong shared edit
+//! shows up here as a divergence.
 //!
 //! Ages are compared modulo installation time (the two sides legitimately
 //! converge at different logical clocks); path, preference, entry session
@@ -15,12 +18,11 @@
 //! certification-preserving, and each edited world is re-audited to prove
 //! the certificate still holds.
 
-use ir_audit::audit_world;
+use ir_audit::{audit_world, edited_world};
 use ir_bgp::universe::prefix_owners;
 use ir_bgp::{
     ActivationOrder, Announcement, Delta, PrefixSim, Route, SimContext, WhatIfEngine, WhatIfQuery,
 };
-use ir_topology::policy::TransitScope;
 use ir_topology::{GeneratorConfig, World};
 use ir_types::{Asn, Prefix, Timestamp};
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,60 +41,6 @@ fn same_route(a: &Option<Route>, b: &Option<Route>) -> bool {
                 && a.igp_cost == b.igp_cost
         }
         _ => false,
-    }
-}
-
-/// Bakes a policy delta into a world's ground truth — the mutation the
-/// sim-side overlay must be equivalent to.
-fn bake(world: &mut World, delta: &Delta) {
-    match delta {
-        Delta::PartialTransit {
-            of,
-            neighbor,
-            customer_routes_only,
-        } => {
-            let idx = world.graph.index_of(*of).expect("of in graph");
-            if *customer_routes_only {
-                world.policies[idx]
-                    .partial_transit
-                    .insert(*neighbor, TransitScope::CustomerRoutesOnly);
-            } else {
-                world.policies[idx].partial_transit.remove(neighbor);
-            }
-        }
-        Delta::ExportPrepend {
-            of,
-            neighbor,
-            count,
-        } => {
-            let idx = world.graph.index_of(*of).expect("of in graph");
-            match count {
-                Some(c) => {
-                    world.policies[idx].export_prepend.insert(*neighbor, *c);
-                }
-                None => {
-                    world.policies[idx].export_prepend.remove(neighbor);
-                }
-            }
-        }
-        Delta::SelectiveAnnounce {
-            of,
-            prefix,
-            allowed,
-        } => {
-            let idx = world.graph.index_of(*of).expect("of in graph");
-            match allowed {
-                Some(set) => {
-                    world.policies[idx]
-                        .selective_announce
-                        .insert(*prefix, set.clone());
-                }
-                None => {
-                    world.policies[idx].selective_announce.remove(prefix);
-                }
-            }
-        }
-        other => panic!("no ground-truth baking for {other:?}"),
     }
 }
 
@@ -166,12 +114,10 @@ fn certified_free_order_warm_answers_match_edited_world_ground_truth() {
             let origin = owners[&prefix];
             for (ei, edits) in edit_pool(&world, origin, prefix).into_iter().enumerate() {
                 // Ground truth: bake the edits into a cloned world's
-                // policies and converge from scratch — no overlays, no
-                // forks, no seeded reconvergence anywhere in this path.
-                let mut edited = world.clone();
-                for d in &edits {
-                    bake(&mut edited, d);
-                }
+                // policies (`edited_world`) and converge from scratch — no
+                // overlays, no forks, no seeded reconvergence anywhere in
+                // this path.
+                let edited = edited_world(&world, &edits);
                 let re_report = audit_world(&edited);
                 assert!(
                     re_report.certificate.certified,

@@ -24,7 +24,8 @@
 //!   ([`sim::PrefixSim`]) over a per-world shared [`sim::SimContext`], and
 //!   a rayon-parallel multi-prefix layer ([`universe`]). The full-sweep
 //!   oracle the differential suites compare it against is test code
-//!   (`tests/support`), built from the public model alone.
+//!   (`tests/support`), built from the public model alone. The engine
+//!   lives in `src/sim/`, one file per seam; [`sim`]'s docs list them.
 //!
 //! Hybrid relationships are modeled the way they arise operationally: a
 //! link interconnecting in two cities is **two BGP sessions**, each with the

@@ -660,6 +660,19 @@ mod differential_tests {
                         asn, class, dst
                     );
                 }
+                // The derived queries agree with the reference too: the
+                // best class is the first reachable one, the shortest
+                // length is the minimum over classes, and a path exists
+                // exactly when some class is reachable.
+                let best = RouteClass::ALL
+                    .into_iter()
+                    .zip(exp)
+                    .find_map(|(c, d)| d.map(|_| c));
+                prop_assert_eq!(routes.best_class(asn), best, "best_class at {}", asn);
+                let shortest = exp.into_iter().flatten().min();
+                prop_assert_eq!(routes.shortest_any(asn), shortest, "shortest_any at {}", asn);
+                let has_path = routes.extract_path(asn).is_some();
+                prop_assert_eq!(has_path, best.is_some(), "path at {}", asn);
             }
         }
 

@@ -1,75 +1,15 @@
-//! Cross-crate equivalence of the arena-backed model and classifier.
-//!
-//! Two properties guard the arena refactor:
-//!
-//! 1. the CSR-arena [`GrModel`] agrees with an independent `BTreeMap`-keyed
-//!    reference (no dense indices anywhere) on `best_class`,
-//!    `shortest_any`, and the structural invariants of `extract_path`, on
-//!    random topologies;
-//! 2. [`Classifier::classify_batch`] returns exactly what sequential
-//!    [`Classifier::classify`] calls return, element for element —
-//!    including on a classifier whose cache is already warm.
+//! Cross-crate equivalence of the arena-backed classifier:
+//! [`Classifier::classify_batch`] returns exactly what sequential
+//! [`Classifier::classify`] calls return, element for element — including
+//! on a classifier whose cache is already warm. (The arena-backed
+//! `GrModel` is checked against an independent Bellman–Ford reference by
+//! `grmodel`'s own `differential_tests`.)
 
 use ir_core::classify::{Classifier, ClassifyConfig};
 use ir_core::dataset::Decision;
-use ir_core::grmodel::{GrModel, RouteClass};
 use ir_topology::RelationshipDb;
 use ir_types::{Asn, Relationship};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-
-/// Reference distances per class, keyed by ASN only — a Bellman–Ford-style
-/// least fixpoint of the valley-free recurrences over `BTreeMap`s,
-/// deliberately sharing no indexing machinery with the arena.
-fn reference_distances(db: &RelationshipDb, dst: Asn) -> BTreeMap<Asn, [Option<usize>; 3]> {
-    let asns = db.asns();
-    let mut dist: BTreeMap<Asn, [Option<usize>; 3]> =
-        asns.iter().map(|&a| (a, [None; 3])).collect();
-    if dist.contains_key(&dst) {
-        dist.get_mut(&dst).unwrap()[0] = Some(0);
-    }
-    for _ in 0..3 * asns.len() + 3 {
-        let mut changed = false;
-        let snapshot = dist.clone();
-        for &x in &asns {
-            let mut cand = [None; 3];
-            let keep = |slot: &mut Option<usize>, v: Option<usize>| {
-                if let Some(v) = v {
-                    if slot.map(|s| v < s).unwrap_or(true) {
-                        *slot = Some(v);
-                    }
-                }
-            };
-            for (y, rel) in db.neighbors_of(x) {
-                let [yc, yp, yv] = snapshot[&y];
-                let y_best = [yc, yp, yv].into_iter().flatten().min();
-                match rel {
-                    Relationship::Customer => keep(&mut cand[0], yc.map(|v| v + 1)),
-                    Relationship::Sibling => {
-                        keep(&mut cand[0], yc.map(|v| v + 1));
-                        keep(&mut cand[1], yp.map(|v| v + 1));
-                        keep(&mut cand[2], y_best.map(|v| v + 1));
-                    }
-                    Relationship::Peer => keep(&mut cand[1], yc.map(|v| v + 1)),
-                    Relationship::Provider => keep(&mut cand[2], y_best.map(|v| v + 1)),
-                }
-            }
-            let cur = dist.get_mut(&x).unwrap();
-            for c in 0..3 {
-                if let Some(v) = cand[c] {
-                    if cur[c].map(|s| v < s).unwrap_or(true) {
-                        cur[c] = Some(v);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    dist
-}
 
 fn random_db(n: usize, picks: &[u8]) -> RelationshipDb {
     let mut db = RelationshipDb::default();
@@ -120,57 +60,6 @@ fn decisions_for(db: &RelationshipDb, lens: &[u8]) -> Vec<Decision> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Arena model vs ASN-keyed reference: identical best classes and
-    /// shortest lengths everywhere; extracted paths are real valley-free
-    /// walks of exactly the predicted length.
-    #[test]
-    fn arena_model_matches_btreemap_reference(
-        n in 3usize..9,
-        picks in proptest::collection::vec(any::<u8>(), 64),
-        dst_pick in any::<u32>(),
-    ) {
-        let db = random_db(n, &picks);
-        let asns = db.asns();
-        prop_assume!(!asns.is_empty());
-        let dst = asns[dst_pick as usize % asns.len()];
-        let model = GrModel::new(&db);
-        let routes = model.routes_to(dst);
-        let reference = reference_distances(&db, dst);
-        for &x in &asns {
-            let re = reference[&x];
-            let best_ref = [RouteClass::Customer, RouteClass::Peer, RouteClass::Provider]
-                .into_iter()
-                .zip(re)
-                .filter(|(_, d)| d.is_some())
-                .map(|(c, _)| c)
-                .next();
-            prop_assert_eq!(routes.best_class(x), best_ref, "best_class at {}", x);
-            let shortest_ref = re.into_iter().flatten().min();
-            prop_assert_eq!(routes.shortest_any(x), shortest_ref, "shortest_any at {}", x);
-            // extract_path: ends at dst, every hop is a known link, and its
-            // length equals the reference distance of the best class.
-            if let Some(path) = routes.extract_path(x) {
-                // Path is x-exclusive, destination-inclusive; for x == dst
-                // it is legitimately empty.
-                prop_assert_eq!(path.last().copied(), if x == dst { None } else { Some(dst) });
-                let expected_len = best_ref
-                    .map(|c| re[match c {
-                        RouteClass::Customer => 0,
-                        RouteClass::Peer => 1,
-                        RouteClass::Provider => 2,
-                    }].unwrap());
-                prop_assert_eq!(Some(path.len()), expected_len, "path length at {}", x);
-                let mut prev = x;
-                for &hop in &path {
-                    prop_assert!(db.rel(prev, hop).is_some(), "unknown link {}-{}", prev, hop);
-                    prev = hop;
-                }
-            } else {
-                prop_assert!(best_ref.is_none(), "path missing though {} reachable", x);
-            }
-        }
-    }
 
     /// `classify_batch` is byte-identical to sequential `classify`, cold
     /// and warm.

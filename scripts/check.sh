@@ -44,8 +44,9 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp \
 # DeltaAuditor as from a full re-audit of the edited world, and certified
 # Free-order serving answers must stay route-for-route exact (ages
 # included) against cold WaveExact replay under both verdicts.
+# `whatif_certified`: warm answers against worlds `edited_world` baked the edits into.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-audit \
-    --test delta_audit_differential
+    --test delta_audit_differential --test whatif_certified
 # Security-scenario gate (release): hijack scenarios must equal
 # hand-driven cold engine convergence, 0%-adoption sweeps must equal
 # plain delta replay byte-for-byte, full-ROV capture sets must match the
