@@ -7,11 +7,10 @@ use super::{ActivationOrder, Convergence, PrefixSim};
 use crate::compact::{clamp_age, CompactRoute, RouteColumns, NO_CITY, NO_NODE};
 use crate::decision::{decide, DecisionKey};
 use crate::worklist::BitWorklist;
+use ir_fault::ServiceClock;
 use ir_topology::graph::NodeIdx;
 use ir_types::{Asn, CityId};
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 /// Cycle witness of an event that ended on a dispute wheel: the
 /// wave-barrier state recurred, so [`PrefixSim`] jumped to the state the
@@ -51,23 +50,23 @@ const PROBE_ARM_ROUND: usize = 16;
 /// Cooperative work budget for one simulation's worklist runs — the
 /// serving plane's deadline mechanism. A budget bounds an event's
 /// activations (deterministic: the same query trips at the same point on
-/// every run) and/or carries a cancel token an external watchdog can set
-/// (wall-clock deadlines). [`PrefixSim::run_event`] checks the activation
-/// bound on every activation and polls the token every
-/// [`StepBudget::CHECK_INTERVAL`] activations; a tripped budget ends the
-/// event early with `converged = false` and marks the sim
-/// [`PrefixSim::budget_tripped`], so callers can distinguish "deadline"
-/// from "dispute wheel" and degrade instead of hanging.
+/// every run) and/or carries a wall deadline on a [`ServiceClock`].
+/// [`PrefixSim::run_event`] checks the activation bound on every activation
+/// and reads the clock every [`StepBudget::CHECK_INTERVAL`] activations; a
+/// tripped budget ends the event early with `converged = false` and marks
+/// the sim [`PrefixSim::budget_tripped`], so callers can distinguish
+/// "deadline" from "dispute wheel" and degrade instead of hanging.
 #[derive(Debug, Clone, Default)]
 pub struct StepBudget {
     /// Activation ceiling per event (`None` = unlimited).
     max_activations: Option<u64>,
-    /// External cancellation flag, polled cooperatively.
-    cancel: Option<Arc<AtomicBool>>,
+    /// The clock and the [`ServiceClock::now_ms`] reading at which the
+    /// budget trips, polled cooperatively.
+    deadline: Option<(ServiceClock, u64)>,
 }
 
 impl StepBudget {
-    /// How many activations pass between cancel-token polls.
+    /// How many activations pass between deadline polls.
     pub const CHECK_INTERVAL: usize = 64;
 
     /// No limits — the default for every sim.
@@ -79,19 +78,20 @@ impl StepBudget {
     pub fn activations(n: u64) -> StepBudget {
         StepBudget {
             max_activations: Some(n),
-            cancel: None,
+            deadline: None,
         }
     }
 
-    /// Attaches an external cancel token (set by a deadline watchdog).
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> StepBudget {
-        self.cancel = Some(cancel);
+    /// Adds a wall deadline: the budget trips once `clock` reads `at_ms`
+    /// or later.
+    pub fn with_deadline(mut self, clock: ServiceClock, at_ms: u64) -> StepBudget {
+        self.deadline = Some((clock, at_ms));
         self
     }
 
     /// Whether this budget can ever trip.
     pub fn is_unlimited(&self) -> bool {
-        self.max_activations.is_none() && self.cancel.is_none()
+        self.max_activations.is_none() && self.deadline.is_none()
     }
 }
 
@@ -207,7 +207,7 @@ impl<'w> PrefixSim<'w> {
         // Deadline machinery, hoisted: the unlimited default costs one
         // branch per activation and never takes it.
         let budget_max = self.ledger.budget.max_activations.unwrap_or(u64::MAX);
-        let budget_cancel = self.ledger.budget.cancel.clone();
+        let budget_deadline = self.ledger.budget.deadline.clone();
         'event: while !wave.is_empty() {
             rounds += 1;
             if rounds > last_round {
@@ -218,9 +218,9 @@ impl<'w> PrefixSim<'w> {
                 activations += 1;
                 if activations as u64 > budget_max
                     || (activations.is_multiple_of(StepBudget::CHECK_INTERVAL)
-                        && budget_cancel
+                        && budget_deadline
                             .as_ref()
-                            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed)))
+                            .is_some_and(|(clock, at)| clock.now_ms() >= *at))
                 {
                     converged = false;
                     self.ledger.budget_tripped = true;

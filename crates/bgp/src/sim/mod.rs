@@ -179,8 +179,8 @@ pub struct EngineStats {
     /// Best-table routes that survived an event unchanged (summed per
     /// event): the routes delta reconvergence did *not* have to recompute.
     pub routes_retained: usize,
-    /// Events ended early by a tripped [`StepBudget`] (deadline or cancel)
-    /// instead of reaching a fixpoint.
+    /// Events ended early by a tripped [`StepBudget`] (activation cap or
+    /// wall deadline) instead of reaching a fixpoint.
     pub deadline_aborts: usize,
     /// Memory accounting of the compact route storage (columns + path
     /// arena), refreshed on every [`PrefixSim::stats`] call; zeros for the
@@ -386,8 +386,8 @@ impl<'w> PrefixSim<'w> {
     }
 
     /// Whether any event since the last [`PrefixSim::set_step_budget`]
-    /// ended early because the budget tripped (deadline/cancel), as opposed
-    /// to the dispute-wheel work cap.
+    /// ended early because the budget tripped (activation cap or wall
+    /// deadline), as opposed to the dispute-wheel work cap.
     pub fn budget_tripped(&self) -> bool {
         self.ledger.budget_tripped
     }

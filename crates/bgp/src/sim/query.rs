@@ -26,7 +26,7 @@ pub(crate) struct QueryJournals {
 
 /// One query running in place on a sim: the sim it edits plus what the
 /// sim must be restored to. Dropping it — after the answer is built, on a
-/// tripped budget or cancel, or while unwinding from a panic — rolls the
+/// tripped budget, or while unwinding from a panic — rolls the
 /// sim back, so a caller that reaches the sim through a lock declares the
 /// query after the lock guard and no other caller ever sees a query's
 /// edits. Journal storage comes from `pool` and goes back to it when there

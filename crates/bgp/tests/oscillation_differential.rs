@@ -16,11 +16,12 @@ use ir_bgp::{
     Announcement, Convergence, DefensePlan, Delta, ExtensionCheck, PolicyExtension, PrefixSim,
     RoutingUniverse, SimContext, StepBudget, WhatIfEngine, WhatIfQuery,
 };
+use ir_fault::ServiceClock;
 use ir_topology::graph::{AsNode, AsRole};
 use ir_topology::policy::PolicySpec;
 use ir_topology::{GeneratorConfig, LinkKind, World};
 use ir_types::{Asn, CityId, CountryId, Ipv4, OrgId, Prefix, Relationship, Timestamp};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use support::SweepSim;
 
@@ -271,12 +272,13 @@ fn budget_below_the_pre_period_trips_as_before() {
     assert_eq!(sim.last_oscillation(), None, "a deadline is not a witness");
 }
 
-/// Accepts everything; raises the cancel token on its `at`-th import check
-/// — a watchdog firing mid-event, made deterministic.
+/// Accepts everything; on its `at`-th import check advances a simulated
+/// clock past the budget's wall deadline — a deadline passing mid-event,
+/// made deterministic.
 struct CancelAt {
     calls: AtomicUsize,
     at: usize,
-    token: Arc<AtomicBool>,
+    clock: ServiceClock,
 }
 
 impl PolicyExtension for CancelAt {
@@ -285,25 +287,28 @@ impl PolicyExtension for CancelAt {
     }
     fn accept_import(&self, _: &ExtensionCheck<'_>) -> bool {
         if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.at {
-            self.token.store(true, Ordering::Relaxed);
+            self.clock.advance_ms(DEADLINE_MS);
         }
         true
     }
 }
 
+/// The wall deadline [`CancelAt`]'s clock is advanced to.
+const DEADLINE_MS: u64 = 50;
+
 #[test]
-fn cancel_token_set_mid_event_is_honoured_within_check_interval() {
+fn deadline_passed_mid_event_is_honoured_within_check_interval() {
     let (world, origin, prefix) = wheel_fixture();
-    // One run under `budget` with a watchdog that fires on import check
-    // 700 (of ≈ 2 600): the event's counters and whether it fired.
+    // One run under `budget` with a deadline that passes on import check
+    // 700 (of ≈ 2 600): the event's counters and whether it passed.
     let run = |activations: Option<u64>| {
-        let token = Arc::new(AtomicBool::new(false));
+        let clock = ServiceClock::simulated();
         let mut plan = DefensePlan::for_world(&world);
         let id = plan
             .register(Arc::new(CancelAt {
                 calls: AtomicUsize::new(0),
                 at: 700,
-                token: token.clone(),
+                clock: clock.clone(),
             }))
             .unwrap();
         plan.adopt_all(id);
@@ -313,22 +318,22 @@ fn cancel_token_set_mid_event_is_honoured_within_check_interval() {
             Some(n) => StepBudget::activations(n),
             None => StepBudget::unlimited(),
         };
-        sim.set_step_budget(budget.with_cancel(token.clone()));
+        sim.set_step_budget(budget.with_deadline(clock.clone(), DEADLINE_MS));
         let conv = sim.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
         assert!(sim.budget_tripped() && !conv.converged);
-        (conv, token.load(Ordering::Relaxed))
+        (conv, clock.now_ms() >= DEADLINE_MS)
     };
-    let (cancelled, fired) = run(None);
-    assert!(fired);
-    // The token is polled every CHECK_INTERVAL activations…
-    assert_eq!(cancelled.activations % StepBudget::CHECK_INTERVAL, 0);
-    // …and one interval earlier it had not been raised yet.
-    let before = (cancelled.activations - StepBudget::CHECK_INTERVAL) as u64;
-    let (earlier, fired) = run(Some(before));
+    let (expired, passed) = run(None);
+    assert!(passed);
+    // The clock is polled every CHECK_INTERVAL activations…
+    assert_eq!(expired.activations % StepBudget::CHECK_INTERVAL, 0);
+    // …and one interval earlier the deadline had not passed yet.
+    let before = (expired.activations - StepBudget::CHECK_INTERVAL) as u64;
+    let (earlier, passed) = run(Some(before));
     assert_eq!(earlier.activations as u64, before + 1);
     assert!(
-        !fired,
-        "the watchdog fired more than one interval before the stop"
+        !passed,
+        "the deadline passed more than one interval before the stop"
     );
 }
 

@@ -443,7 +443,9 @@ impl RetryPolicy {
 }
 
 /// Millisecond clock the serving plane reads deadlines and breaker timers
-/// from. Production uses [`ServiceClock::wall`]; deterministic tests use
+/// from. A query's wall deadline rides its `ir-bgp` step budget on this
+/// clock, so the engine polls it mid-reconvergence. Production uses
+/// [`ServiceClock::wall`]; deterministic tests use
 /// [`ServiceClock::simulated`], advanced explicitly — the chaos soak's
 /// reproducible-counter guarantee depends on no code path consulting the
 /// wall clock behind the test's back.

@@ -12,9 +12,9 @@
 //!
 //! Pure-std builds cannot install POSIX signal handlers, so graceful
 //! drain is a protocol affair: send `{"op":"shutdown"}` (see DESIGN.md
-//! §12). An abrupt kill is survivable anyway — snapshots publish through
-//! the atomic save path, and startup uses the recovery load that discards
-//! staging debris.
+//! §12). An abrupt kill is survivable anyway — snapshots publish (at
+//! startup, on a `save` request and at drain) through the atomic save
+//! path, and startup uses the recovery load that discards staging debris.
 //!
 //! The hidden `--torture-save PATH` mode exists for the crash-safety
 //! suite: it saves the same snapshot in a tight loop so a test can
@@ -42,7 +42,6 @@ struct Args {
     queue_cap: usize,
     budget: u64,
     deadline_ms: u64,
-    autosave_ms: u64,
     torture_save: Option<PathBuf>,
 }
 
@@ -59,7 +58,6 @@ impl Default for Args {
             queue_cap: 64,
             budget: 5_000_000,
             deadline_ms: 0,
-            autosave_ms: 0,
             torture_save: None,
         }
     }
@@ -69,7 +67,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ir-serve [--listen ADDR] [--scale tiny|safe|internet] [--size N] [--seed N]\n\
          \x20               [--prefixes N] [--snapshot PATH] [--workers N] [--queue-cap N]\n\
-         \x20               [--budget ACTIVATIONS] [--deadline-ms N] [--autosave-ms N]"
+         \x20               [--budget ACTIVATIONS] [--deadline-ms N]"
     );
     exit(2)
 }
@@ -109,7 +107,6 @@ fn parse_args() -> Args {
             "--queue-cap" => args.queue_cap = parse_num(i) as usize,
             "--budget" => args.budget = parse_num(i),
             "--deadline-ms" => args.deadline_ms = parse_num(i),
-            "--autosave-ms" => args.autosave_ms = parse_num(i),
             "--torture-save" => args.torture_save = Some(PathBuf::from(value(i))),
             "--help" | "-h" => usage(),
             other => {
@@ -212,8 +209,8 @@ fn main() {
     if certified {
         engine.set_certifier(Box::new(DeltaAuditor::with_report(&world, report)));
     }
-    // Publish the initial state so a crash before the first autosave still
-    // has something to recover.
+    // Publish the initial state: queries never change the universe, so this
+    // image stays current until a `save` request or the drain republishes it.
     if let Some(path) = &args.snapshot {
         if let Err(e) = universe.save_snapshot(path) {
             eprintln!("cannot publish snapshot {}: {e}", path.display());
@@ -225,11 +222,9 @@ fn main() {
         queue_cap: args.queue_cap,
         workers: args.workers,
         default_budget: args.budget,
-        budget_cap: args.budget.saturating_mul(10).max(args.budget),
         deadline_ms: args.deadline_ms,
         breaker: RetryPolicy::default(),
         snapshot_path: args.snapshot.clone(),
-        autosave_ms: args.autosave_ms,
         ..ServeConfig::default()
     };
     let listener = match TcpListener::bind(&args.listen) {

@@ -16,10 +16,11 @@
 //!   a panic.
 //! * [`admission`] — a bounded queue that sheds excess load explicitly
 //!   (`status: shed`, `retry_after_ms`) instead of queueing unboundedly.
-//! * [`server`] — the supervised loop: worker pool, per-query deadline
-//!   budgets with cooperative cancellation, per-prefix circuit breakers,
-//!   degraded-mode answers, graceful drain, and crash-safe snapshot
-//!   autosave through the atomic temp + fsync + rename path.
+//! * [`server`] — the supervised loop: worker pool, per-query step
+//!   budgets that carry the wall deadline into the engine, per-prefix
+//!   circuit breakers, degraded-mode answers, graceful drain, and
+//!   crash-safe snapshot publishing (on `save` and at drain) through the
+//!   atomic temp + fsync + rename path.
 //! * [`client`] — a thin blocking socket client used by the tests, the
 //!   smoke script, and the benchmark's `serve_mixed` workload.
 //!

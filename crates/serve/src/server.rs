@@ -8,21 +8,27 @@
 //!   of queueing unboundedly (control ops — health, stats, save, shutdown —
 //!   bypass admission so the server stays observable under overload).
 //! * **Deadlines** — every query runs under a [`StepBudget`] activation
-//!   cap, and when a wall deadline is configured a watchdog thread flips
-//!   the query's cancel token so the sim aborts cooperatively mid-worklist.
-//!   Either trip degrades the answer to the base routes with a
+//!   cap, and when a wall deadline is configured the budget also carries
+//!   it on the server's [`ServiceClock`], which the sim reads between
+//!   activations and aborts cooperatively mid-worklist. A query whose
+//!   deadline passed while it was queued is answered without running.
+//!   Any trip degrades the answer to the base routes with a
 //!   `degraded: ["deadline"]` marker — the client always gets a response.
 //! * **Circuit breakers** — per-prefix [`CircuitBreaker`]s (keyed off
 //!   `ir-fault`'s deterministic quarantine schedule) open after repeated
 //!   deadline trips, so a pathological prefix answers degraded immediately
 //!   instead of burning a worker every time.
 //! * **Graceful drain** — a `shutdown` request stops admission, lets the
-//!   workers finish the accepted backlog, force-EOFs idle readers, runs a
-//!   final autosave, and joins every thread before [`Server::run`] returns.
-//! * **Crash-safe autosave** — the universe is periodically re-published
-//!   through [`RoutingUniverse::save_snapshot`]'s atomic temp + fsync +
-//!   rename path, so a kill at any instant leaves a loadable last-good
-//!   snapshot.
+//!   workers finish the accepted backlog, force-EOFs idle readers, publishes
+//!   a final snapshot, and joins every thread before [`Server::run`] returns.
+//! * **Crash-safe snapshots** — `save` requests and the drain publish the
+//!   universe through [`RoutingUniverse::save_snapshot`]'s atomic temp +
+//!   fsync + rename path, so a kill at any instant leaves a loadable
+//!   last-good snapshot. Queries roll back, so the universe never changes
+//!   while it is served and needs no periodic re-save.
+//!
+//! [`Server::run`] spawns only the worker pool and, per connection, one
+//! reader and one writer thread.
 //!
 //! All counters are atomics and every scheduling decision that affects
 //! them is deterministic given the request interleaving, which is what the
@@ -41,8 +47,8 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Serving-loop tuning knobs.
@@ -52,22 +58,16 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Worker threads executing queries.
     pub workers: usize,
-    /// Activation budget for queries that don't request one.
+    /// Activation budget for queries that don't request one. A client may
+    /// ask for up to ten times this.
     pub default_budget: u64,
-    /// Hard ceiling on client-requested activation budgets.
-    pub budget_cap: u64,
-    /// Retry hint attached to shed responses, milliseconds.
-    pub retry_after_ms: u64,
     /// Wall deadline per query (admission to answer), milliseconds;
-    /// `0` disables the watchdog and leaves only the activation budget.
+    /// `0` leaves only the activation budget.
     pub deadline_ms: u64,
     /// Quarantine schedule for the per-prefix circuit breakers.
     pub breaker: RetryPolicy,
-    /// Where `save` requests and autosave publish the universe snapshot.
+    /// Where `save` requests and the drain publish the universe snapshot.
     pub snapshot_path: Option<PathBuf>,
-    /// Autosave interval, milliseconds; `0` disables periodic saves
-    /// (a final save on drain still runs when `snapshot_path` is set).
-    pub autosave_ms: u64,
     /// Clock the deadlines and breakers read. Production wants
     /// [`ServiceClock::wall`]; deterministic tests inject
     /// [`ServiceClock::simulated`].
@@ -80,16 +80,20 @@ impl Default for ServeConfig {
             queue_cap: 64,
             workers: 4,
             default_budget: 5_000_000,
-            budget_cap: 50_000_000,
-            retry_after_ms: 25,
             deadline_ms: 0,
             breaker: RetryPolicy::default(),
             snapshot_path: None,
-            autosave_ms: 0,
             clock: ServiceClock::wall(),
         }
     }
 }
+
+/// A client-requested activation budget is capped at this many times
+/// [`ServeConfig::default_budget`].
+const BUDGET_CAP_FACTOR: u64 = 10;
+
+/// Retry hint attached to shed responses, milliseconds.
+const RETRY_AFTER_MS: u64 = 25;
 
 /// Longest request line the reader buffers; anything longer is answered
 /// with an `error` and discarded up to its newline. Far above any real
@@ -162,7 +166,7 @@ pub struct ServeStats {
     pub errors: u64,
     /// Connections that vanished while a response was owed.
     pub disconnects: u64,
-    /// Snapshot publishes (autosave + explicit `save` + drain save).
+    /// Snapshot publishes (explicit `save` + drain save).
     pub autosaves: u64,
     /// Times any per-prefix breaker opened.
     pub breaker_trips: u64,
@@ -215,49 +219,8 @@ struct Job {
     budget: Option<u64>,
     /// Absolute [`ServiceClock::now_ms`] deadline, if the server has one.
     deadline_ms: Option<u64>,
-    /// Flipped by the watchdog when the deadline passes; the sim polls it.
-    cancel: Arc<AtomicBool>,
     reply: mpsc::Sender<String>,
 }
-
-/// In-flight deadline registry the watchdog thread scans.
-#[derive(Default)]
-struct Watchlist {
-    next_token: AtomicU64,
-    entries: Mutex<BTreeMap<u64, (u64, Arc<AtomicBool>)>>,
-}
-
-impl Watchlist {
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, (u64, Arc<AtomicBool>)>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn register(&self, deadline_ms: u64, cancel: Arc<AtomicBool>) -> u64 {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.lock().insert(token, (deadline_ms, cancel));
-        token
-    }
-
-    fn deregister(&self, token: u64) {
-        self.lock().remove(&token);
-    }
-
-    /// Cancels every entry whose deadline has passed.
-    fn fire_expired(&self, now_ms: u64) {
-        let mut g = self.lock();
-        g.retain(|_, (deadline, cancel)| {
-            if now_ms >= *deadline {
-                cancel.store(true, Ordering::Relaxed);
-                false
-            } else {
-                true
-            }
-        });
-    }
-}
-
-const STATE_RUNNING: u8 = 0;
-const STATE_DRAINING: u8 = 1;
 
 /// The resident what-if server. Construct with [`Server::new`], then call
 /// [`Server::run`] — it owns the calling thread until drain completes.
@@ -265,35 +228,28 @@ pub struct Server {
     cfg: ServeConfig,
     queue: AdmissionQueue<Job>,
     metrics: Metrics,
-    state: AtomicU8,
-    clock: ServiceClock,
     breakers: Mutex<BTreeMap<Prefix, CircuitBreaker>>,
-    watch: Watchlist,
     /// Read-halves of live connections keyed by registration token,
     /// force-EOF'd on drain. Entries are removed when their connection
     /// finishes, so the map only ever holds live sockets — a long-lived
     /// daemon does not accumulate dead fds.
     conns: Mutex<BTreeMap<u64, TcpStream>>,
     conn_token: AtomicU64,
-    /// Serializes snapshot publishing: autosave, `save` ops, and the drain
-    /// save all stage to the same `<file>.tmp`, so concurrent saves would
-    /// interleave write/rename and publish a torn image.
+    /// Serializes snapshot publishing: `save` ops on any connection and the
+    /// drain save all stage to the same `<file>.tmp`, so concurrent saves
+    /// would interleave write/rename and publish a torn image.
     save_lock: Mutex<()>,
 }
 
 impl Server {
     /// A server with the given tuning; nothing runs until [`Server::run`].
     pub fn new(cfg: ServeConfig) -> Server {
-        let clock = cfg.clock.clone();
         let queue = AdmissionQueue::new(cfg.queue_cap);
         Server {
             cfg,
             queue,
             metrics: Metrics::default(),
-            state: AtomicU8::new(STATE_RUNNING),
-            clock,
             breakers: Mutex::new(BTreeMap::new()),
-            watch: Watchlist::default(),
             conns: Mutex::new(BTreeMap::new()),
             conn_token: AtomicU64::new(0),
             save_lock: Mutex::new(()),
@@ -345,7 +301,7 @@ impl Server {
     /// before the reply is queued, so a client holding its answer finds it
     /// counted in a `stats` it asks for next.
     fn record_op(&self, op: OpKind, started_ms: u64) {
-        let elapsed = self.clock.now_ms().saturating_sub(started_ms);
+        let elapsed = self.cfg.clock.now_ms().saturating_sub(started_ms);
         let m = &self.metrics.ops[op as usize];
         m.count.fetch_add(1, Ordering::Relaxed);
         m.total_ms.fetch_add(elapsed, Ordering::Relaxed);
@@ -354,14 +310,13 @@ impl Server {
 
     /// Whether the server has begun draining.
     pub fn is_draining(&self) -> bool {
-        self.state.load(Ordering::Relaxed) == STATE_DRAINING
+        self.queue.is_draining()
     }
 
     /// Begins graceful drain: admission stops, accepted work finishes,
     /// idle readers are force-EOF'd, [`Server::run`] returns once every
     /// thread has joined.
     pub fn initiate_drain(&self) {
-        self.state.store(STATE_DRAINING, Ordering::Relaxed);
         self.queue.drain();
         let conns = self.lock_conns();
         for c in conns.values() {
@@ -411,7 +366,7 @@ impl Server {
 
     /// Serves `listener` until a `shutdown` request (or
     /// [`Server::initiate_drain`] from another thread) drains the loop.
-    /// `universe` powers `save`/autosave; without it (or a
+    /// `universe` powers `save` and the drain save; without it (or a
     /// `snapshot_path`) save requests answer with an error.
     pub fn run(
         &self,
@@ -427,20 +382,6 @@ impl Server {
                         self.execute(engine, job);
                     }
                 });
-            }
-            if self.cfg.deadline_ms > 0 {
-                scope.spawn(move || {
-                    while !self.is_draining()
-                        || !self.queue.is_empty()
-                        || !self.watch.lock().is_empty()
-                    {
-                        self.watch.fire_expired(self.clock.now_ms());
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                });
-            }
-            if self.cfg.autosave_ms > 0 && self.cfg.snapshot_path.is_some() && universe.is_some() {
-                scope.spawn(move || self.autosave_loop(universe));
             }
             loop {
                 if self.is_draining() {
@@ -465,31 +406,15 @@ impl Server {
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             }
-            // Final publish: the drain save runs even with autosave off.
-            if self.cfg.autosave_ms == 0 {
-                self.save_now(universe);
-            }
+            self.save_now(universe);
         });
         Ok(())
     }
 
-    fn autosave_loop(&self, universe: Option<&RoutingUniverse>) {
-        let mut since_save = 0u64;
-        while !self.is_draining() {
-            std::thread::sleep(Duration::from_millis(20));
-            since_save += 20;
-            if since_save >= self.cfg.autosave_ms {
-                since_save = 0;
-                self.save_now(universe);
-            }
-        }
-        self.save_now(universe);
-    }
-
     /// Publishes a snapshot through the atomic save path, if configured.
-    /// Callers race (autosave thread, `save` ops on any reader, drain);
-    /// `save_lock` serializes them so only one save stages at `<file>.tmp`
-    /// at a time and the published image is never torn.
+    /// Callers race (`save` ops on any reader, drain); `save_lock`
+    /// serializes them so only one save stages at `<file>.tmp` at a time
+    /// and the published image is never torn.
     fn save_now(&self, universe: Option<&RoutingUniverse>) -> bool {
         let (Some(path), Some(u)) = (self.cfg.snapshot_path.as_ref(), universe) else {
             return false;
@@ -574,7 +499,7 @@ impl Server {
         req: Request,
         tx: &mpsc::Sender<String>,
     ) -> bool {
-        let started = self.clock.now_ms();
+        let started = self.cfg.clock.now_ms();
         match req {
             Request::WhatIf {
                 id,
@@ -702,7 +627,7 @@ impl Server {
     ) {
         self.metrics.received.fetch_add(1, Ordering::Relaxed);
         let deadline_ms = (self.cfg.deadline_ms > 0)
-            .then(|| self.clock.now_ms().saturating_add(self.cfg.deadline_ms));
+            .then(|| self.cfg.clock.now_ms().saturating_add(self.cfg.deadline_ms));
         let job = Job {
             id,
             op,
@@ -711,21 +636,20 @@ impl Server {
             deltas,
             budget,
             deadline_ms,
-            cancel: Arc::new(AtomicBool::new(false)),
             reply: tx.clone(),
         };
         if let Err(job) = self.queue.try_push(job) {
             self.metrics.shed.fetch_add(1, Ordering::Relaxed);
             self.record_op(op, started_ms);
-            let _ = tx.send(shed_response(job.id, self.cfg.retry_after_ms));
+            let _ = tx.send(shed_response(job.id, RETRY_AFTER_MS));
         }
     }
 
     /// Runs one admitted query to a response — the worker body.
     fn execute(&self, engine: &WhatIfEngine<'_>, job: Job) {
-        let now = self.clock.now_ms();
+        let now = self.cfg.clock.now_ms();
         // Expired while queued: answer degraded without burning a worker.
-        if job.cancel.load(Ordering::Relaxed) || job.deadline_ms.is_some_and(|d| now >= d) {
+        if job.deadline_ms.is_some_and(|d| now >= d) {
             self.metrics.deadline_aborts.fetch_add(1, Ordering::Relaxed);
             self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
             self.record_op(job.op, job.started_ms);
@@ -765,26 +689,21 @@ impl Server {
             ));
             return;
         }
+        let default = self.cfg.default_budget;
         let activations = job
             .budget
-            .unwrap_or(self.cfg.default_budget)
-            .min(self.cfg.budget_cap)
+            .unwrap_or(default)
+            .min(default.saturating_mul(BUDGET_CAP_FACTOR))
             .max(1);
         let mut budget = StepBudget::activations(activations);
-        if job.deadline_ms.is_some() {
-            budget = budget.with_cancel(Arc::clone(&job.cancel));
+        if let Some(at_ms) = job.deadline_ms {
+            budget = budget.with_deadline(self.cfg.clock.clone(), at_ms);
         }
-        let token = job
-            .deadline_ms
-            .map(|d| self.watch.register(d, Arc::clone(&job.cancel)));
         let query = WhatIfQuery {
             prefix: job.prefix,
             deltas: job.deltas,
         };
         let result = engine.query_budgeted(&query, &budget);
-        if let Some(token) = token {
-            self.watch.deregister(token);
-        }
         let response = match result {
             Err(e) => {
                 self.metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -834,7 +753,7 @@ impl Server {
     }
 
     fn breaker_failure(&self, prefix: Prefix) {
-        let now = self.clock.now_ms();
+        let now = self.cfg.clock.now_ms();
         if let Some(b) = self.lock_breakers().get_mut(&prefix) {
             b.record_failure(now);
         }

@@ -206,6 +206,56 @@ fn quarantine_opens_after_repeated_deadline_trips() {
     assert_eq!(stats.breaker_trips, 1);
 }
 
+/// With a wall deadline on, a query whose deadline passes while it waits
+/// in the queue is answered degraded without running; one answered in
+/// time runs as usual.
+#[test]
+fn query_expired_while_queued_answers_deadline_without_running() {
+    let clock = ServiceClock::simulated();
+    let cfg = ServeConfig {
+        deadline_ms: 50,
+        clock: clock.clone(),
+        ..ServeConfig::default()
+    };
+    let (_, prefixes) = tiny_fixture();
+    let resident = prefixes[0];
+    let mut replies = Vec::new();
+    let stats = with_server(cfg, |server, addr| {
+        let mut c = Client::connect(addr).expect("connect");
+        server.pause_workers();
+        c.send_line(&whatif_line(Some(1), resident, &[Delta::Withdraw], None))
+            .unwrap();
+        // Queued (deadline stamped) once the backlog reads one; only then
+        // does the clock move past its deadline.
+        while server.stats().queue_high_water == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        clock.advance_ms(50);
+        server.resume_workers();
+        replies.push(c.recv_line().unwrap().expect("expired answer"));
+        // The clock stands still, so this one's deadline never passes.
+        let line = whatif_line(Some(2), resident, &[Delta::Withdraw], None);
+        replies.push(c.request(&line).unwrap().expect("in-time answer"));
+    });
+    // Judged after the drain, so a failure cannot hang the scope.
+    let expired: Value = serde_json::from_str(&replies[0]).unwrap();
+    assert_eq!(status_of(&replies[0]), "degraded", "got: {}", replies[0]);
+    assert_eq!(
+        expired.get("degraded"),
+        Some(&serde_json::json!(["deadline"])),
+        "got: {}",
+        replies[0]
+    );
+    assert!(
+        expired.get("stats").is_none(),
+        "answered without running: {}",
+        replies[0]
+    );
+    assert_eq!(status_of(&replies[1]), "ok", "got: {}", replies[1]);
+    assert_eq!(stats.deadline_aborts, 1);
+    assert_eq!((stats.served, stats.degraded), (1, 1));
+}
+
 #[test]
 fn non_resident_prefixes_never_create_breaker_state() {
     // Regression: breaker entries were created before residency was

@@ -43,6 +43,10 @@ fn binary_serves_a_mixed_batch_and_drains_clean() {
             "8",
             "--workers",
             "2",
+            // A wall deadline no query here reaches: the gate runs with the
+            // deadline on the budget without tripping it.
+            "--deadline-ms",
+            "60000",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

@@ -76,11 +76,13 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test scale_smoke -- --ig
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test oscillation_differential \
     -- --ignored
 # Serving-loop gate (release): the real ir-serve binary on an ephemeral
-# port answers a 50-query mixed batch (malformed JSON and over-deadline
-# included), drains clean on a shutdown request, and exits 0 — and a
-# SIGKILL mid-snapshot-write must recover the last-good image on restart.
+# port, wall deadline on, answers a 50-query mixed batch (malformed JSON
+# and over-deadline included), drains clean on a shutdown request, and
+# exits 0 — and a SIGKILL mid-snapshot-write must recover the last-good
+# image on restart. `server_loop` runs the deadline, quarantine, shed and
+# save paths under optimized codegen too.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-serve \
-    --test server_smoke --test crash_safety
+    --test server_smoke --test crash_safety --test server_loop
 # Policy-safety gate: the generated tiny world must audit clean (the
 # binary exits 1 on any Error-severity finding).
 run cargo run "${OFFLINE[@]}" --release -p ir-experiments --bin audit -- --scale tiny --seed 7
