@@ -11,17 +11,21 @@
 //! match answers arriving in completion order — rejections included,
 //! whenever the offending line was a JSON object with a numeric `id`.
 //!
-//! Encoders are written with [`json!`], except the per-row objects of a
-//! what-if reply: a wide reply carries thousands of diff rows, each with
-//! two route objects, and those are built at exact capacity and moved (not
-//! re-serialized) into the reply.
+//! Cold encoders are written with [`json!`]. The two hot replies — a
+//! what-if answer and a `route` lookup — are streamed instead: a wide
+//! answer carries thousands of diff rows, each with two route objects, so
+//! [`ok_response`] writes envelope, rows and tail straight into one
+//! `String`, pre-sized to an upper bound on the line (its `'\n'`
+//! included), with no per-row allocation and no value tree.
 
 use crate::server::{ServeStats, OP_NAMES};
 use ir_bgp::{
-    Announcement, CertificateDelta, Delta, DeltaStats, QueryError, Route, ShapeWaits, WhatIfAnswer,
+    Announcement, CertificateDelta, Delta, DeltaStats, QueryError, Route, Segment, ShapeWaits,
+    WhatIfAnswer,
 };
 use ir_types::{Asn, Prefix};
 use serde_json::{json, Deserialize, Value};
+use std::fmt::Write as _;
 
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -378,87 +382,195 @@ fn reply(id: Option<u64>, status: &str, fields: Value) -> String {
     tagged(id, "status", status, fields)
 }
 
-/// Encodes a route for the wire (`null` when the AS holds no route). Built
-/// by hand at exact capacity: two of these per diff row dominate a wide
-/// reply's encode time.
-fn route_to_value(route: &Option<Route>) -> Value {
-    match route {
-        None => Value::Null,
-        Some(r) => Value::Object(vec![
-            (
-                "via".to_string(),
-                match r.learned_from {
-                    Some(a) => Value::UInt(u64::from(a.value())),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "path".to_string(),
-                Value::Array(
-                    r.path
-                        .asns()
-                        .map(|a| Value::UInt(u64::from(a.value())))
-                        .collect(),
-                ),
-            ),
-            (
-                "local_pref".to_string(),
-                Value::Int(i64::from(r.local_pref)),
-            ),
-            ("age".to_string(), Value::UInt(r.age.0)),
-        ]),
+/// Appends `n` in decimal: the digit writer every streamed integer goes
+/// through.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
     }
 }
 
-/// Adds the tail a served and a degraded answer share: the effort `stats`,
+fn push_i64(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    push_u64(out, n.unsigned_abs());
+}
+
+/// Most bytes an ASN, a `u64` and an `i32` take in decimal.
+const ASN_DIGITS: usize = 10;
+const U64_DIGITS: usize = 20;
+const I32_DIGITS: usize = 11;
+
+/// Upper bound on the bytes [`push_route`] writes for `route`.
+fn route_bound(route: &Option<Route>) -> usize {
+    let Some(r) = route else { return 4 };
+    let asns: usize = r
+        .path
+        .segments()
+        .iter()
+        .map(|s| match s {
+            Segment::Seq(v) => v.len(),
+            Segment::Set(set) => set.len(),
+        })
+        .sum();
+    r#"{"via":,"path":[],"local_pref":,"age":}"#.len()
+        + ASN_DIGITS
+        + asns * (ASN_DIGITS + 1)
+        + I32_DIGITS
+        + U64_DIGITS
+}
+
+/// Appends a route's wire object (`null` when the AS holds no route): the
+/// one route encoder, shared by diff rows and `route` lookups.
+fn push_route(out: &mut String, route: &Option<Route>) {
+    let Some(r) = route else {
+        out.push_str("null");
+        return;
+    };
+    out.push_str(r#"{"via":"#);
+    match r.learned_from {
+        Some(a) => push_u64(out, u64::from(a.value())),
+        None => out.push_str("null"),
+    }
+    out.push_str(r#","path":["#);
+    for segment in r.path.segments() {
+        match segment {
+            Segment::Seq(v) => push_asns(out, v),
+            Segment::Set(set) => push_asns(out, set),
+        }
+    }
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str(r#"],"local_pref":"#);
+    push_i64(out, i64::from(r.local_pref));
+    out.push_str(r#","age":"#);
+    push_u64(out, r.age.0);
+    out.push('}');
+}
+
+/// Appends each ASN with a trailing comma ([`push_route`] drops the last).
+fn push_asns<'a>(out: &mut String, asns: impl IntoIterator<Item = &'a Asn>) {
+    for a in asns {
+        push_u64(out, u64::from(a.value()));
+        out.push(',');
+    }
+}
+
+/// Upper bound on [`ok_head`]'s bytes.
+const HEAD_BOUND: usize =
+    r#"{"id":,"status":"ok","prefix":"255.255.255.255/32""#.len() + U64_DIGITS;
+
+/// Appends the head of a streamed `status: ok` reply, up to and including
+/// its `prefix` member.
+fn ok_head(out: &mut String, id: Option<u64>, prefix: Prefix) {
+    out.push('{');
+    if let Some(id) = id {
+        out.push_str(r#""id":"#);
+        push_u64(out, id);
+        out.push(',');
+    }
+    // A prefix (`a.b.c.d/len`) needs no escaping.
+    let _ = write!(out, r#""status":"ok","prefix":"{prefix}""#);
+}
+
+/// Upper bound on the bytes [`answer_tail`] writes.
+fn tail_bound(certificate: Option<&CertificateDelta>) -> usize {
+    const STATS: usize = r#","stats":{"deltas_applied":,"ases_seeded":,"activations":,"rounds":,"routes_retained":,"routes_changed":,"converged":false,"deadline_aborted":false}"#.len()
+        + 6 * U64_DIGITS;
+    let text = match certificate {
+        None => return STATS,
+        Some(CertificateDelta::Revoked { rule, .. }) => "revoked:".len() + rule.len(),
+        Some(_) => "preserved".len(),
+    };
+    // Escaping at most sextuples a byte (`\u00XX`).
+    STATS + r#","certificate":"""#.len() + 6 * text
+}
+
+/// Appends the tail a served and a degraded answer share: the effort `stats`,
 /// and the `certificate` verdict when the server's incremental delta
 /// auditor judged the edit set (`"preserved"`, `"revoked:IR-A002"`, or
 /// `"unknown"`; absent when no certifier is attached — wave-exact servers
 /// have no certificate to maintain).
 fn answer_tail(
-    fields: &mut Value,
+    out: &mut String,
     stats: Option<&DeltaStats>,
     certificate: Option<&CertificateDelta>,
 ) {
     if let Some(s) = stats {
-        fields["stats"] = json!({
-            "deltas_applied": s.deltas_applied,
-            "ases_seeded": s.ases_seeded,
-            "activations": s.activations,
-            "rounds": s.rounds,
-            "routes_retained": s.routes_retained,
-            "routes_changed": s.routes_changed,
-            "converged": s.converged,
-            "deadline_aborted": s.deadline_aborted
-        });
+        let counts = [
+            ("deltas_applied", s.deltas_applied),
+            ("ases_seeded", s.ases_seeded),
+            ("activations", s.activations),
+            ("rounds", s.rounds),
+            ("routes_retained", s.routes_retained),
+            ("routes_changed", s.routes_changed),
+        ];
+        out.push_str(r#","stats":{"#);
+        for (key, n) in counts {
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+            push_u64(out, n as u64);
+            out.push(',');
+        }
+        let flag = |b: bool| if b { "true" } else { "false" };
+        out.push_str(r#""converged":"#);
+        out.push_str(flag(s.converged));
+        out.push_str(r#","deadline_aborted":"#);
+        out.push_str(flag(s.deadline_aborted));
+        out.push('}');
     }
     if let Some(c) = certificate {
-        fields["certificate"] = json!(c.to_string());
+        out.push_str(r#","certificate":"#);
+        // The rule is free text: serde_json escapes it.
+        let verdict = Value::String(c.to_string());
+        out.push_str(&serde_json::to_string(&verdict).unwrap_or_default());
     }
 }
 
 /// `status: ok` response for a served answer. A degraded answer (tripped
 /// budget or open breaker) instead goes through [`degraded_response`].
 pub fn ok_response(id: Option<u64>, answer: &WhatIfAnswer) -> String {
-    let diffs = answer
+    const ROW: usize = r#"{"asn":,"before":,"after":},"#.len() + ASN_DIGITS;
+    let rows: usize = answer
         .diffs
         .iter()
-        .map(|d| {
-            Value::Object(vec![
-                ("asn".to_string(), Value::UInt(u64::from(d.asn.value()))),
-                ("before".to_string(), route_to_value(&d.before)),
-                ("after".to_string(), route_to_value(&d.after)),
-            ])
-        })
-        .collect();
-    let mut fields = json!({"prefix": answer.prefix.to_string()});
-    fields["diffs"] = Value::Array(diffs);
-    answer_tail(
-        &mut fields,
-        Some(&answer.stats),
-        answer.certificate.as_ref(),
-    );
-    reply(id, "ok", fields)
+        .map(|d| ROW + route_bound(&d.before) + route_bound(&d.after))
+        .sum();
+    let cap =
+        HEAD_BOUND + r#","diffs":[]}"#.len() + rows + tail_bound(answer.certificate.as_ref()) + 1;
+    let mut out = String::with_capacity(cap);
+    ok_head(&mut out, id, answer.prefix);
+    out.push_str(r#","diffs":["#);
+    for d in &answer.diffs {
+        out.push_str(r#"{"asn":"#);
+        push_u64(&mut out, u64::from(d.asn.value()));
+        out.push_str(r#","before":"#);
+        push_route(&mut out, &d.before);
+        out.push_str(r#","after":"#);
+        push_route(&mut out, &d.after);
+        out.push_str("},");
+    }
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push(']');
+    answer_tail(&mut out, Some(&answer.stats), answer.certificate.as_ref());
+    out.push('}');
+    debug_assert!(out.len() < cap, "reply outgrew its bound");
+    out
 }
 
 /// `status: degraded` response: the query could not be answered exactly
@@ -471,16 +583,25 @@ pub fn degraded_response(
     stats: Option<&DeltaStats>,
     certificate: Option<&CertificateDelta>,
 ) -> String {
-    let mut fields = json!({"degraded": markers, "prefix": prefix.to_string(), "diffs": []});
-    answer_tail(&mut fields, stats, certificate);
-    reply(id, "degraded", fields)
+    let fields = json!({"degraded": markers, "prefix": prefix.to_string(), "diffs": []});
+    let mut out = reply(id, "degraded", fields);
+    // Reopen the object for the shared tail.
+    out.pop();
+    answer_tail(&mut out, stats, certificate);
+    out.push('}');
+    out
 }
 
 /// `status: ok` response for a `route` lookup: the base route at one AS.
 pub fn route_response(id: Option<u64>, prefix: Prefix, route: &Option<Route>) -> String {
-    let mut fields = json!({"prefix": prefix.to_string()});
-    fields["route"] = route_to_value(route);
-    reply(id, "ok", fields)
+    let cap = HEAD_BOUND + r#","route":}"#.len() + route_bound(route) + 1;
+    let mut out = String::with_capacity(cap);
+    ok_head(&mut out, id, prefix);
+    out.push_str(r#","route":"#);
+    push_route(&mut out, route);
+    out.push('}');
+    debug_assert!(out.len() < cap, "reply outgrew its bound");
+    out
 }
 
 /// `status: ok` response for the `health` probe.

@@ -1,8 +1,10 @@
 //! Golden wire bytes: the exact line for every [`Delta`] kind in every
 //! optional-field state, every request builder and every response encoder,
 //! plus the decode direction (`null` / absent / set), the rejection wording,
-//! and a round-trip proptest over all ten delta kinds. The README protocol
-//! reference and DESIGN.md §12 are checked against this table.
+//! a round-trip proptest over all ten delta kinds, and an oracle proptest
+//! holding the streamed answer encoders to the value-tree encoding they
+//! replaced. The README protocol reference and DESIGN.md §12 are checked
+//! against this table.
 
 use ir_bgp::{
     ActivationOrder, Announcement, AsPath, CertificateDelta, Delta, DeltaStats, QueryError, Route,
@@ -10,7 +12,7 @@ use ir_bgp::{
 };
 use ir_serve::protocol::{
     audit_response, degraded_response, delta_from_value, delta_to_value, error_response,
-    ok_response, query_error_response, shed_response,
+    ok_response, query_error_response, route_response, shed_response,
 };
 use ir_serve::{
     control_line, hijack_line, parse_request, route_line, stats_response, whatif_line, Client,
@@ -19,7 +21,7 @@ use ir_serve::{
 use ir_topology::GeneratorConfig;
 use ir_types::{Asn, Ipv4, Prefix, Timestamp};
 use proptest::prelude::*;
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::collections::BTreeSet;
 use std::net::TcpListener;
 
@@ -649,6 +651,223 @@ proptest! {
         let line = serde_json::to_string(&v).unwrap();
         let reparsed: Value = serde_json::from_str(&line).unwrap();
         prop_assert_eq!(delta_from_value(&reparsed), Ok(d));
+    }
+}
+
+/// A `local_pref` that is often an edge: `i32::MIN`, `i32::MAX`, or negative.
+fn local_pref() -> impl Strategy<Value = i32> {
+    (0u8..4, any::<i32>()).prop_map(|(pick, x)| match pick {
+        0 => i32::MIN,
+        1 => i32::MAX,
+        2 => -(x & 0x3ff),
+        _ => x,
+    })
+}
+
+/// An `age` that is often `u64::MAX`.
+fn age() -> impl Strategy<Value = u64> {
+    (0u8..3, any::<u64>()).prop_map(|(pick, x)| match pick {
+        0 => u64::MAX,
+        1 => x % 100,
+        _ => x,
+    })
+}
+
+/// A route whose path is a plain or poisoned origination with any number
+/// of prepend runs in front, learned from a neighbor or originated.
+fn arbitrary_route() -> impl Strategy<Value = Route> {
+    (
+        (asn(), asns()),
+        proptest::collection::vec((asn(), 1usize..4), 0..4),
+        proptest::option::of(asn()),
+        local_pref(),
+        age(),
+    )
+        .prop_map(|((origin, poison), prepends, via, local_pref, age)| {
+            let mut path = AsPath::poisoned(origin, &poison);
+            for (a, n) in prepends {
+                path = path.prepend_n(a, n);
+            }
+            let mut r = Route::originate(prefix(), path, Timestamp(age));
+            r.learned_from = via;
+            r.local_pref = local_pref;
+            r
+        })
+}
+
+/// `None`, `0`, `u64::MAX`, or any id.
+fn wire_id() -> impl Strategy<Value = Option<u64>> {
+    (0u8..4, any::<u64>()).prop_map(|(pick, x)| match pick {
+        0 => None,
+        1 => Some(0),
+        2 => Some(u64::MAX),
+        _ => Some(x),
+    })
+}
+
+/// Every certificate state; revoked rules carry quotes, backslashes and
+/// control characters that must be escaped.
+fn certificate() -> impl Strategy<Value = Option<CertificateDelta>> {
+    (0u8..5, proptest::collection::vec(0u8..8, 0..6)).prop_map(|(pick, chars)| match pick {
+        0 => None,
+        1 => Some(CertificateDelta::Preserved),
+        2 => Some(CertificateDelta::Unknown),
+        3 => Some(CertificateDelta::Revoked {
+            rule: r#"GR-"PREF"\x"#.into(),
+            witness: "w".into(),
+        }),
+        _ => Some(CertificateDelta::Revoked {
+            rule: chars
+                .iter()
+                .map(|&c| ['"', '\\', '\n', '\u{1}', 'é', '/', 'A', '-'][usize::from(c)])
+                .collect(),
+            witness: String::new(),
+        }),
+    })
+}
+
+fn arbitrary_stats() -> impl Strategy<Value = DeltaStats> {
+    (
+        (any::<usize>(), any::<usize>(), 0usize..1000),
+        (any::<usize>(), any::<usize>()),
+        any::<usize>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(
+                (deltas_applied, ases_seeded, activations),
+                (rounds, routes_retained),
+                routes_changed,
+                converged,
+                deadline_aborted,
+            )| DeltaStats {
+                deltas_applied,
+                ases_seeded,
+                activations,
+                imports: 0,
+                rounds,
+                routes_retained,
+                routes_changed,
+                converged,
+                deadline_aborted,
+            },
+        )
+}
+
+fn arbitrary_answer() -> impl Strategy<Value = WhatIfAnswer> {
+    let row = (
+        asn(),
+        proptest::option::of(arbitrary_route()),
+        proptest::option::of(arbitrary_route()),
+    )
+        .prop_map(|(asn, before, after)| RouteDiff { asn, before, after });
+    (
+        wire_prefix(),
+        proptest::collection::vec(row, 0..=40),
+        arbitrary_stats(),
+        certificate(),
+    )
+        .prop_map(|(prefix, diffs, stats, certificate)| WhatIfAnswer {
+            prefix,
+            diffs,
+            stats,
+            certificate,
+        })
+}
+
+/// The value-tree route encoding the streamed writer replaced.
+fn route_tree(route: &Option<Route>) -> Value {
+    match route {
+        None => Value::Null,
+        Some(r) => json!({
+            "via": r.learned_from.map(|a| a.value()),
+            "path": r.path.asns().map(|a| a.value()).collect::<Vec<_>>(),
+            "local_pref": r.local_pref,
+            "age": r.age.0
+        }),
+    }
+}
+
+/// `{"id"?, "status": "ok", "prefix": …}`, the head of both hot replies.
+fn ok_tree(id: Option<u64>, prefix: Prefix) -> Value {
+    let mut v = json!({});
+    if let Some(id) = id {
+        v["id"] = json!(id);
+    }
+    v["status"] = json!("ok");
+    v["prefix"] = json!(prefix.to_string());
+    v
+}
+
+/// The value-tree `ok_response` encoding the streamed writer replaced.
+fn answer_tree(id: Option<u64>, a: &WhatIfAnswer) -> Value {
+    let mut v = ok_tree(id, a.prefix);
+    v["diffs"] = Value::Array(
+        a.diffs
+            .iter()
+            .map(|d| {
+                json!({
+                    "asn": d.asn.value(),
+                    "before": route_tree(&d.before),
+                    "after": route_tree(&d.after)
+                })
+            })
+            .collect(),
+    );
+    let s = &a.stats;
+    v["stats"] = json!({
+        "deltas_applied": s.deltas_applied,
+        "ases_seeded": s.ases_seeded,
+        "activations": s.activations,
+        "rounds": s.rounds,
+        "routes_retained": s.routes_retained,
+        "routes_changed": s.routes_changed,
+        "converged": s.converged,
+        "deadline_aborted": s.deadline_aborted
+    });
+    if let Some(c) = &a.certificate {
+        v["certificate"] = json!(c.to_string());
+    }
+    v
+}
+
+/// A tree as the parser reads it back: JSON has one non-negative integer
+/// form, which the parser yields as `UInt`.
+fn as_parsed(v: Value) -> Value {
+    match v {
+        Value::Int(i) if i >= 0 => Value::UInt(i as u64),
+        Value::Array(items) => Value::Array(items.into_iter().map(as_parsed).collect()),
+        Value::Object(entries) => Value::Object(
+            entries
+                .into_iter()
+                .map(|(k, x)| (k, as_parsed(x)))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+    /// The streamed `ok_response` and `route_response` write exactly the
+    /// bytes of the tree encoding, and the line parses back to that tree.
+    #[test]
+    fn streamed_answers_equal_the_tree_encoding(
+        id in wire_id(),
+        answer in arbitrary_answer(),
+        route in proptest::option::of(arbitrary_route()),
+    ) {
+        let tree = answer_tree(id, &answer);
+        let line = ok_response(id, &answer);
+        prop_assert_eq!(&line, &serde_json::to_string(&tree).unwrap());
+        prop_assert_eq!(serde_json::from_str::<Value>(&line).unwrap(), as_parsed(tree));
+
+        let mut tree = ok_tree(id, answer.prefix);
+        tree["route"] = route_tree(&route);
+        let line = route_response(id, answer.prefix, &route);
+        prop_assert_eq!(&line, &serde_json::to_string(&tree).unwrap());
+        prop_assert_eq!(serde_json::from_str::<Value>(&line).unwrap(), as_parsed(tree));
     }
 }
 

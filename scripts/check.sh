@@ -81,8 +81,10 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test oscillation_differe
 # exits 0 — and a SIGKILL mid-snapshot-write must recover the last-good
 # image on restart. `server_loop` runs the deadline, quarantine, shed and
 # save paths under optimized codegen too.
+# `wire_golden` + `wire_alloc`: streamed replies keep bytes and allocation bound optimized.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-serve \
-    --test server_smoke --test crash_safety --test server_loop
+    --test server_smoke --test crash_safety --test server_loop \
+    --test wire_golden --test wire_alloc
 # Policy-safety gate: the generated tiny world must audit clean (the
 # binary exits 1 on any Error-severity finding).
 run cargo run "${OFFLINE[@]}" --release -p ir-experiments --bin audit -- --scale tiny --seed 7
