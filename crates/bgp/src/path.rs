@@ -198,6 +198,15 @@ impl fmt::Display for AsPath {
 }
 
 #[cfg(test)]
+impl AsPath {
+    /// Allocated segment slots (the arena's exact-size materialization is
+    /// tested against it).
+    pub(crate) fn segments_capacity(&self) -> usize {
+        self.0.capacity()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -14,23 +14,23 @@
 //! * **prepend is O(1)** — exporting a route is one cons (a map probe and,
 //!   on first sight, one cell push), instead of cloning the whole path.
 //!
-//! Cells are append-only and never invalidated: a [`PathId`] taken from an
-//! arena stays valid (and keeps materializing the same path) for the
-//! arena's lifetime, across any number of later events or simulations
-//! sharing it. Per-cell metadata caches the decision-process inputs (BGP
-//! length, has-AS-set) so the hot comparisons never walk the chain; loop
-//! prevention and the domestic-path check walk interned cells directly
-//! with no allocation.
+//! Cells are append-only between rollbacks: a [`PathId`] keeps
+//! materializing the same path across any number of later events, until
+//! the arena rolls back past it. Per-cell metadata caches the
+//! decision-process inputs (BGP length, has-AS-set) so the hot comparisons
+//! never walk the chain; loop prevention and the domestic-path check walk
+//! interned cells with no allocation, import policy in one walk.
 //!
-//! The arena is shared via `Arc` and internally synchronized (a poisoned
-//! lock is recovered, never propagated — library code must not panic).
-//! Interning hit/miss counters feed [`crate::MemoryBudget`].
+//! An arena is plain, unsynchronized data with one owner: the
+//! [`crate::PrefixSim`] that interns into it, or an immutable converged
+//! shape table behind an `Arc`. An in-place query rolls its sim's arena
+//! back to the extent it began with, so the cells a query interns die with
+//! it. Interning hit/miss counters feed [`crate::MemoryBudget`].
 
 use crate::path::{AsPath, Segment};
 use ir_types::Asn;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Handle of an interned path. Within one [`PathArena`], two handles are
 /// equal iff the paths they denote are equal.
@@ -66,28 +66,55 @@ struct Cell {
 const META_IS_SET: u8 = 1;
 const META_HAS_SET: u8 = 2;
 
-/// Serialized form of one cons cell — `(is_set, elem, tail)` — exchanged
-/// with the snapshot codec by [`PathArena::raw_cells`] / [`PathArena::from_raw`].
+impl Cell {
+    fn key(&self) -> RawCell {
+        (self.meta & META_IS_SET != 0, self.elem, self.tail)
+    }
+}
+
+/// One cons cell as `(is_set, elem, tail)`: its hash-consing key, and its
+/// serialized form exchanged with the snapshot codec by
+/// [`PathArena::raw_cells`] / [`PathArena::from_raw`].
 pub(crate) type RawCell = (bool, u32, u32);
 
+/// Fx-style multiplicative hasher for the cell map. Its keys are world
+/// ASNs, set indices and arena ids (a request adds a forged origin at
+/// most), so the keyed std hasher would only cost on every cons. The set
+/// map, keyed by request-supplied poison lists, keeps the std hasher.
 #[derive(Default)]
-struct ArenaCore {
-    cells: Vec<Cell>,
-    /// `(is_set, elem, tail)` → cell id: the hash-consing map.
-    dedup: HashMap<(bool, u32, u32), u32>,
-    /// Interned AS-sets (members sorted ascending).
-    sets: Vec<Vec<Asn>>,
-    set_dedup: HashMap<Vec<Asn>, u32>,
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
 }
 
 /// Hash-consed path store. See the module docs for the contract.
 #[derive(Default)]
 pub struct PathArena {
-    core: RwLock<ArenaCore>,
+    cells: Vec<Cell>,
+    /// `(is_set, elem, tail)` → cell id: the hash-consing map.
+    dedup: HashMap<RawCell, u32, BuildHasherDefault<CellHasher>>,
+    /// Interned AS-sets (members sorted ascending).
+    sets: Vec<Vec<Asn>>,
+    set_dedup: HashMap<Vec<Asn>, u32>,
     /// Cons calls answered from the dedup map.
-    hits: AtomicU64,
+    hits: u64,
     /// Cons calls that allocated a fresh cell.
-    misses: AtomicU64,
+    misses: u64,
 }
 
 /// Snapshot of an arena's occupancy, for [`crate::MemoryBudget`].
@@ -111,78 +138,47 @@ impl PathArena {
         PathArena::default()
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, ArenaCore> {
-        match self.core.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// The cell heading `id` (`None` for the empty path).
+    #[inline]
+    fn head(&self, id: PathId) -> Option<&Cell> {
+        (!id.is_empty()).then(|| &self.cells[id.0 as usize])
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, ArenaCore> {
-        match self.core.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// The cells of `id`'s path, head first.
+    #[inline]
+    fn walk(&self, id: PathId) -> impl Iterator<Item = &Cell> + '_ {
+        std::iter::successors(self.head(id), |c| self.head(PathId(c.tail)))
     }
 
     /// Interns one element in front of `tail`. The only cell constructor:
     /// every path in the arena is a chain of `cons` results, so structural
     /// sharing and the equal-path ⇔ equal-handle invariant hold by
     /// construction.
-    fn cons(&self, is_set: bool, elem: u32, tail: PathId) -> PathId {
-        let key = (is_set, elem, tail.0);
-        if let Some(&id) = self.read().dedup.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+    fn cons(&mut self, is_set: bool, elem: u32, tail: PathId) -> PathId {
+        let next = self.cells.len() as u32;
+        let id = *self.dedup.entry((is_set, elem, tail.0)).or_insert(next);
+        if id != next {
+            self.hits += 1;
             return PathId(id);
         }
-        let mut core = self.write();
-        // Re-check under the write lock: another thread may have interned
-        // the same cell between our read probe and here.
-        if let Some(&id) = core.dedup.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return PathId(id);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (tail_len, tail_meta) = match tail {
-            PathId::EMPTY => (0, 0),
-            PathId(t) => {
-                let c = &core.cells[t as usize];
-                (c.len, c.meta)
-            }
-        };
+        self.misses += 1;
+        let (tail_len, tail_meta) = self.head(tail).map_or((0, 0), |c| (c.len, c.meta));
         let mut meta = tail_meta & META_HAS_SET;
         if is_set {
             meta |= META_IS_SET | META_HAS_SET;
         }
-        let id = core.cells.len() as u32;
-        core.cells.push(Cell {
+        self.cells.push(Cell {
             elem,
             tail: tail.0,
             len: tail_len + 1,
             meta,
         });
-        core.dedup.insert(key, id);
         PathId(id)
-    }
-
-    fn intern_set(&self, members: &BTreeSet<Asn>) -> u32 {
-        let sorted: Vec<Asn> = members.iter().copied().collect();
-        if let Some(&id) = self.read().set_dedup.get(&sorted) {
-            return id;
-        }
-        let mut core = self.write();
-        if let Some(&id) = core.set_dedup.get(&sorted) {
-            return id;
-        }
-        let id = core.sets.len() as u32;
-        core.sets.push(sorted.clone());
-        core.set_dedup.insert(sorted, id);
-        id
     }
 
     /// Interns a full [`AsPath`]. Idempotent: equal paths yield equal
     /// handles.
-    pub fn intern(&self, path: &AsPath) -> PathId {
+    pub fn intern(&mut self, path: &AsPath) -> PathId {
         let mut id = PathId::EMPTY;
         for seg in path.segments().iter().rev() {
             match seg {
@@ -192,8 +188,15 @@ impl PathArena {
                     }
                 }
                 Segment::Set(s) => {
-                    let set_id = self.intern_set(s);
-                    id = self.cons(true, set_id, id);
+                    let next = self.sets.len() as u32;
+                    let set = *self
+                        .set_dedup
+                        .entry(s.iter().copied().collect())
+                        .or_insert(next);
+                    if set == next {
+                        self.sets.push(s.iter().copied().collect());
+                    }
+                    id = self.cons(true, set, id);
                 }
             }
         }
@@ -202,7 +205,7 @@ impl PathArena {
 
     /// Prepends `count` copies of `asn` — the export operation. O(count)
     /// cons calls, O(1) amortized once the suffix is warm.
-    pub fn prepend_n(&self, id: PathId, asn: Asn, count: usize) -> PathId {
+    pub fn prepend_n(&mut self, id: PathId, asn: Asn, count: usize) -> PathId {
         let mut id = id;
         for _ in 0..count {
             id = self.cons(false, asn.0, id);
@@ -213,24 +216,30 @@ impl PathArena {
     /// Reconstructs the [`AsPath`] behind a handle. The inverse of
     /// [`PathArena::intern`]: round-trips every path the engine announces
     /// (canonical segment form — no empty or adjacent sequence segments,
-    /// exactly what [`AsPath`]'s constructors produce).
+    /// exactly what [`AsPath`]'s constructors produce). A path without an
+    /// AS-set — nearly every route — is one walk into one sequence vector
+    /// sized from the cached length, in a one-slot segment vector.
     pub fn materialize(&self, id: PathId) -> AsPath {
-        let core = self.read();
+        let Some(head) = self.head(id) else {
+            return AsPath::empty();
+        };
+        if head.meta & META_HAS_SET == 0 {
+            let mut seq = Vec::with_capacity(head.len as usize);
+            seq.extend(self.walk(id).map(|c| Asn(c.elem)));
+            return AsPath::from_segments(vec![Segment::Seq(seq)]);
+        }
         let mut segs: Vec<Segment> = Vec::new();
         let mut seq: Vec<Asn> = Vec::new();
-        let mut cur = id.0;
-        while cur != u32::MAX {
-            let c = &core.cells[cur as usize];
+        for c in self.walk(id) {
             if c.meta & META_IS_SET != 0 {
                 if !seq.is_empty() {
                     segs.push(Segment::Seq(std::mem::take(&mut seq)));
                 }
-                let members: BTreeSet<Asn> = core.sets[c.elem as usize].iter().copied().collect();
+                let members: BTreeSet<Asn> = self.sets[c.elem as usize].iter().copied().collect();
                 segs.push(Segment::Set(members));
             } else {
                 seq.push(Asn(c.elem));
             }
-            cur = c.tail;
         }
         if !seq.is_empty() {
             segs.push(Segment::Seq(seq));
@@ -240,72 +249,69 @@ impl PathArena {
 
     /// BGP length of the path (sets count one) — cached, no walk.
     pub fn len(&self, id: PathId) -> usize {
-        match id {
-            PathId::EMPTY => 0,
-            PathId(i) => self.read().cells[i as usize].len as usize,
-        }
+        self.head(id).map_or(0, |c| c.len as usize)
     }
 
     /// Whether the path carries an AS-set anywhere — cached, no walk.
     pub fn has_set(&self, id: PathId) -> bool {
-        match id {
-            PathId::EMPTY => false,
-            PathId(i) => self.read().cells[i as usize].meta & META_HAS_SET != 0,
-        }
+        self.head(id).is_some_and(|c| c.meta & META_HAS_SET != 0)
+    }
+
+    /// Whether `asn` is a member of the AS-set cell `c`.
+    fn set_holds(&self, c: &Cell, asn: Asn) -> bool {
+        self.sets[c.elem as usize].binary_search(&asn).is_ok()
     }
 
     /// Whether `asn` appears anywhere — sequences *or* sets (the BGP
     /// loop-prevention check, and why poisoning works).
     pub fn contains(&self, id: PathId, asn: Asn) -> bool {
-        let core = self.read();
-        let mut cur = id.0;
-        while cur != u32::MAX {
-            let c = &core.cells[cur as usize];
+        self.walk(id).any(|c| {
             if c.meta & META_IS_SET != 0 {
-                if core.sets[c.elem as usize].binary_search(&asn).is_ok() {
-                    return true;
-                }
-            } else if c.elem == asn.0 {
-                return true;
+                self.set_holds(c, asn)
+            } else {
+                c.elem == asn.0
             }
-            cur = c.tail;
-        }
-        false
+        })
     }
 
     /// Whether `asn` appears in a sequence segment (a genuine routing
     /// loop, rejected even by `no_loop_prevention` ASes).
     pub fn seq_contains(&self, id: PathId, asn: Asn) -> bool {
-        let core = self.read();
+        self.walk(id)
+            .any(|c| c.meta & META_IS_SET == 0 && c.elem == asn.0)
+    }
+
+    /// Everything import policy asks of `id` for importer `asn`, in one
+    /// walk: `(seq_contains, contains, has_set, len)` — whether `asn` is in
+    /// a sequence segment, whether it is anywhere, whether the path
+    /// carries an AS-set, and its BGP length. A sequence hit answers both
+    /// loop questions, so the walk stops there.
+    pub(crate) fn scan(&self, id: PathId, asn: Asn) -> (bool, bool, bool, usize) {
+        let mut in_set = false;
         let mut cur = id.0;
         while cur != u32::MAX {
-            let c = &core.cells[cur as usize];
-            if c.meta & META_IS_SET == 0 && c.elem == asn.0 {
-                return true;
+            let c = &self.cells[cur as usize];
+            if c.meta & META_IS_SET != 0 {
+                in_set |= self.set_holds(c, asn);
+            } else if c.elem == asn.0 {
+                return (true, true, self.has_set(id), self.len(id));
             }
             cur = c.tail;
         }
-        false
+        (false, in_set, self.has_set(id), self.len(id))
     }
 
     /// Whether every ASN on the path (sequence entries and set members)
     /// satisfies `f` — the shape of the domestic-path check, walked over
     /// interned cells with no allocation.
     pub fn asns_all(&self, id: PathId, mut f: impl FnMut(Asn) -> bool) -> bool {
-        let core = self.read();
-        let mut cur = id.0;
-        while cur != u32::MAX {
-            let c = &core.cells[cur as usize];
+        self.walk(id).all(|c| {
             if c.meta & META_IS_SET != 0 {
-                if !core.sets[c.elem as usize].iter().all(|&a| f(a)) {
-                    return false;
-                }
-            } else if !f(Asn(c.elem)) {
-                return false;
+                self.sets[c.elem as usize].iter().all(|&a| f(a))
+            } else {
+                f(Asn(c.elem))
             }
-            cur = c.tail;
-        }
-        true
+        })
     }
 
     /// The originating AS — the last *sequence* element, sets skipped,
@@ -313,33 +319,36 @@ impl PathArena {
     /// (ROV-style [`crate::extension::PolicyExtension`]s) reads per import,
     /// walked over interned cells with no allocation.
     pub fn origin_as(&self, id: PathId) -> Option<Asn> {
-        let core = self.read();
-        let mut cur = id.0;
-        let mut last = None;
-        while cur != u32::MAX {
-            let c = &core.cells[cur as usize];
-            if c.meta & META_IS_SET == 0 {
-                last = Some(Asn(c.elem));
-            }
-            cur = c.tail;
-        }
-        last
+        self.walk(id)
+            .filter(|c| c.meta & META_IS_SET == 0)
+            .last()
+            .map(|c| Asn(c.elem))
     }
 
     /// The first (most recent) *sequence* AS on the path, mirroring
     /// [`AsPath::first`] — what an enforce-first-AS import check compares
     /// against the session peer.
     pub fn first_as(&self, id: PathId) -> Option<Asn> {
-        let core = self.read();
-        let mut cur = id.0;
-        while cur != u32::MAX {
-            let c = &core.cells[cur as usize];
-            if c.meta & META_IS_SET == 0 {
-                return Some(Asn(c.elem));
-            }
-            cur = c.tail;
+        self.walk(id)
+            .find(|c| c.meta & META_IS_SET == 0)
+            .map(|c| Asn(c.elem))
+    }
+
+    /// Returns the arena to the extent `mark` (an earlier
+    /// [`PathArena::stats`] of it) recorded: drops every cell and set
+    /// interned since, with their dedup keys, and restores the hit/miss
+    /// counters. Handles minted before the mark keep materializing the same
+    /// paths; handles minted after it are dead, and re-interning their
+    /// paths mints the same ids again in the same order.
+    pub(crate) fn roll_back(&mut self, mark: ArenaStats) {
+        for c in self.cells.drain(mark.cells..) {
+            self.dedup.remove(&c.key());
         }
-        None
+        for s in self.sets.drain(mark.sets..) {
+            self.set_dedup.remove(&s);
+        }
+        self.hits = mark.hits;
+        self.misses = mark.misses;
     }
 
     /// Raw dump for snapshot serialization: every cell as `(is_set, elem,
@@ -348,13 +357,10 @@ impl PathArena {
     /// ids**, so serialized [`PathId`]s stay valid against the reloaded
     /// arena.
     pub(crate) fn raw_cells(&self) -> (Vec<RawCell>, Vec<Vec<Asn>>) {
-        let core = self.read();
-        let cells = core
-            .cells
-            .iter()
-            .map(|c| (c.meta & META_IS_SET != 0, c.elem, c.tail))
-            .collect();
-        (cells, core.sets.clone())
+        (
+            self.cells.iter().map(Cell::key).collect(),
+            self.sets.clone(),
+        )
     }
 
     /// Rebuilds an arena from [`PathArena::raw_cells`] output, recomputing
@@ -367,76 +373,55 @@ impl PathArena {
         if cells.len() >= u32::MAX as usize || sets.len() >= u32::MAX as usize {
             return None;
         }
-        for s in &sets {
-            if !s.windows(2).all(|w| w[0] < w[1]) {
-                return None;
-            }
+        if !sets.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])) {
+            return None;
         }
-        let mut core = ArenaCore {
+        let mut arena = PathArena {
             cells: Vec::with_capacity(cells.len()),
-            dedup: HashMap::with_capacity(cells.len()),
+            dedup: HashMap::with_capacity_and_hasher(cells.len(), Default::default()),
             set_dedup: sets
                 .iter()
                 .enumerate()
                 .map(|(i, s)| (s.clone(), i as u32))
                 .collect(),
             sets,
+            ..PathArena::default()
         };
-        if core.set_dedup.len() != core.sets.len() {
+        if arena.set_dedup.len() != arena.sets.len() {
             return None; // duplicate sets
         }
         for (id, &(is_set, elem, tail)) in cells.iter().enumerate() {
-            let (tail_len, tail_meta) = if tail == u32::MAX {
-                (0, 0)
-            } else {
-                // Append-only invariant: a tail always precedes its cell.
-                if tail as usize >= id {
-                    return None;
-                }
-                let t = &core.cells[tail as usize];
-                (t.len, t.meta)
-            };
-            if is_set && elem as usize >= core.sets.len() {
+            // Append-only invariant: a tail always precedes its cell.
+            let bad_tail = tail != u32::MAX && tail as usize >= id;
+            if bad_tail || (is_set && elem as usize >= arena.sets.len()) {
                 return None;
             }
-            let mut meta = tail_meta & META_HAS_SET;
-            if is_set {
-                meta |= META_IS_SET | META_HAS_SET;
+            // A hash-consing hit is a duplicate cell.
+            if arena.cons(is_set, elem, PathId(tail)) != PathId(id as u32) {
+                return None;
             }
-            if core.dedup.insert((is_set, elem, tail), id as u32).is_some() {
-                return None; // hash-consing violated: duplicate cell
-            }
-            core.cells.push(Cell {
-                elem,
-                tail,
-                len: tail_len + 1,
-                meta,
-            });
         }
-        Some(PathArena {
-            core: RwLock::new(core),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
+        // The counters count interning work; a reload is none.
+        (arena.hits, arena.misses) = (0, 0);
+        Some(arena)
     }
 
     /// Occupancy snapshot for memory accounting.
     pub fn stats(&self) -> ArenaStats {
-        let core = self.read();
-        let set_bytes: usize = core
+        let set_bytes: usize = self
             .sets
             .iter()
             .map(|s| s.len() * std::mem::size_of::<Asn>())
             .sum();
         // Hash-map entries estimated at key + value + one-word overhead.
-        let dedup_bytes = core.dedup.len()
-            * (std::mem::size_of::<(bool, u32, u32)>() + std::mem::size_of::<u32>() * 2);
+        let dedup_bytes =
+            self.dedup.len() * (std::mem::size_of::<RawCell>() + std::mem::size_of::<u32>() * 2);
         ArenaStats {
-            cells: core.cells.len(),
-            sets: core.sets.len(),
-            bytes: core.cells.len() * std::mem::size_of::<Cell>() + dedup_bytes + set_bytes,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            cells: self.cells.len(),
+            sets: self.sets.len(),
+            bytes: self.cells.len() * std::mem::size_of::<Cell>() + dedup_bytes + set_bytes,
+            hits: self.hits,
+            misses: self.misses,
         }
     }
 }
@@ -453,7 +438,7 @@ mod tests {
 
     #[test]
     fn intern_round_trips_and_canonicalizes() {
-        let arena = PathArena::new();
+        let mut arena = PathArena::new();
         let p = sample();
         let id = arena.intern(&p);
         assert_eq!(arena.materialize(id), p);
@@ -467,7 +452,7 @@ mod tests {
 
     #[test]
     fn cached_metadata_matches_aspath() {
-        let arena = PathArena::new();
+        let mut arena = PathArena::new();
         for p in [
             AsPath::empty(),
             AsPath::origin(Asn(5)),
@@ -489,7 +474,7 @@ mod tests {
 
     #[test]
     fn prepend_matches_aspath_prepend() {
-        let arena = PathArena::new();
+        let mut arena = PathArena::new();
         let base = AsPath::poisoned(Asn(100), &[Asn(1)]);
         let id = arena.intern(&base);
         for count in 0..5 {
@@ -500,7 +485,7 @@ mod tests {
 
     #[test]
     fn prepend_by_extension_shares_the_suffix() {
-        let arena = PathArena::new();
+        let mut arena = PathArena::new();
         let base = arena.intern(&AsPath::origin(Asn(1)));
         let cells_before = arena.stats().cells;
         // Two exports of the same route: second one is pure hash-cons hits.
@@ -513,7 +498,7 @@ mod tests {
 
     #[test]
     fn handles_stay_valid_as_the_arena_grows() {
-        let arena = PathArena::new();
+        let mut arena = PathArena::new();
         let p = sample();
         let id = arena.intern(&p);
         for i in 0..1000u32 {
@@ -526,7 +511,7 @@ mod tests {
 
     #[test]
     fn empty_path() {
-        let arena = PathArena::new();
+        let mut arena = PathArena::new();
         assert_eq!(arena.intern(&AsPath::empty()), PathId::EMPTY);
         assert_eq!(arena.materialize(PathId::EMPTY), AsPath::empty());
         assert_eq!(arena.len(PathId::EMPTY), 0);
@@ -540,23 +525,77 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Arbitrary engine-shaped path: a (possibly poisoned) origination with
-    /// a chain of per-hop prepends — exactly the construction space the
-    /// simulator announces.
-    fn arb_path() -> impl Strategy<Value = AsPath> {
+    /// An engine-shaped path's parts: origin, poison list, per-hop
+    /// prepends.
+    type Parts = (u32, Vec<u32>, Vec<(u32, usize)>);
+
+    fn arb_parts() -> impl Strategy<Value = Parts> {
         (
             1u32..60_000,
             proptest::collection::vec(1u32..60_000, 0..4),
             proptest::collection::vec((1u32..60_000, 1usize..4), 0..6),
         )
-            .prop_map(|(origin, poison, hops)| {
-                let poison: Vec<Asn> = poison.into_iter().map(Asn).collect();
-                let mut p = AsPath::poisoned(Asn(origin), &poison);
-                for (asn, count) in hops {
-                    p = p.prepend_n(Asn(asn), count);
+    }
+
+    /// A (possibly poisoned) origination with a chain of per-hop prepends
+    /// — exactly the construction space the simulator announces.
+    fn build((origin, poison, hops): Parts) -> AsPath {
+        let poison: Vec<Asn> = poison.into_iter().map(Asn).collect();
+        let mut p = AsPath::poisoned(Asn(origin), &poison);
+        for (asn, count) in hops {
+            p = p.prepend_n(Asn(asn), count);
+        }
+        p
+    }
+
+    /// Arbitrary engine-shaped path.
+    fn arb_path() -> impl Strategy<Value = AsPath> {
+        arb_parts().prop_map(build)
+    }
+
+    /// An engine-shaped path and the ASN of an AS importing it, placed
+    /// (besides by chance) nowhere, as one more hop in the sequence, or
+    /// inside the poison set — every case loop prevention tells apart.
+    fn arb_import() -> impl Strategy<Value = (AsPath, Asn)> {
+        (arb_parts(), 1u32..60_000, 0u8..3).prop_map(
+            |((origin, mut poison, mut hops), me, place)| {
+                match place {
+                    1 => hops.insert(hops.len() / 2, (me, 1)),
+                    2 => poison.push(me),
+                    _ => {}
                 }
-                p
+                (build((origin, poison, hops)), Asn(me))
+            },
+        )
+    }
+
+    /// Interns `paths` and prepends each one's importer twice — what a
+    /// query's events add to an arena.
+    fn mint(arena: &mut PathArena, paths: &[(AsPath, Asn)]) -> Vec<PathId> {
+        paths
+            .iter()
+            .map(|(p, me)| {
+                let id = arena.intern(p);
+                arena.prepend_n(id, *me, 2)
             })
+            .collect()
+    }
+
+    /// Whether both dedup maps hold exactly one key per cell or set, each
+    /// naming its own id.
+    fn dedup_is_exact(arena: &PathArena) -> bool {
+        arena.dedup.len() == arena.cells.len()
+            && arena.set_dedup.len() == arena.sets.len()
+            && arena
+                .cells
+                .iter()
+                .enumerate()
+                .all(|(i, c)| arena.dedup.get(&c.key()) == Some(&(i as u32)))
+            && arena
+                .sets
+                .iter()
+                .enumerate()
+                .all(|(i, s)| arena.set_dedup.get(s) == Some(&(i as u32)))
     }
 
     proptest! {
@@ -565,7 +604,7 @@ mod proptests {
         /// intern.
         #[test]
         fn intern_is_injective_on_paths(a in arb_path(), b in arb_path()) {
-            let arena = PathArena::new();
+            let mut arena = PathArena::new();
             let (ia, ib) = (arena.intern(&a), arena.intern(&b));
             prop_assert_eq!(ia == ib, a == b);
             prop_assert_eq!(arena.materialize(ia), a);
@@ -577,7 +616,7 @@ mod proptests {
         /// Every cached/walked query agrees with the [`AsPath`] it mirrors.
         #[test]
         fn queries_agree_with_aspath(p in arb_path(), probe in 1u32..60_000, count in 0usize..4) {
-            let arena = PathArena::new();
+            let mut arena = PathArena::new();
             let id = arena.intern(&p);
             prop_assert_eq!(arena.len(id), p.len());
             prop_assert_eq!(arena.has_set(id), p.has_set());
@@ -599,15 +638,73 @@ mod proptests {
             keep in proptest::collection::vec(arb_path(), 1..5),
             churn in proptest::collection::vec(arb_path(), 0..20),
         ) {
-            let arena = PathArena::new();
+            let mut arena = PathArena::new();
             let ids: Vec<PathId> = keep.iter().map(|p| arena.intern(p)).collect();
             for c in &churn {
-                arena.intern(c);
-                arena.prepend_n(arena.intern(c), Asn(65_001), 2);
+                let id = arena.intern(c);
+                arena.prepend_n(id, Asn(65_001), 2);
             }
             for (p, &id) in keep.iter().zip(&ids) {
                 prop_assert_eq!(arena.materialize(id), p.clone());
                 prop_assert_eq!(arena.intern(p), id);
+            }
+        }
+
+        /// Rolling back to a mark forgets exactly what was interned since:
+        /// earlier handles keep their paths, both dedup maps shrink with
+        /// the cells and sets they index, and re-interning the discarded
+        /// paths mints the same ids in the same order.
+        #[test]
+        fn roll_back_forgets_exactly_what_came_after_the_mark(
+            keep in proptest::collection::vec(arb_path(), 1..5),
+            churn in proptest::collection::vec(arb_import(), 1..8),
+        ) {
+            let mut arena = PathArena::new();
+            let ids: Vec<PathId> = keep.iter().map(|p| arena.intern(p)).collect();
+            let before = arena.stats();
+            let minted = mint(&mut arena, &churn);
+            arena.roll_back(before);
+            prop_assert_eq!(arena.stats(), before);
+            prop_assert!(dedup_is_exact(&arena));
+            for (p, &id) in keep.iter().zip(&ids) {
+                prop_assert_eq!(arena.materialize(id), p.clone());
+            }
+            prop_assert_eq!(mint(&mut arena, &churn), minted);
+            prop_assert!(dedup_is_exact(&arena));
+        }
+
+        /// The one-walk import read answers what the single queries do.
+        #[test]
+        fn scan_agrees_with_the_single_queries(case in arb_import()) {
+            let (p, me) = case;
+            let mut arena = PathArena::new();
+            let id = arena.intern(&p);
+            let (seq_loop, any_loop, has_set, len) = arena.scan(id, me);
+            prop_assert_eq!(seq_loop, arena.seq_contains(id, me));
+            prop_assert_eq!(any_loop, arena.contains(id, me));
+            prop_assert_eq!((has_set, len), (arena.has_set(id), arena.len(id)));
+            prop_assert_eq!(seq_loop, p.sequence_asns().contains(&me));
+            prop_assert_eq!(any_loop, p.contains(me));
+        }
+
+        /// A set-free path materializes as one segment, and both vectors
+        /// are allocated at exactly their length.
+        #[test]
+        fn set_free_paths_materialize_at_exact_size(
+            parts in arb_parts(),
+            me in 1u32..60_000,
+        ) {
+            let (origin, _, hops) = parts;
+            let p = build((origin, Vec::new(), hops));
+            let mut arena = PathArena::new();
+            let base = arena.intern(&p);
+            let id = arena.prepend_n(base, Asn(me), 1);
+            let m = arena.materialize(id);
+            prop_assert_eq!(&m, &p.prepend(Asn(me)));
+            prop_assert_eq!(m.segments_capacity(), 1);
+            match m.segments() {
+                [Segment::Seq(seq)] => prop_assert_eq!(seq.capacity(), seq.len()),
+                other => prop_assert!(false, "{other:?}"),
             }
         }
     }

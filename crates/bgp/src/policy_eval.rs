@@ -67,21 +67,21 @@ pub(crate) fn import(
     igp_cost: u32,
     age: u32,
 ) -> Option<CompactRoute> {
-    let me_asn = world.graph.asn(me);
+    let (seq_loop, any_loop, has_set, len) = arena.scan(path, world.graph.asn(me));
 
     // BGP loop prevention. A real routing loop (own ASN in a sequence
     // segment) is always rejected; ASes with `no_loop_prevention` skip
     // only the AS-*set* check, which is precisely what makes poisoning
     // ineffective against them (§4.4 "Limitations") without letting the
     // control plane converge onto genuine loops.
-    if arena.seq_contains(path, me_asn) {
+    if seq_loop {
         return None;
     }
-    if !policy.no_loop_prevention && arena.contains(path, me_asn) {
+    if !policy.no_loop_prevention && any_loop {
         return None;
     }
     // Poisoned-announcement filtering (§4.4 "Limitations").
-    if policy.filters_as_sets && arena.has_set(path) {
+    if policy.filters_as_sets && has_set {
         return None;
     }
 
@@ -96,7 +96,7 @@ pub(crate) fn import(
 
     Some(CompactRoute {
         path,
-        path_len: arena.len(path) as u16,
+        path_len: len as u16,
         learned_from: from as u32,
         city: city.0,
         rel: rel_tag(Some(rel)),
@@ -156,7 +156,7 @@ mod tests {
         kind: LinkKind,
         path: &AsPath,
     ) -> Option<CompactRoute> {
-        let arena = PathArena::new();
+        let mut arena = PathArena::new();
         let id = arena.intern(path);
         import(w, w.policy(me), &arena, me, from, city, rel, kind, id, 1, 0)
     }
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn import_verdicts_follow_the_loop_and_set_rules() {
         let w = world();
-        let arena = PathArena::new();
+        let mut arena = PathArena::new();
         let o = Asn(9_999_999);
         for me in 0..w.graph.len() {
             let links = w.graph.links(me);

@@ -105,16 +105,14 @@ impl CsrTopology {
 }
 
 /// Immutable per-world simulation state, shared by every per-prefix
-/// simulation over the same [`World`]: the CSR session table and the path
-/// arena routes intern into. Build it once with [`SimContext::shared`] and
-/// hand clones of the `Arc` to [`PrefixSim::with_context`];
-/// [`SimContext::fork`] shares the session table but gives the fork a
-/// fresh arena (how the universe keeps per-shape arenas small and
-/// contention-free).
+/// simulation over the same [`World`]: the world and its CSR session
+/// table. Build it once with [`SimContext::shared`] and hand clones of the
+/// `Arc` to [`PrefixSim::with_context`]. Paths are not part of it: every
+/// [`PrefixSim`] owns the arena its routes intern into, so sims sharing a
+/// context never share, lock or count each other's paths.
 pub struct SimContext<'w> {
     pub(crate) world: &'w World,
     topo: Arc<CsrTopology>,
-    pub(crate) arena: Arc<PathArena>,
 }
 
 impl<'w> SimContext<'w> {
@@ -123,7 +121,6 @@ impl<'w> SimContext<'w> {
         SimContext {
             world,
             topo: Arc::new(CsrTopology::build(world)),
-            arena: Arc::new(PathArena::new()),
         }
     }
 
@@ -133,16 +130,13 @@ impl<'w> SimContext<'w> {
         Arc::new(SimContext::new(world))
     }
 
-    /// A context sharing this one's session table but with a **fresh,
-    /// private path arena**. Arena handles are context-scoped, so state
-    /// from one context (a [`PrefixSim`], an extracted table) must never
-    /// mix with another's; the universe forks per announcement shape so
-    /// each shape interns only its own route tree.
+    /// A context sharing this one's world and session table. A context
+    /// holds nothing else, so a fork is equivalent to a clone of the
+    /// `Arc`: every [`PrefixSim`] owns its path arena either way.
     pub fn fork(&self) -> Arc<SimContext<'w>> {
         Arc::new(SimContext {
             world: self.world,
             topo: Arc::clone(&self.topo),
-            arena: Arc::new(PathArena::new()),
         })
     }
 
@@ -237,8 +231,8 @@ impl ShapeTable {
         &self.arena
     }
 
-    /// Reassembles a table from deserialized parts. `rows` path handles
-    /// must be scoped to `arena`.
+    /// Assembles a table (extracted, or deserialized) from its parts.
+    /// `rows` path handles must be scoped to `arena`.
     pub(crate) fn from_parts(rows: RouteColumns, arena: Arc<PathArena>) -> ShapeTable {
         ShapeTable { rows, arena }
     }
@@ -251,21 +245,21 @@ impl<'w> PrefixSim<'w> {
     /// propagation churned. Handles in the result are scoped to the
     /// returned table's own arena.
     pub(crate) fn extract_table(&self) -> ShapeTable {
-        let arena = Arc::new(PathArena::new());
+        let mut arena = PathArena::new();
         let n = self.best.len();
         let mut rows = RouteColumns::new(n);
         for x in 0..n {
             if let Some(mut r) = self.best.get(x) {
-                r.path = arena.intern(&self.ctx.arena.materialize(r.path));
+                r.path = arena.intern(&self.arena.materialize(r.path));
                 rows.set(x, Some(r));
             }
         }
-        ShapeTable { rows, arena }
+        ShapeTable::from_parts(rows, Arc::new(arena))
     }
 
     /// Rebuilds a live, delta-ready sim from a converged [`ShapeTable`]
     /// (universe fan-out state or a reloaded snapshot) without replaying
-    /// propagation: the best table is re-interned into the new context's
+    /// propagation: the best table is re-interned into the new sim's
     /// arena and the adj-RIB-in re-derived per node from the converged
     /// invariant — O(sessions) policy evaluations instead of a full
     /// worklist run. Assumes the table came from a plain announcement at
@@ -280,14 +274,14 @@ impl<'w> PrefixSim<'w> {
         let mut sim = PrefixSim::with_context_ordered(ctx, prefix, order);
         let ann = Announcement::plain(origin, prefix);
         let path = ann.origination_path();
-        sim.inputs.ann_path = sim.ctx.arena.intern(&path);
+        sim.inputs.ann_path = sim.arena.intern(&path);
         sim.inputs.ann_path_len = path.len() as u16;
         sim.inputs.origin_idx = sim.ctx.world.graph.index_of(origin);
         sim.inputs.announcement = Some(ann);
         let n = sim.best.len();
         for x in 0..n.min(table.rows.len()) {
             if let Some(mut r) = table.rows.get(x) {
-                r.path = sim.ctx.arena.intern(&table.arena.materialize(r.path));
+                r.path = sim.arena.intern(&table.arena.materialize(r.path));
                 sim.best.set(x, Some(r));
             }
         }

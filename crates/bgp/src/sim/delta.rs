@@ -194,7 +194,7 @@ impl<'w> PrefixSim<'w> {
         let inputs = &mut self.inputs;
         inputs.announce_time = at;
         let path = ann.origination_path();
-        inputs.ann_path = self.ctx.arena.intern(&path);
+        inputs.ann_path = self.arena.intern(&path);
         inputs.ann_path_len = path.len() as u16;
         let seeds = [inputs.origin_idx.filter(|&old| old != idx), Some(idx)];
         inputs.origin_idx = Some(idx);
@@ -234,7 +234,7 @@ impl<'w> PrefixSim<'w> {
         };
         let path = hijack_origination(attacker, forged_origin, poison, stealth);
         let origin = ExtraOrigin {
-            path: self.ctx.arena.intern(&path),
+            path: self.arena.intern(&path),
             path_len: path.len() as u16,
             at,
         };

@@ -10,7 +10,6 @@ use crate::worklist::BitWorklist;
 use ir_fault::ServiceClock;
 use ir_topology::graph::NodeIdx;
 use ir_types::{Asn, CityId};
-use std::collections::BTreeMap;
 
 /// Cycle witness of an event that ended on a dispute wheel: the
 /// wave-barrier state recurred, so [`PrefixSim`] jumped to the state the
@@ -41,6 +40,10 @@ struct CycleProbe {
     pending: Vec<u64>,
     flapped: BitWorklist,
 }
+
+/// First-touch log entries a sim keeps allocated between events, so that
+/// narrow events allocate nothing and wide ones leave no storage behind.
+const PRE_EVENT_KEPT: usize = 1024;
 
 /// First round the oscillation probe snapshots at. Convergence is far
 /// shorter (a certified 50k-AS world settles a prefix in 9 waves; free
@@ -199,7 +202,6 @@ impl<'w> PrefixSim<'w> {
         for s in seeds.into_iter().flatten() {
             wave.insert(s);
         }
-        let mut pre_event: BTreeMap<NodeIdx, Option<CompactRoute>> = BTreeMap::new();
         let mut rounds = 0usize;
         let mut activations = 0usize;
         let mut imports = 0usize;
@@ -249,7 +251,9 @@ impl<'w> PrefixSim<'w> {
                     }
                 }
                 if !keep {
-                    pre_event.entry(x).or_insert(old);
+                    if self.touched.insert(x) {
+                        self.pre_event.push((x, old));
+                    }
                     self.best.set(x, new_best);
                     if let Some(p) = probe.as_mut() {
                         p.flapped.insert(x);
@@ -276,7 +280,7 @@ impl<'w> PrefixSim<'w> {
         // if it flipped through other routes transiently. The same pass
         // counts net route changes for the retention counter below.
         let mut changed = 0usize;
-        for (x, old) in pre_event {
+        for &(x, old) in &self.pre_event {
             match (old, self.best.get(x)) {
                 (Some(o), Some(cur)) => {
                     if o.same_route(&cur) {
@@ -291,6 +295,9 @@ impl<'w> PrefixSim<'w> {
                 _ => {}
             }
         }
+        self.pre_event.clear();
+        self.pre_event.shrink_to(PRE_EVENT_KEPT);
+        self.touched.reset();
         let stats = &mut self.ledger.stats;
         stats.routes_retained += self.best.occupied().saturating_sub(changed);
         stats.activations += activations;
@@ -380,7 +387,7 @@ impl<'w> PrefixSim<'w> {
     ) -> usize {
         let mut imports = 0;
         let free = self.inputs.order == ActivationOrder::Free;
-        let (t, best, rib) = self.transfer();
+        let (mut t, best, rib) = self.transfer();
         let sender = t.sender(x, best.get(x));
         for &(l, rib_idx) in t.ctx.listeners(x) {
             let (l, rib_idx) = (l as usize, rib_idx as usize);

@@ -17,7 +17,7 @@
 //! struct-of-arrays [`RouteColumns`] — the best table indexed by node, the
 //! adj-RIB-in as one flat table indexed by dense session offsets from the
 //! context's CSR session arena. Paths live in a hash-consed
-//! [`PathArena`](crate::PathArena): a route's path is a `u32` handle,
+//! [`PathArena`] the sim owns: a route's path is a `u32` handle,
 //! prepend-on-export is a cons, and the unchanged-export fast path is a
 //! handle compare. Public accessors ([`PrefixSim::best`],
 //! [`PrefixSim::candidates`]) materialize full [`Route`] values at the API
@@ -58,13 +58,13 @@
 //! inherits it from the base) or in [`Ledger`] (a query starts it fresh),
 //! never directly in [`PrefixSim`]: those two values are what every query
 //! saves and puts back whole, so rollback covers the new field with no
-//! further code.
+//! further code (route rows and arena cells roll back by what was added).
 
 use crate::compact::{CompactRoute, MemoryBudget, RouteColumns};
 use crate::decision::{rank, DecisionStep};
 use crate::extension::DefensePlan;
 use crate::path::AsPath;
-use crate::patharena::PathId;
+use crate::patharena::{PathArena, PathId};
 use crate::route::Route;
 use crate::worklist::BitWorklist;
 use ir_topology::graph::NodeIdx;
@@ -249,6 +249,8 @@ pub enum ActivationOrder {
 /// ```
 pub struct PrefixSim<'w> {
     ctx: Arc<SimContext<'w>>,
+    /// The paths this sim's routes hold; a query rolls back what it adds.
+    arena: PathArena,
     /// Per-AS defense extensions consulted on the import/export path —
     /// see [`DefensePlan`]. `None` (the default) is the undefended fast
     /// path.
@@ -272,6 +274,10 @@ pub struct PrefixSim<'w> {
     wave: BitWorklist,
     /// Next-wave worklist; same lifecycle as `wave`.
     next: BitWorklist,
+    /// The running event's first write to each best row, with the row it
+    /// replaced, and the set of ASes in it; empty between events.
+    pre_event: Vec<(NodeIdx, Option<CompactRoute>)>,
+    touched: BitWorklist,
 }
 
 /// Everything a [`PrefixSim`] routes from besides the world and its
@@ -355,6 +361,7 @@ impl<'w> PrefixSim<'w> {
         let rib = ctx.new_rib();
         PrefixSim {
             ctx,
+            arena: PathArena::new(),
             defenses: None,
             inputs: Inputs {
                 prefix,
@@ -375,6 +382,8 @@ impl<'w> PrefixSim<'w> {
             rib,
             wave: BitWorklist::new(n),
             next: BitWorklist::new(n),
+            pre_event: Vec::new(),
+            touched: BitWorklist::new(n),
         }
     }
 
@@ -488,7 +497,7 @@ impl<'w> PrefixSim<'w> {
     /// Materializes a compact route at this sim's API boundary.
     pub(crate) fn materialize(&self, r: CompactRoute) -> Route {
         let graph = &self.ctx.world.graph;
-        context::materialize_route(r, self.inputs.prefix, &self.ctx.arena, |i| {
+        context::materialize_route(r, self.inputs.prefix, &self.arena, |i| {
             graph.asn(i as usize)
         })
     }
@@ -537,14 +546,14 @@ impl<'w> PrefixSim<'w> {
     }
 
     /// Cumulative effort counters since construction, with the memory
-    /// budget of the compact storage (columns + shared arena) refreshed at
-    /// call time.
+    /// budget of the compact storage (columns + this sim's own arena)
+    /// refreshed at call time.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.ledger.stats;
         stats.memory = MemoryBudget::from_parts(
             self.best.bytes() + self.rib.bytes(),
             self.best.occupied() + self.rib.occupied(),
-            self.ctx.arena.stats(),
+            self.arena.stats(),
         );
         stats
     }
@@ -815,29 +824,35 @@ mod tests {
         let ctx = SimContext::shared(&w);
         let mut a = PrefixSim::with_context(ctx.clone(), prefix);
         let mut b = PrefixSim::with_context(ctx, prefix);
-        a.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
+        let plain = Announcement::plain(origin, prefix);
+        a.announce(plain.clone(), Timestamp::ZERO);
         // `b` runs a different (poisoned) announcement over the same
-        // shared context (and therefore the same shared arena).
+        // shared context: the same session table, but its own arena.
         let victim = (0..w.graph.len())
             .filter_map(|x| a.best(x).map(|r| r.path.sequence_asns()))
             .find(|s| s.len() >= 2)
             .map(|s| s[0]);
-        let mut poisoned = Announcement::plain(origin, prefix);
+        let mut poisoned = plain.clone();
         poisoned.poison = victim.into_iter().collect();
-        b.announce(poisoned, Timestamp::ZERO);
-        // `a` is unaffected by `b` running over the same context, and both
-        // match fresh standalone runs.
-        let mut fresh = PrefixSim::new(&w, prefix);
-        fresh.announce(Announcement::plain(origin, prefix), Timestamp::ZERO);
-        for x in 0..w.graph.len() {
-            assert_eq!(a.best(x), fresh.best(x));
+        b.announce(poisoned.clone(), Timestamp::ZERO);
+        // Each matches a standalone run of its own announcement, route for
+        // route and in memory: a sim reports the cells it interned, never
+        // the other sim's.
+        for (sim, ann) in [(&a, plain), (&b, poisoned)] {
+            let mut fresh = PrefixSim::new(&w, prefix);
+            fresh.announce(ann, Timestamp::ZERO);
+            for x in 0..w.graph.len() {
+                assert_eq!(sim.best(x), fresh.best(x));
+            }
+            let cells = |s: &PrefixSim| s.stats().memory.arena_cells;
+            assert_eq!(cells(sim), cells(&fresh));
         }
     }
 
     #[test]
     fn forked_context_matches_shared_context() {
-        // fork() gives a private arena over the shared session table;
-        // handles differ, routes must not.
+        // A fork shares the session table like a clone of the context;
+        // the routes must not tell the two apart.
         let w = world();
         let (origin, prefix) = some_origin(&w);
         let ctx = SimContext::shared(&w);

@@ -1,6 +1,6 @@
 //! In-place queries: a query edits the resident sim itself and rolls it
-//! back when done — route rows from first-write journals, everything else
-//! from the [`Inputs`] and [`Ledger`] values saved whole at its start.
+//! back when done — route rows from first-write journals, paths by arena
+//! truncation, the rest from the [`Inputs`] and [`Ledger`] saved whole.
 
 use super::{Inputs, Ledger, PrefixSim};
 use crate::compact::{ColumnJournal, CompactRoute};
@@ -10,12 +10,12 @@ use ir_types::Prefix;
 use std::sync::{Mutex, PoisonError};
 
 /// What [`PrefixSim::begin_query`] saves and [`PrefixSim::end_query`] puts
-/// back: the inputs and the ledger as whole values, and the pending wave
-/// when a capped base left one (`None` = empty). The route rows are
-/// restored from the tables' first-write journals instead; `ctx` and
-/// `defenses` are never written by a query, and `next` is scratch that
-/// every event resets.
-type Saved = (Inputs, Ledger, Option<BitWorklist>);
+/// back: the inputs and the ledger as whole values, the pending wave when
+/// a capped base left one (`None` = empty), and the arena's extent. The
+/// route rows are restored from the tables' first-write journals instead;
+/// `ctx` and `defenses` are never written by a query, and `next`,
+/// `pre_event` and `touched` are scratch that every event empties.
+type Saved = (Inputs, Ledger, Option<BitWorklist>, crate::ArenaStats);
 
 /// First-write journal storage for a sim's best table and adj-RIB-in,
 /// owned by the caller between queries and lent to the sim for one query.
@@ -69,11 +69,11 @@ impl Drop for InPlaceQuery<'_, '_> {
 impl<'w> PrefixSim<'w> {
     /// Runs `f` on this sim in a rolled-back scope: whatever `f`
     /// announces, fails or edits, the sim leaves the call as it entered it
-    /// (best table, adj-RIB-in, clock, faults, counters and every other
-    /// field) on every exit, a panic unwinding out of `f` included. Inside
-    /// the scope the sim starts with fresh per-query state: zero counters,
-    /// no step budget, no certificate token, no oscillation witness. Paths
-    /// `f` interns stay in the context's append-only arena.
+    /// (best table, adj-RIB-in, path arena, clock, faults, counters and
+    /// every other field) on every exit, a panic unwinding out of `f`
+    /// included. Inside the scope the sim starts with fresh per-query
+    /// state: zero counters, no step budget, no certificate token, no
+    /// oscillation witness. Path handles minted inside die with the scope.
     ///
     /// This is how one converged state serves many independent
     /// continuations — each poisoning target's rounds after a shared
@@ -97,9 +97,9 @@ impl<'w> PrefixSim<'w> {
     /// the converged tables are the same by the universe's batching
     /// invariant. Saves the inputs by value and takes the ledger (the query
     /// starts with zero counters, no budget, no certificate token, no
-    /// witness), and attaches `journals` to both route tables. The caller
-    /// must hand the returned state to [`PrefixSim::end_query`] on every
-    /// path out of the query.
+    /// witness), marks the arena, and attaches `journals` to both route
+    /// tables. The caller must hand the returned state to
+    /// [`PrefixSim::end_query`] on every path out of the query.
     #[inline]
     fn begin_query(&mut self, member: Prefix, journals: QueryJournals) -> Saved {
         let inputs = self.inputs.clone();
@@ -113,24 +113,27 @@ impl<'w> PrefixSim<'w> {
         }
         self.best.start_journal(journals.best);
         self.rib.start_journal(journals.rib);
-        (inputs, ledger, wave)
+        (inputs, ledger, wave, self.arena.stats())
     }
 
-    /// Ends an in-place query: rolls both route tables back from their
-    /// journals and puts the saved inputs and ledger back, leaving the sim
-    /// exactly as [`PrefixSim::begin_query`] found it. Safe to call while
-    /// unwinding from a panic anywhere inside the query. Returns the
-    /// emptied journals for reuse.
+    /// Ends an in-place query: rolls the route tables and the arena back
+    /// and puts the saved inputs and ledger back, leaving the sim exactly
+    /// as [`PrefixSim::begin_query`] found it. Safe to call while unwinding
+    /// from a panic anywhere inside the query. Returns the emptied
+    /// journals for reuse.
     #[inline]
-    fn end_query(&mut self, (inputs, ledger, wave): Saved) -> Option<QueryJournals> {
+    fn end_query(&mut self, (inputs, ledger, wave, mark): Saved) -> Option<QueryJournals> {
         let journals = match (self.best.roll_back(), self.rib.roll_back()) {
             (Some(best), Some(rib)) => Some(QueryJournals { best, rib }),
             _ => None,
         };
+        self.arena.roll_back(mark);
         self.inputs = inputs;
         self.ledger = ledger;
-        // A panic inside `run_event` unwinds with both worklists still
-        // taken out of the sim; put working ones back.
+        // A panic inside `run_event` unwinds with both worklists taken out
+        // and the pre-event log full; put working ones back.
+        self.pre_event.clear();
+        self.touched.reset();
         let n = self.best.len();
         if self.next.capacity() < n {
             self.next = BitWorklist::new(n);

@@ -7,12 +7,12 @@ use super::context::{link_key, Session, SimContext};
 use super::{Announcement, Inputs, PrefixSim};
 use crate::compact::{clamp_age, rel_of_tag, CompactRoute, RouteColumns};
 use crate::extension::{DefensePlan, ExtensionCheck};
-use crate::patharena::PathId;
+use crate::patharena::{PathArena, PathId};
 use crate::policy_eval;
 use ir_topology::graph::NodeIdx;
 use ir_topology::policy::PolicySpec;
 use ir_topology::World;
-use ir_types::Relationship;
+use ir_types::{Asn, Relationship};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -40,15 +40,16 @@ pub(super) fn overlay_policy<'a>(
 }
 
 /// Everything a route crossing a session reads, borrowed from one sim —
-/// the single statement of the transfer pipeline. The **export half** runs
-/// link-up check → the origin's `via` restriction → Gao–Rexford export
-/// rule → prepending → export-side defenses; the **import half** counts
-/// the evaluation, then runs AS-set (poison) filter → import-side defenses
-/// → import policy. [`PrefixSim::push_exports`] puts
-/// its unchanged-path short-circuit between the halves;
-/// [`PrefixSim::rederive_rib`] runs them back to back.
+/// the single statement of the transfer pipeline (the arena mutably: an
+/// export conses into it). The **export half** runs link-up check → the
+/// origin's `via` restriction → Gao–Rexford export rule → prepending →
+/// export-side defenses; the **import half** counts the evaluation, then
+/// runs AS-set (poison) filter → import-side defenses → import policy.
+/// [`PrefixSim::push_exports`] puts its unchanged-path short-circuit
+/// between the halves; [`PrefixSim::rederive_rib`] runs them back to back.
 pub(super) struct Transfer<'a, 'w> {
     pub(super) ctx: &'a SimContext<'w>,
+    arena: &'a mut PathArena,
     /// The sim's inputs: prefix, downed links, poison filters, overlay.
     inputs: &'a Inputs,
     /// The primary origination. Its `via` restriction binds the origin's
@@ -63,12 +64,13 @@ pub(super) struct Transfer<'a, 'w> {
     age: u32,
 }
 
-/// The sending side of the export half: `idx`'s selected route, its
+/// The sending side of the export half: `idx`'s ASN, selected route,
 /// effective policy and — for the primary origin only — its announcement,
 /// resolved once per sender so the per-listener loop of
 /// [`PrefixSim::push_exports`] re-reads none of them.
 pub(super) struct Sender<'a> {
     idx: NodeIdx,
+    asn: Asn,
     best: Option<CompactRoute>,
     policy: &'a PolicySpec,
     ann: Option<&'a Announcement>,
@@ -78,6 +80,7 @@ impl<'a> Transfer<'a, '_> {
     pub(super) fn sender(&self, idx: NodeIdx, best: Option<CompactRoute>) -> Sender<'a> {
         Sender {
             idx,
+            asn: self.ctx.world.graph.asn(idx),
             best,
             policy: overlay_policy(self.ctx.world, &self.inputs.overlay, idx),
             ann: self.origin.filter(|&(o, _)| o == idx).map(|(_, a)| a),
@@ -91,15 +94,14 @@ impl<'a> Transfer<'a, '_> {
     /// policy is its resolved spec: the world's ground truth, or the sim's
     /// overlay entry after a [`super::Delta`] edited it.
     #[inline]
-    pub(super) fn export(&self, from: &Sender<'_>, to: NodeIdx, s: &Session) -> Option<PathId> {
+    pub(super) fn export(&mut self, from: &Sender<'_>, to: NodeIdx, s: &Session) -> Option<PathId> {
         // A downed link carries nothing in either direction.
         let downed = &self.inputs.downed;
         if !downed.is_empty() && downed.contains(&link_key(from.idx, to)) {
             return None;
         }
         let best = from.best.as_ref()?;
-        let graph = &self.ctx.world.graph;
-        let to_asn = graph.asn(to);
+        let to_asn = self.ctx.world.graph.asn(to);
         // The `via` restriction applies at the origin for local routes.
         let via = from.ann.and_then(|ann| ann.via.as_ref());
         if best.is_local() && via.is_some_and(|via| !via.contains(&to_asn)) {
@@ -117,8 +119,7 @@ impl<'a> Transfer<'a, '_> {
         // ordinary prepend for learned routes, in one cons.
         let extra = from.policy.prepends_to(to_asn) as usize;
         let count = if best.is_local() { extra } else { extra + 1 };
-        let from_asn = graph.asn(from.idx);
-        let path = self.ctx.arena.prepend_n(best.path, from_asn, count);
+        let path = self.arena.prepend_n(best.path, from.asn, count);
         self.defenses
             .is_none_or(|plan| plan.allows_export(&self.check(from.idx, to, rel, path)))
             .then_some(path)
@@ -141,7 +142,7 @@ impl<'a> Transfer<'a, '_> {
         // Fault-injected filtering: this AS drops poisoned
         // (AS-set-carrying) announcements outright, §5.
         let poison_filters = &self.inputs.poison_filters;
-        if !poison_filters.is_empty() && poison_filters.contains(&to) && ctx.arena.has_set(path) {
+        if !poison_filters.is_empty() && poison_filters.contains(&to) && self.arena.has_set(path) {
             return None;
         }
         if self
@@ -152,7 +153,7 @@ impl<'a> Transfer<'a, '_> {
         }
         let policy = overlay_policy(ctx.world, &self.inputs.overlay, to);
         policy_eval::import(
-            ctx.world, policy, &ctx.arena, to, s.peer, s.city, s.rel, s.kind, path, s.igp, self.age,
+            ctx.world, policy, self.arena, to, s.peer, s.city, s.rel, s.kind, path, s.igp, self.age,
         )
     }
 
@@ -166,7 +167,7 @@ impl<'a> Transfer<'a, '_> {
     ) -> ExtensionCheck<'_> {
         ExtensionCheck {
             world: self.ctx.world,
-            arena: &self.ctx.arena,
+            arena: self.arena,
             me,
             peer,
             rel,
@@ -177,12 +178,14 @@ impl<'a> Transfer<'a, '_> {
 }
 
 impl<'w> PrefixSim<'w> {
-    /// Splits the sim into the read-only [`Transfer`] view, the best table
-    /// exports are read from, and the adj-RIB-in imports are written to.
+    /// Splits the sim into the [`Transfer`] view (read-only but for the
+    /// arena), the best table exports are read from, and the adj-RIB-in
+    /// imports are written to.
     pub(super) fn transfer(&mut self) -> (Transfer<'_, 'w>, &RouteColumns, &mut RouteColumns) {
         let inputs = &self.inputs;
         let view = Transfer {
             ctx: &self.ctx,
+            arena: &mut self.arena,
             origin: inputs.origin_idx.zip(inputs.announcement.as_ref()),
             defenses: self.defenses.as_deref().filter(|plan| !plan.is_empty()),
             age: clamp_age(inputs.clock),
@@ -200,7 +203,7 @@ impl<'w> PrefixSim<'w> {
     /// Returns import evaluations performed.
     pub(super) fn rederive_rib(&mut self, x: NodeIdx, only_peer: Option<NodeIdx>) -> usize {
         let mut imports = 0;
-        let (t, best, rib) = self.transfer();
+        let (mut t, best, rib) = self.transfer();
         let base = t.ctx.rib_base(x);
         for (si, s) in t.ctx.sessions(x).iter().enumerate() {
             if only_peer.is_some_and(|peer| peer != s.peer) {

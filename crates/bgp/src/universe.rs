@@ -168,8 +168,8 @@ fn fan_out(
 /// Converges `prefixes` shape by shape — the one loop behind every
 /// [`RoutingUniverse`] `compute*` entry and the [`crate::WhatIfEngine`]
 /// base convergence. Prefixes are grouped by announcement shape and each
-/// group runs in parallel on a fork of one shared context — shared CSR
-/// topology, private path arena, so shapes never contend on interning:
+/// group runs in parallel over one shared context (the CSR session table);
+/// every sim owns its path arena, so shapes never contend on interning:
 /// `prepare` installs filters or defenses on the fresh sim, the
 /// representative is announced plainly at t=0, `schedule` is replayed, and
 /// the sim — with whether every event converged — is handed to `finish`
@@ -188,7 +188,7 @@ pub(crate) fn converge_shapes<'w, T: Send>(
         .par_iter()
         .map(|(origin, members)| {
             let rep = members[0];
-            let mut sim = PrefixSim::with_context_ordered(ctx.fork(), rep, order);
+            let mut sim = PrefixSim::with_context_ordered(Arc::clone(&ctx), rep, order);
             prepare(&mut sim);
             let mut converged = sim
                 .announce(Announcement::plain(*origin, rep), Timestamp::ZERO)

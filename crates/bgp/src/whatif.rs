@@ -406,7 +406,7 @@ impl<'w> WhatIfEngine<'w> {
             .par_iter()
             .map(|(origin, members, table)| {
                 let rep = members[0];
-                let sim = PrefixSim::hydrate(ctx.fork(), order, rep, *origin, table);
+                let sim = PrefixSim::hydrate(Arc::clone(&ctx), order, rep, *origin, table);
                 (ShapeState::new(sim, true), members.clone())
             })
             .collect();
@@ -551,21 +551,20 @@ impl<'w> WhatIfEngine<'w> {
         }
         // Every row that differs from the base was written, so the best
         // table's journal holds all of them, with the base row as `before`.
-        // Routes materialize for the queried member prefix.
+        // Routes materialize for the queried member prefix, into a vector
+        // sized exactly: a caller may keep the answer.
         sim.sort_best_journal();
         let sim = &*sim;
         let mut lost = 0;
-        let diffs: Vec<RouteDiff> = sim
-            .best_changes()
-            .map(|(x, before, after)| {
-                lost += usize::from(before.is_some());
-                RouteDiff {
-                    asn: self.world.graph.asn(x),
-                    before: before.map(|r| sim.materialize(r)),
-                    after: after.map(|r| sim.materialize(r)),
-                }
-            })
-            .collect();
+        let mut diffs = Vec::with_capacity(sim.best_changes().count());
+        diffs.extend(sim.best_changes().map(|(x, before, after)| {
+            lost += usize::from(before.is_some());
+            RouteDiff {
+                asn: self.world.graph.asn(x),
+                before: before.map(|r| sim.materialize(r)),
+                after: after.map(|r| sim.materialize(r)),
+            }
+        }));
         stats.routes_changed = diffs.len();
         stats.routes_retained = base_occupied - lost;
         Ok(WhatIfAnswer {

@@ -16,14 +16,21 @@
 //! * `a_query_that_waits_for_its_shape_is_counted` — a second caller
 //!   parked behind a query held inside its reconvergence shows up in
 //!   [`WhatIfEngine::shape_waits`] and still gets the same answer.
+//! * `a_scope_leaves_the_arena_as_it_found_it` — [`PrefixSim::scoped`]
+//!   around an announcement, a hijack with a fresh poison AS-set, a
+//!   tripped [`StepBudget`] and a panic mid-reconvergence: the memory the
+//!   sim reports (arena cells and bytes, interning hits and misses) is
+//!   what it was before each one.
+//! * `rolled_back_hijack_scopes_do_not_grow_the_arena` — 300 hijack
+//!   scopes on a 5 000-AS world leave the arena's cell count where it was.
 
 use ir_bgp::universe::prefix_owners;
 use ir_bgp::{
     ActivationOrder, Announcement, CertificateDelta, DefensePlan, Delta, DeltaCertifier,
-    ExtensionCheck, PolicyExtension, Route, StepBudget, WhatIfEngine, WhatIfQuery,
+    ExtensionCheck, PolicyExtension, PrefixSim, Route, StepBudget, WhatIfEngine, WhatIfQuery,
 };
 use ir_topology::{GeneratorConfig, World};
-use ir_types::{Asn, Prefix};
+use ir_types::{Asn, Prefix, Timestamp};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -511,4 +518,103 @@ fn a_query_that_waits_for_its_shape_is_counted() {
     assert_eq!(waits.queries, 1, "{waits:?}");
     assert!(waits.total_us > 0, "{waits:?}");
     assert!(base_routes(&engine) == base, "base changed");
+}
+
+/// A sim over `w` for one owned prefix, announced plainly at t=0, behind
+/// `plan` when one is given.
+fn announced<'w>(w: &'w World, plan: Option<DefensePlan>) -> (PrefixSim<'w>, Announcement) {
+    let (&prefix, &origin) = prefix_owners(w).iter().next().expect("an owned prefix");
+    let mut sim = PrefixSim::new(w, prefix);
+    sim.set_defenses(plan.map(Arc::new));
+    let ann = Announcement::plain(origin, prefix);
+    assert!(sim.announce(ann.clone(), Timestamp::ZERO).converged);
+    (sim, ann)
+}
+
+#[test]
+fn a_scope_leaves_the_arena_as_it_found_it() {
+    let w = world(Flavor::WaveExact, 5);
+    let tripwire = Arc::new(Tripwire {
+        fuse: AtomicUsize::new(0),
+    });
+    let mut plan = DefensePlan::for_world(&w);
+    let id = plan
+        .register(Arc::clone(&tripwire) as Arc<dyn PolicyExtension>)
+        .expect("one extension fits");
+    plan.adopt_all(id);
+    let (mut sim, ann) = announced(&w, Some(plan));
+    let origin = w.graph.index_of(ann.origin).expect("origin in world");
+    let victim = w.graph.asn(w.graph.links(origin)[0].peer);
+    let attacker = (0..w.graph.len())
+        .map(|x| w.graph.asn(x))
+        .find(|&a| a.value() >= 20_000 && a != ann.origin)
+        .expect("a stub attacker");
+    let poisoned = Announcement {
+        poison: vec![victim],
+        ..ann.clone()
+    };
+    let before = sim.stats().memory;
+    let at = Timestamp(60);
+    // Each scope must intern something, or a rollback that drops nothing
+    // would pass.
+    let grew = |sim: &PrefixSim<'_>| sim.stats().memory.arena_cells > before.arena_cells;
+
+    assert!(sim.scoped(|sim| {
+        sim.announce(poisoned.clone(), at);
+        grew(sim)
+    }));
+    assert_eq!(sim.stats().memory, before, "announce");
+
+    // Two ASNs no path in the world carries: a set the arena has not seen.
+    let fresh = [Asn(4_200_000_001), Asn(4_200_000_002)];
+    assert!(sim.scoped(|sim| {
+        sim.hijack(attacker, Some(ann.origin), &fresh, false, at);
+        grew(sim)
+    }));
+    assert_eq!(sim.stats().memory, before, "hijack with a fresh poison set");
+
+    assert!(sim.scoped(|sim| {
+        sim.set_step_budget(StepBudget::activations(8));
+        sim.hijack(attacker, None, &fresh[..1], false, at);
+        sim.budget_tripped() && grew(sim)
+    }));
+    assert_eq!(sim.stats().memory, before, "tripped budget");
+
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        sim.scoped(|sim| {
+            tripwire.fuse.store(40, Ordering::Relaxed);
+            sim.announce(poisoned.clone(), at)
+        })
+    }));
+    assert!(outcome.is_err(), "the extension must panic");
+    assert_eq!(tripwire.fuse.load(Ordering::Relaxed), 0);
+    assert_eq!(sim.stats().memory, before, "panic mid-reconvergence");
+
+    // The rolled-back sim still routes like one that never ran a scope.
+    let (fresh_sim, _) = announced(&w, None);
+    for x in 0..w.graph.len() {
+        assert_eq!(sim.best(x), fresh_sim.best(x));
+    }
+}
+
+#[test]
+fn rolled_back_hijack_scopes_do_not_grow_the_arena() {
+    let w = GeneratorConfig {
+        hybrid_fraction: 0.0,
+        ..GeneratorConfig::internet_scale_sized(5_000)
+    }
+    .build(7);
+    let (mut sim, ann) = announced(&w, None);
+    let cells = sim.stats().memory.arena_cells;
+    let attackers = (0..w.graph.len())
+        .map(|x| w.graph.asn(x))
+        .filter(|&a| a != ann.origin)
+        .step_by(w.graph.len() / 300);
+    let mut scopes = 0;
+    for attacker in attackers.take(300) {
+        sim.scoped(|sim| sim.hijack(attacker, Some(ann.origin), &[], false, Timestamp(60)));
+        scopes += 1;
+    }
+    assert_eq!(scopes, 300);
+    assert_eq!(sim.stats().memory.arena_cells, cells);
 }

@@ -334,12 +334,12 @@ impl<'w> Peering<'w> {
         })
     }
 
-    /// A fresh, not-yet-announced simulation for `prefix` on a fork of the
-    /// per-world context: it shares the session table but interns paths
-    /// into a private arena, so sims on parallel workers never contend on
-    /// one arena lock.
+    /// A fresh, not-yet-announced simulation for `prefix` over the
+    /// per-world context: it shares the session table and interns paths
+    /// into the arena it owns, so sims on parallel workers share no path
+    /// state at all.
     pub fn sim(&self, prefix: Prefix) -> PrefixSim<'w> {
-        PrefixSim::with_context(self.ctx.fork(), prefix)
+        PrefixSim::with_context(Arc::clone(&self.ctx), prefix)
     }
 
     /// The university muxes (provider ASNs).

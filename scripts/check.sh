@@ -39,6 +39,8 @@ run cargo fmt --check
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp \
     --test differential --test fault_differential --test whatif_differential \
     --test oscillation_differential --test whatif_inplace
+# The arena's hasher, one-walk import read and rollback, optimized too.
+run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --lib patharena
 # Certificate-maintenance gate (release): ≥1000 randomized (certified
 # world, delta batch) pairs must get the same verdict from the incremental
 # DeltaAuditor as from a full re-audit of the edited world, and certified
