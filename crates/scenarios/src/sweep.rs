@@ -307,31 +307,22 @@ pub fn sweep_to_json(rows: &[SweepRow]) -> String {
         .iter()
         .map(|r| {
             Value::Object(vec![
-                ("adoption".to_string(), Value::Float(r.adoption)),
-                ("trial".to_string(), Value::UInt(u64::from(r.trial))),
-                ("attack".to_string(), Value::String(r.attack.to_string())),
+                ("adoption".into(), Value::Float(r.adoption)),
+                ("trial".into(), Value::UInt(u64::from(r.trial))),
+                ("attack".into(), Value::String(r.attack.to_string())),
                 (
-                    "attacker".to_string(),
+                    "attacker".into(),
                     Value::UInt(u64::from(r.attacker.value())),
                 ),
-                (
-                    "victim".to_string(),
-                    Value::UInt(u64::from(r.victim.value())),
-                ),
-                ("defense".to_string(), Value::String(r.defense.to_string())),
-                ("n".to_string(), Value::UInt(r.n as u64)),
-                ("legitimate".to_string(), Value::UInt(r.legitimate as u64)),
-                ("hijacked".to_string(), Value::UInt(r.hijacked as u64)),
-                (
-                    "disconnected".to_string(),
-                    Value::UInt(r.disconnected as u64),
-                ),
-                ("legit_rate".to_string(), Value::Float(r.legit_rate())),
-                ("hijack_rate".to_string(), Value::Float(r.hijack_rate())),
-                (
-                    "disconnect_rate".to_string(),
-                    Value::Float(r.disconnect_rate()),
-                ),
+                ("victim".into(), Value::UInt(u64::from(r.victim.value()))),
+                ("defense".into(), Value::String(r.defense.to_string())),
+                ("n".into(), Value::UInt(r.n as u64)),
+                ("legitimate".into(), Value::UInt(r.legitimate as u64)),
+                ("hijacked".into(), Value::UInt(r.hijacked as u64)),
+                ("disconnected".into(), Value::UInt(r.disconnected as u64)),
+                ("legit_rate".into(), Value::Float(r.legit_rate())),
+                ("hijack_rate".into(), Value::Float(r.hijack_rate())),
+                ("disconnect_rate".into(), Value::Float(r.disconnect_rate())),
             ])
         })
         .collect();

@@ -315,9 +315,9 @@ fn request_from_value(v: &Value, id: Option<u64>) -> Result<Request, String> {
 fn tagged(id: Option<u64>, key: &str, tag: &str, fields: Value) -> String {
     let mut obj = Vec::new();
     if let Some(id) = id {
-        obj.push(("id".to_string(), json!(id)));
+        obj.push(("id".into(), json!(id)));
     }
-    obj.push((key.to_string(), json!(tag)));
+    obj.push((key.into(), json!(tag)));
     if let Value::Object(rest) = fields {
         obj.extend(rest);
     }
@@ -729,10 +729,10 @@ mod tests {
         ];
         let arr = Value::Array(deltas.iter().map(delta_to_value).collect());
         let line = serde_json::to_string(&Value::Object(vec![
-            ("op".to_string(), Value::String("whatif".into())),
-            ("id".to_string(), Value::UInt(9)),
-            ("prefix".to_string(), Value::String("10.0.0.0/24".into())),
-            ("deltas".to_string(), arr),
+            ("op".into(), Value::String("whatif".into())),
+            ("id".into(), Value::UInt(9)),
+            ("prefix".into(), Value::String("10.0.0.0/24".into())),
+            ("deltas".into(), arr),
         ]))
         .unwrap();
         match parse_request(&line).unwrap() {

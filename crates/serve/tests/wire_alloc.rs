@@ -1,102 +1,15 @@
 //! Allocation guard for the wire. A served what-if reply is streamed into
 //! one pre-sized `String`, so its allocation count does not grow with its
-//! rows; parsing a reply builds its tree once; and writing a tree never
-//! copies it. Counted by a global allocator with a per-thread counter, so
-//! tests running side by side do not see each other's allocations.
+//! rows; parsing a reply builds its tree once, with one allocation per
+//! container; and writing a tree never copies it. Counted by `support`'s
+//! global allocator.
 
-use ir_bgp::{AsPath, CertificateDelta, DeltaStats, Route, RouteDiff, WhatIfAnswer};
+use ir_bgp::WhatIfAnswer;
 use ir_serve::protocol::ok_response;
-use ir_types::{Asn, Prefix, Timestamp};
-use serde_json::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use serde_json::{Key, Value};
+use support::{allocations, answer};
 
-thread_local! {
-    /// Allocations and reallocations made on this thread so far.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-impl Counting {
-    fn count() {
-        // `try_with`: the allocator also runs while thread-locals tear down.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Counting::count();
-        // SAFETY: the caller's contract is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract is passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Counting::count();
-        // SAFETY: the caller's contract is passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `f`'s result and the allocations (fresh or grown) it made on this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
-
-fn prefix() -> Prefix {
-    "10.0.0.0/24".parse().unwrap()
-}
-
-/// A hijack-shaped answer: every row moves from a learned route to the
-/// attacker's prepended, poisoned one.
-fn answer(rows: u32) -> WhatIfAnswer {
-    let diffs = (0..rows)
-        .map(|i| {
-            let path = AsPath::origin(Asn(64_500)).prepend_n(Asn(3356), 2);
-            let mut before = Route::originate(prefix(), path.prepend(Asn(i)), Timestamp(90));
-            before.learned_from = Some(Asn(i));
-            before.local_pref = 200;
-            let forged = AsPath::poisoned(Asn(65_000), &[Asn(7), Asn(8)]).prepend(Asn(i + 1));
-            let mut after = Route::originate(prefix(), forged, Timestamp(u64::from(i)));
-            after.learned_from = Some(Asn(i + 1));
-            after.local_pref = -5;
-            RouteDiff {
-                asn: Asn(100_000 + i),
-                before: Some(before),
-                after: Some(after),
-            }
-        })
-        .collect();
-    WhatIfAnswer {
-        prefix: prefix(),
-        diffs,
-        stats: DeltaStats {
-            deltas_applied: 1,
-            ases_seeded: 2,
-            activations: 3_000,
-            imports: 9_000,
-            rounds: 12,
-            routes_retained: 19_000,
-            routes_changed: rows as usize,
-            converged: true,
-            deadline_aborted: false,
-        },
-        certificate: Some(CertificateDelta::Preserved),
-    }
-}
+mod support;
 
 /// The reply as the serving loop's writer thread sends it, terminator
 /// included.
@@ -116,18 +29,69 @@ fn a_reply_costs_the_same_few_allocations_at_any_width() {
     assert!(at_1000 <= 4, "{at_1000} allocations");
 }
 
+/// The heap blocks a tree holds, which is what cloning it allocates: one
+/// per non-empty string, array and object, and one per member name too
+/// long to sit inline in its `Key`.
+fn containers(v: &Value) -> usize {
+    match v {
+        Value::String(s) => usize::from(!s.is_empty()),
+        Value::Array(items) => {
+            usize::from(!items.is_empty()) + items.iter().map(containers).sum::<usize>()
+        }
+        Value::Object(members) => {
+            usize::from(!members.is_empty())
+                + members
+                    .iter()
+                    .map(|(k, v)| usize::from(k.len() > Key::INLINE) + containers(v))
+                    .sum::<usize>()
+        }
+        _ => 0,
+    }
+}
+
 #[test]
 fn parsing_a_reply_builds_its_tree_once() {
     let line = ok_response(Some(7), &answer(1_000));
     let (tree, parse) = allocations(|| serde_json::from_str::<Value>(&line).unwrap());
     let (_, clone) = allocations(|| tree.clone());
-    assert!(clone > 10_000, "{clone} allocations to clone");
+    assert_eq!(clone, containers(&tree), "allocations to clone");
     // A parse that handed back a copy of its tree would pay `clone` on top.
     assert!(
         (parse as f64) < 0.6 * (parse + clone) as f64,
         "parse {parse} vs parse + clone {}",
         parse + clone
     );
+}
+
+#[test]
+fn a_parse_allocates_per_container_not_per_member() {
+    let line = ok_response(Some(7), &answer(1_000));
+    let (tree, parse) = allocations(|| serde_json::from_str::<Value>(&line).unwrap());
+    let containers = containers(&tree);
+    // Each row is five containers (the row, two routes, their two paths)
+    // and eleven member names: a parse that allocated per name, or grew
+    // each container by doubling, would pay several times this.
+    assert!(containers > 5_000, "{containers} containers");
+    // What the parser may add: its two scratch stacks, grown by doubling.
+    assert!(
+        parse <= containers + 16,
+        "{parse} allocations for {containers} containers"
+    );
+    assert!(
+        exact_size(&tree),
+        "a container was built with spare capacity"
+    );
+}
+
+/// Whether every array and object in the tree holds no spare capacity.
+fn exact_size(v: &Value) -> bool {
+    match v {
+        Value::Array(items) => items.capacity() == items.len() && items.iter().all(exact_size),
+        Value::Object(members) => {
+            members.capacity() == members.len() && members.iter().all(|(_, v)| exact_size(v))
+        }
+        _ => true,
+    }
 }
 
 #[test]

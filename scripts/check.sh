@@ -84,9 +84,12 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test oscillation_differe
 # image on restart. `server_loop` runs the deadline, quarantine, shed and
 # save paths under optimized codegen too.
 # `wire_golden` + `wire_alloc`: streamed replies keep bytes and allocation bound optimized.
+# `wire_hostile`: ~20k mutated lines never panic either parser, and trees round-trip.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-serve \
     --test server_smoke --test crash_safety --test server_loop \
-    --test wire_golden --test wire_alloc
+    --test wire_golden --test wire_alloc --test wire_hostile
+# The JSON façade's own tests (parser errors, number forms, keys), optimized too.
+run cargo test "${OFFLINE[@]}" --release -q -p serde -p serde_json
 # Policy-safety gate: the generated tiny world must audit clean (the
 # binary exits 1 on any Error-severity finding).
 run cargo run "${OFFLINE[@]}" --release -p ir-experiments --bin audit -- --scale tiny --seed 7
