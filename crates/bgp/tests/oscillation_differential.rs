@@ -454,10 +454,12 @@ fn paper_world_universe_is_the_oracles_at_a_fraction_of_the_work() {
     assert_eq!(unconverged.len(), 410);
     let stats = universe.engine_stats();
     assert_eq!(stats.shapes_computed, 800);
-    assert!(
-        stats.activations < 3_000_000,
-        "universe executed {} activations (cap burn: 97.3 M)",
-        stats.activations
+    // Exact work, pinned like the tiny twin in `work_counts.rs`: the cap
+    // burn executed 97.3 M activations.
+    assert_eq!(
+        (stats.activations, stats.imports),
+        (1_955_263, 3_754_218),
+        "universe (activations, imports)"
     );
 
     // Every unconverged prefix carries a short-period witness.

@@ -36,9 +36,10 @@ run cargo fmt --check
 # bound executed work, and converging events keep their pinned counters.
 # `whatif_inplace` is the in-place proof: no query (answered, budget-tripped,
 # rejected, concurrent or panicking) leaves a trace on the resident base.
+# `work_counts` pins the universe's exact work on three tiny worlds (the paper_pipeline twin).
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp \
     --test differential --test fault_differential --test whatif_differential \
-    --test oscillation_differential --test whatif_inplace
+    --test oscillation_differential --test whatif_inplace --test work_counts
 # The arena's hasher, one-walk import read and rollback, optimized too.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --lib patharena
 # Certificate-maintenance gate (release): ≥1000 randomized (certified
@@ -74,7 +75,7 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test scale_smoke -- --ig
 # Paper-world oscillation proof (release, ignored by default): the seed-7
 # universe keeps its 410 unconverged prefixes, matches the sweep oracle on
 # a 16-prefix sample, carries a short-period witness for every wheel, and
-# executes < 3 M activations (the cap burn was 97.3 M). ~15 s.
+# executes exactly 1 955 263 activations (the cap burn was 97.3 M). ~15 s.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test oscillation_differential \
     -- --ignored
 # Serving-loop gate (release): the real ir-serve binary on an ephemeral
