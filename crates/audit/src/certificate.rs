@@ -12,19 +12,28 @@
 //!
 //! The conditions are deliberately conservative (sufficient, nowhere near
 //! necessary). Per AS, with static import preference
-//! `base(rel) + neighbor_pref + backup_penalty`:
+//! `base(tier) + neighbor_pref + backup_penalty`, where a customer, peer or
+//! provider session's tier is its relationship and a sibling session may
+//! carry any tier (siblings are transparent: a route keeps the tier it had
+//! at the sibling), so it counts once as customer tier and once as peer
+//! tier, the highest foreign one:
 //!
 //! 1. no `Error`-severity finding and no dispute-wheel candidate;
 //! 2. the session-level (per-city, sibling-contracted) customer→provider
 //!    digraph is acyclic — hybrid links participate with every relationship
 //!    they carry;
-//! 3. every customer/sibling-tier session is strictly preferred over every
-//!    peer/provider-tier session (Gao–Rexford preference condition);
-//! 4. no AS with a peer or provider session turns on domestic-path
-//!    preference (the +1000 tier bonus can lift a domestic provider route
-//!    above a foreign customer route);
-//! 5. no sibling session whose endpoints reach peers or providers (sibling
-//!    transparency re-exports foreign-tier routes at customer tier);
+//! 3. every customer-tier route is strictly preferred over every route of
+//!    the AS's own peer and provider sessions (Gao–Rexford preference
+//!    condition);
+//! 4. no AS that can hold a peer- or provider-tier route (over its own
+//!    sessions or a sibling's) turns on domestic-path preference (the +1000
+//!    tier bonus can lift a domestic provider route above a foreign
+//!    customer route);
+//! 5. every customer-tier route is strictly preferred over the peer- or
+//!    provider-tier routes a sibling session can carry — a `neighbor_pref`
+//!    boost on a sibling session can lift its sibling's peer route over
+//!    the AS's customer routes, which the organization's transparency does
+//!    not undo;
 //! 6. no AS disables loop prevention (self-reaching paths re-open the
 //!    dispute construction).
 //!
@@ -35,13 +44,13 @@
 
 use crate::cycles::session_cycles;
 use crate::report::{Diagnostic, RuleId, Severity};
-use crate::view::{customer_class, sessions, Sess};
+use crate::view::{sessions, Sess};
 use ir_bgp::policy_eval::{base_pref, BACKUP_PENALTY};
 use ir_bgp::ActivationOrder;
 use ir_topology::graph::AsGraph;
 use ir_topology::policy::PolicySpec;
 use ir_topology::World;
-use ir_types::Asn;
+use ir_types::{Asn, Relationship};
 use serde::Serialize;
 use std::fmt;
 
@@ -51,51 +60,84 @@ use std::fmt;
 /// it only for the ASes an edit touched — both must judge identically or
 /// the incremental verdict drifts from the full re-audit.
 pub(crate) struct GrSummary {
-    /// Lowest customer/sibling-tier import preference and the peer holding
-    /// it; `None` when the AS has no customer-class session.
+    /// Lowest customer-tier import preference — over customer sessions,
+    /// and sibling sessions carrying a customer-tier route — and the peer
+    /// holding it; `None` when the AS has neither.
     pub cust_floor: Option<(i32, Asn)>,
-    /// Highest peer/provider-tier import preference and the peer holding
-    /// it; `None` when the AS has no foreign-tier session.
+    /// Highest import preference of the AS's own peer and provider
+    /// sessions and the peer holding it; `None` when it has none.
     pub other_ceil: Option<(i32, Asn)>,
-    /// Whether any session is a sibling session.
-    pub has_sibling: bool,
+    /// Highest preference a sibling session gives a peer- or provider-tier
+    /// route it carries (the peer tier, plus the session's delta and
+    /// backup penalty) and the sibling; `None` without sibling sessions.
+    pub sibling_ceil: Option<(i32, Asn)>,
 }
 
 impl GrSummary {
-    /// Condition 3's violation: some foreign-tier route ranks at or above
-    /// a customer-tier route.
+    /// Condition 3's violation: a route of the AS's own peer or provider
+    /// sessions ranks at or above a customer-tier route.
     pub fn inverted(&self) -> Option<((i32, Asn), (i32, Asn))> {
-        match (self.cust_floor, self.other_ceil) {
-            (Some(floor), Some(ceil)) if floor.0 <= ceil.0 => Some((floor, ceil)),
-            _ => None,
-        }
+        at_or_above(self.cust_floor, self.other_ceil)
+    }
+
+    /// Condition 5's violation: a peer- or provider-tier route carried
+    /// over a sibling session ranks at or above a customer-tier route.
+    pub fn sibling_inverted(&self) -> Option<((i32, Asn), (i32, Asn))> {
+        at_or_above(self.cust_floor, self.sibling_ceil)
+    }
+
+    /// Whether the AS can hold a peer- or provider-tier route at all.
+    pub fn holds_foreign_tier(&self) -> bool {
+        self.other_ceil.is_some() || self.sibling_ceil.is_some()
+    }
+}
+
+/// `(floor, ceil)` when the ceiling reaches the floor.
+fn at_or_above(
+    floor: Option<(i32, Asn)>,
+    ceil: Option<(i32, Asn)>,
+) -> Option<((i32, Asn), (i32, Asn))> {
+    match (floor, ceil) {
+        (Some(floor), Some(ceil)) if floor.0 <= ceil.0 => Some((floor, ceil)),
+        _ => None,
     }
 }
 
 pub(crate) fn gr_summary(g: &AsGraph, pol: &PolicySpec, sess: &[Sess]) -> GrSummary {
-    let mut cust_floor: Option<(i32, Asn)> = None;
-    let mut other_ceil: Option<(i32, Asn)> = None;
-    let mut has_sibling = false;
+    let (mut cust_floor, mut other_ceil, mut sibling_ceil) = (None, None, None);
+    let lower = |at: &mut Option<(i32, Asn)>, pref: i32, peer: Asn| {
+        if at.is_none_or(|(f, _)| pref < f) {
+            *at = Some((pref, peer));
+        }
+    };
+    let raise = |at: &mut Option<(i32, Asn)>, pref: i32, peer: Asn| {
+        if at.is_none_or(|(c, _)| pref > c) {
+            *at = Some((pref, peer));
+        }
+    };
     for s in sess {
         let peer = g.asn(s.peer);
-        let pref = base_pref(s.rel)
-            + i32::from(pol.pref_delta(peer))
-            + if s.backup { BACKUP_PENALTY } else { 0 };
-        if s.rel == ir_types::Relationship::Sibling {
-            has_sibling = true;
-        }
-        if customer_class(s.rel) {
-            if cust_floor.is_none_or(|(f, _)| pref < f) {
-                cust_floor = Some((pref, peer));
+        let adjust = i32::from(pol.pref_delta(peer)) + if s.backup { BACKUP_PENALTY } else { 0 };
+        let customer = base_pref(Relationship::Customer) + adjust;
+        match s.rel {
+            // A sibling session's routes carry the tier they had at the
+            // sibling: customer, peer or provider.
+            Relationship::Sibling => {
+                lower(&mut cust_floor, customer, peer);
+                raise(
+                    &mut sibling_ceil,
+                    base_pref(Relationship::Peer) + adjust,
+                    peer,
+                );
             }
-        } else if other_ceil.is_none_or(|(c, _)| pref > c) {
-            other_ceil = Some((pref, peer));
+            Relationship::Customer => lower(&mut cust_floor, customer, peer),
+            rel => raise(&mut other_ceil, base_pref(rel) + adjust, peer),
         }
     }
     GrSummary {
         cust_floor,
         other_ceil,
-        has_sibling,
+        sibling_ceil,
     }
 }
 
@@ -202,7 +244,7 @@ pub(crate) fn certify(world: Option<&World>, diagnostics: &[Diagnostic]) -> Safe
 
     let mut inverted = Vec::new();
     let mut domestic = Vec::new();
-    let mut transparent = Vec::new();
+    let mut carried = Vec::new();
     let mut no_loop = Vec::new();
     for u in 0..n {
         let pol = world.policy(u);
@@ -214,11 +256,11 @@ pub(crate) fn certify(world: Option<&World>, diagnostics: &[Diagnostic]) -> Safe
         if summary.inverted().is_some() {
             inverted.push(g.asn(u));
         }
-        if pol.domestic_pref && summary.other_ceil.is_some() {
+        if pol.domestic_pref && summary.holds_foreign_tier() {
             domestic.push(g.asn(u));
         }
-        if summary.has_sibling && summary.other_ceil.is_some() {
-            transparent.push(g.asn(u));
+        if summary.sibling_inverted().is_some() {
+            carried.push(g.asn(u));
         }
     }
     blockers.extend(aggregate(
@@ -226,12 +268,12 @@ pub(crate) fn certify(world: Option<&World>, diagnostics: &[Diagnostic]) -> Safe
         &inverted,
     ));
     blockers.extend(aggregate(
-        "combine domestic-path preference with peer/provider sessions",
+        "combine domestic-path preference with peer/provider-tier routes",
         &domestic,
     ));
     blockers.extend(aggregate(
-        "have sibling sessions alongside peer/provider sessions",
-        &transparent,
+        "rank a sibling-carried peer/provider route at or above a customer route",
+        &carried,
     ));
     blockers.extend(aggregate("disable BGP loop prevention", &no_loop));
 

@@ -235,20 +235,21 @@ impl<'w> DeltaAuditor<'w> {
                         ),
                     };
                 }
-                if pol.domestic_pref && summary.other_ceil.is_some() {
+                if pol.domestic_pref && summary.holds_foreign_tier() {
                     return CertificateDelta::Revoked {
                         rule: "GR-DOMESTIC".to_string(),
                         witness: format!(
-                            "{asn} combines domestic-path preference with a \
-                             peer/provider session"
+                            "{asn} combines domestic-path preference with \
+                             peer/provider-tier routes"
                         ),
                     };
                 }
-                if summary.has_sibling && summary.other_ceil.is_some() {
+                if let Some(((floor, fp), (ceil, sp))) = summary.sibling_inverted() {
                     return CertificateDelta::Revoked {
                         rule: "GR-SIBLING".to_string(),
                         witness: format!(
-                            "{asn} has a sibling session alongside a peer/provider session"
+                            "{asn} ranks a peer-tier route carried by sibling {sp} at \
+                             {ceil}, at or above customer-tier {fp} at {floor}"
                         ),
                     };
                 }

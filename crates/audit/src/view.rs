@@ -58,8 +58,9 @@ pub(crate) fn sessions_excluding(
     out
 }
 
-/// Whether `rel` puts a learned route in the customer tier (base local
-/// preference 300): customer and sibling sessions do.
+/// Whether `rel` can put a learned route in the customer tier (base local
+/// preference 300): customer sessions always, sibling sessions when the
+/// sibling's own route is customer tier.
 pub(crate) fn customer_class(rel: Relationship) -> bool {
     matches!(rel, Relationship::Customer | Relationship::Sibling)
 }

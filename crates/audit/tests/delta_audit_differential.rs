@@ -197,6 +197,9 @@ fn randomized_delta_batches_agree_with_full_reaudit() {
         .collect();
     let world = GeneratorConfig::internet_scale_sized(1_000).build(7);
     inputs.push(("internet_scale_sized(1000)", 7, world, 64));
+    // Sibling organizations beside peers and providers: certified only
+    // since siblings became transparent (certificate condition 5).
+    inputs.push(("certifiably_safe + siblings", 2, with_siblings(2), 150));
     for (preset, seed, world, batches) in &inputs {
         let auditor = DeltaAuditor::new(world);
         assert!(
@@ -278,6 +281,62 @@ fn base() -> World {
     let world = GeneratorConfig::certifiably_safe().build(7);
     assert!(audit_world(&world).is_clean(), "baseline not clean");
     world
+}
+
+/// The certifiably-safe preset with the default share of sibling
+/// organizations put back; it certifies.
+fn with_siblings(seed: u64) -> World {
+    GeneratorConfig {
+        sibling_org_fraction: GeneratorConfig::default().sibling_org_fraction,
+        ..GeneratorConfig::certifiably_safe()
+    }
+    .build(seed)
+}
+
+/// An AS with a customer session and a sibling session, and the sibling.
+fn sibling_boost_target(world: &World) -> (Asn, Asn) {
+    let g = &world.graph;
+    for x in 0..g.len() {
+        let plain = |rel| {
+            g.links(x)
+                .iter()
+                .find(move |l| !l.is_hybrid() && l.rel == rel)
+        };
+        if let (Some(_), Some(sib)) = (plain(Relationship::Customer), plain(Relationship::Sibling))
+        {
+            return (g.asn(x), g.asn(sib.peer));
+        }
+    }
+    panic!("no AS with both a customer and a sibling session");
+}
+
+#[test]
+fn sibling_boost_over_customer_routes_revokes_as_gr_sibling() {
+    // Siblings are transparent, so a sibling session can carry its
+    // sibling's peer route at peer tier (200). A boost that lifts it to or
+    // over the AS's customer routes (300) inverts Gao–Rexford order; a
+    // smaller one keeps the certificate.
+    let world = with_siblings(2);
+    let auditor = DeltaAuditor::new(&world);
+    assert!(auditor.base_certified());
+    let (of, neighbor) = sibling_boost_target(&world);
+    let boost = |delta| {
+        vec![Delta::NeighborPref {
+            of,
+            neighbor,
+            delta: Some(delta),
+        }]
+    };
+    match auditor.audit_deltas(&boost(150)) {
+        CertificateDelta::Revoked { rule, witness } => {
+            assert_eq!(rule, "GR-SIBLING", "{witness}");
+            assert!(witness.contains(&neighbor.to_string()), "{witness}");
+        }
+        other => panic!("expected GR-SIBLING revocation, got {other:?}"),
+    }
+    assert!(!every_cumulative_prefix_certifies(&world, &boost(150)));
+    assert!(auditor.audit_deltas(&boost(50)).preserved());
+    assert!(every_cumulative_prefix_certifies(&world, &boost(50)));
 }
 
 /// Three pairwise-unlinked ASes in three organizations with no sibling

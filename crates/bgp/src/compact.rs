@@ -28,25 +28,45 @@ pub(crate) const NO_NODE: u32 = u32::MAX;
 /// Sentinel city: local origination (no entry session).
 pub(crate) const NO_CITY: u16 = u16::MAX;
 
-/// Relationship tag: 0 = none (local origination), 1.. = [`Relationship`].
+/// Route tag of a local origination. A learned route's tag names the
+/// session relationship and the tier the route ranks and exports at:
+/// 1 / 2 / 3 for a customer / peer / provider session, whose tier is its
+/// own, and 4 / 5 / 6 for a sibling session carrying the customer / peer /
+/// provider tier the route had at the sibling ([`route_tag`]).
 pub(crate) const REL_NONE: u8 = 0;
 
-pub(crate) fn rel_tag(rel: Option<Relationship>) -> u8 {
+/// Tag of a route learned over a `rel` session at `tier` (which is `rel`
+/// itself unless `rel` is [`Relationship::Sibling`]).
+pub(crate) fn route_tag(rel: Relationship, tier: Relationship) -> u8 {
+    let tier = match tier {
+        Relationship::Customer | Relationship::Sibling => 1,
+        Relationship::Peer => 2,
+        Relationship::Provider => 3,
+    };
     match rel {
-        None => REL_NONE,
-        Some(Relationship::Customer) => 1,
-        Some(Relationship::Peer) => 2,
-        Some(Relationship::Provider) => 3,
-        Some(Relationship::Sibling) => 4,
+        Relationship::Sibling => tier + 3,
+        _ => tier,
     }
 }
 
+/// The session relationship of a tagged route (`None` = local).
 pub(crate) fn rel_of_tag(tag: u8) -> Option<Relationship> {
     match tag {
         1 => Some(Relationship::Customer),
         2 => Some(Relationship::Peer),
         3 => Some(Relationship::Provider),
-        4 => Some(Relationship::Sibling),
+        4..=6 => Some(Relationship::Sibling),
+        _ => None,
+    }
+}
+
+/// The tier a tagged route ranks and exports at (`None` = local): always
+/// customer, peer or provider, never sibling.
+pub(crate) fn tier_of_tag(tag: u8) -> Option<Relationship> {
+    match tag {
+        1 | 4 => Some(Relationship::Customer),
+        2 | 5 => Some(Relationship::Peer),
+        3 | 6 => Some(Relationship::Provider),
         _ => None,
     }
 }
@@ -69,7 +89,8 @@ pub(crate) struct CompactRoute {
     pub learned_from: u32,
     /// Entry city, [`NO_CITY`] if local.
     pub city: u16,
-    /// Relationship tag at the entry city ([`rel_tag`]).
+    /// Session relationship at the entry city and carried tier
+    /// ([`route_tag`]).
     pub rel: u8,
     /// Computed local preference.
     pub local_pref: i32,
@@ -134,9 +155,10 @@ impl EntryColumns {
         }
     }
 
-    /// One entry per session, in session order: `(peer, city, relationship
-    /// tag, IGP cost)` — exactly the attributes an import over that session
-    /// stamps on its route.
+    /// One entry per session, in session order: `(peer, city, route tag,
+    /// IGP cost)` — the attributes an import over that session stamps on
+    /// its route, the tag for a customer-tier route where the session is a
+    /// sibling session.
     pub fn from_sessions(sessions: impl Iterator<Item = (u32, u16, u8, u32)>) -> EntryColumns {
         let mut cols = EntryColumns::local(0);
         for (learned_from, city, rel, igp_cost) in sessions {
@@ -157,8 +179,14 @@ enum Entries {
     Own { entry: EntryColumns, age: Vec<u32> },
     /// An adj-RIB-in: the sessions' entry attributes, and no ages —
     /// selection re-stamps every candidate with the current clock, so a
-    /// stored age would never be read. Loads report age 0.
-    Sessions(Arc<EntryColumns>),
+    /// stored age would never be read. Loads report age 0. Where some
+    /// session is a sibling session, whose routes differ in the tier they
+    /// carry, `tags` holds each slot's own route tag; otherwise it is empty
+    /// and the session's tag is every route's.
+    Sessions {
+        entry: Arc<EntryColumns>,
+        tags: Vec<u8>,
+    },
 }
 
 /// A table of optional compact routes as parallel columns. Vacancy is
@@ -168,8 +196,9 @@ enum Entries {
 /// In an adj-RIB-in, slot `i` caches what arrived over session `i`, so the
 /// entry attributes of every route it can hold are the session's own: that
 /// table stores the path handle, its length and the local preference (10
-/// bytes per slot) and reads the rest from the world's shared
-/// [`EntryColumns`]. A best table stores all 25 bytes.
+/// bytes per slot; 11 with the route tag where some session is a sibling
+/// session) and reads the rest from the world's shared [`EntryColumns`].
+/// A best table stores all 25 bytes.
 ///
 /// Every mutation goes through [`RouteColumns::set`], [`RouteColumns::take`]
 /// or [`RouteColumns::set_age`]. That one funnel keeps the occupied count
@@ -239,7 +268,23 @@ impl RouteColumns {
     /// An all-vacant adj-RIB-in: one slot per session, whose entry
     /// attributes are the session's own.
     pub fn over_sessions(sessions: Arc<EntryColumns>) -> RouteColumns {
-        RouteColumns::with_entries(sessions.learned_from.len(), Entries::Sessions(sessions))
+        let siblings = sessions
+            .rel
+            .iter()
+            .any(|&t| rel_of_tag(t) == Some(Relationship::Sibling));
+        let tags = if siblings {
+            sessions.rel.clone()
+        } else {
+            Vec::new()
+        };
+        let len = sessions.learned_from.len();
+        RouteColumns::with_entries(
+            len,
+            Entries::Sessions {
+                entry: sessions,
+                tags,
+            },
+        )
     }
 
     /// An empty journal shaped for this table.
@@ -249,7 +294,10 @@ impl RouteColumns {
                 entry: EntryColumns::local(0),
                 age: Vec::new(),
             },
-            Entries::Sessions(sessions) => Entries::Sessions(Arc::clone(sessions)),
+            Entries::Sessions { entry, .. } => Entries::Sessions {
+                entry: Arc::clone(entry),
+                tags: Vec::new(),
+            },
         };
         ColumnJournal {
             saved_in: vec![0; self.len().div_ceil(JOURNAL_BLOCK)],
@@ -286,16 +334,18 @@ impl RouteColumns {
         if self.path[i].is_empty() {
             return None;
         }
-        let (entry, age) = match &self.entries {
-            Entries::Own { entry, age } => (entry, age[i]),
-            Entries::Sessions(entry) => (&**entry, 0),
+        let (entry, rel, age) = match &self.entries {
+            Entries::Own { entry, age } => (entry, entry.rel[i], age[i]),
+            Entries::Sessions { entry, tags } => {
+                (&**entry, tags.get(i).copied().unwrap_or(entry.rel[i]), 0)
+            }
         };
         Some(CompactRoute {
             path: self.path[i],
             path_len: self.path_len[i],
             learned_from: entry.learned_from[i],
             city: entry.city[i],
-            rel: entry.rel[i],
+            rel,
             local_pref: self.local_pref[i],
             igp_cost: entry.igp_cost[i],
             age,
@@ -322,15 +372,21 @@ impl RouteColumns {
                         entry.igp_cost[i] = r.igp_cost;
                         age[i] = r.age;
                     }
-                    Entries::Sessions(entry) => debug_assert!(
-                        (
-                            entry.learned_from[i],
-                            entry.city[i],
-                            entry.rel[i],
-                            entry.igp_cost[i]
-                        ) == (r.learned_from, r.city, r.rel, r.igp_cost),
-                        "slot {i} holds a route from another session"
-                    ),
+                    Entries::Sessions { entry, tags } => {
+                        debug_assert!(
+                            (
+                                entry.learned_from[i],
+                                entry.city[i],
+                                rel_of_tag(entry.rel[i]),
+                                entry.igp_cost[i]
+                            ) == (r.learned_from, r.city, rel_of_tag(r.rel), r.igp_cost),
+                            "slot {i} holds a route from another session"
+                        );
+                        match tags.get_mut(i) {
+                            Some(tag) => *tag = r.rel,
+                            None => debug_assert_eq!(entry.rel[i], r.rel, "untagged slot {i}"),
+                        }
+                    }
                 }
             }
             None => {
@@ -383,20 +439,27 @@ impl RouteColumns {
         saved.path.extend_from_slice(&self.path[lo..hi]);
         saved.path_len.extend_from_slice(&self.path_len[lo..hi]);
         saved.local_pref.extend_from_slice(&self.local_pref[lo..hi]);
-        if let (
-            Entries::Own { entry, age },
-            Entries::Own {
-                entry: into,
-                age: into_age,
-            },
-        ) = (&self.entries, &mut saved.entries)
-        {
-            into.learned_from
-                .extend_from_slice(&entry.learned_from[lo..hi]);
-            into.city.extend_from_slice(&entry.city[lo..hi]);
-            into.rel.extend_from_slice(&entry.rel[lo..hi]);
-            into.igp_cost.extend_from_slice(&entry.igp_cost[lo..hi]);
-            into_age.extend_from_slice(&age[lo..hi]);
+        match (&self.entries, &mut saved.entries) {
+            (
+                Entries::Own { entry, age },
+                Entries::Own {
+                    entry: into,
+                    age: into_age,
+                },
+            ) => {
+                into.learned_from
+                    .extend_from_slice(&entry.learned_from[lo..hi]);
+                into.city.extend_from_slice(&entry.city[lo..hi]);
+                into.rel.extend_from_slice(&entry.rel[lo..hi]);
+                into.igp_cost.extend_from_slice(&entry.igp_cost[lo..hi]);
+                into_age.extend_from_slice(&age[lo..hi]);
+            }
+            (Entries::Sessions { tags, .. }, Entries::Sessions { tags: into, .. })
+                if !tags.is_empty() =>
+            {
+                into.extend_from_slice(&tags[lo..hi]);
+            }
+            _ => {}
         }
     }
 
@@ -421,19 +484,26 @@ impl RouteColumns {
             self.path[lo..hi].copy_from_slice(&saved.path[from.clone()]);
             self.path_len[lo..hi].copy_from_slice(&saved.path_len[from.clone()]);
             self.local_pref[lo..hi].copy_from_slice(&saved.local_pref[from.clone()]);
-            if let (
-                Entries::Own { entry, age },
-                Entries::Own {
-                    entry: was,
-                    age: was_age,
-                },
-            ) = (&mut self.entries, &saved.entries)
-            {
-                entry.learned_from[lo..hi].copy_from_slice(&was.learned_from[from.clone()]);
-                entry.city[lo..hi].copy_from_slice(&was.city[from.clone()]);
-                entry.rel[lo..hi].copy_from_slice(&was.rel[from.clone()]);
-                entry.igp_cost[lo..hi].copy_from_slice(&was.igp_cost[from.clone()]);
-                age[lo..hi].copy_from_slice(&was_age[from]);
+            match (&mut self.entries, &saved.entries) {
+                (
+                    Entries::Own { entry, age },
+                    Entries::Own {
+                        entry: was,
+                        age: was_age,
+                    },
+                ) => {
+                    entry.learned_from[lo..hi].copy_from_slice(&was.learned_from[from.clone()]);
+                    entry.city[lo..hi].copy_from_slice(&was.city[from.clone()]);
+                    entry.rel[lo..hi].copy_from_slice(&was.rel[from.clone()]);
+                    entry.igp_cost[lo..hi].copy_from_slice(&was.igp_cost[from.clone()]);
+                    age[lo..hi].copy_from_slice(&was_age[from]);
+                }
+                (Entries::Sessions { tags, .. }, Entries::Sessions { tags: was, .. })
+                    if !tags.is_empty() =>
+                {
+                    tags[lo..hi].copy_from_slice(&was[from]);
+                }
+                _ => {}
             }
         }
         self.occupied = journal.occupied;
@@ -453,12 +523,15 @@ impl RouteColumns {
         self.path.clear();
         self.path_len.clear();
         self.local_pref.clear();
-        if let Entries::Own { entry, age } = &mut self.entries {
-            entry.learned_from.clear();
-            entry.city.clear();
-            entry.rel.clear();
-            entry.igp_cost.clear();
-            age.clear();
+        match &mut self.entries {
+            Entries::Own { entry, age } => {
+                entry.learned_from.clear();
+                entry.city.clear();
+                entry.rel.clear();
+                entry.igp_cost.clear();
+                age.clear();
+            }
+            Entries::Sessions { tags, .. } => tags.clear(),
         }
     }
 
@@ -508,7 +581,7 @@ impl RouteColumns {
     pub fn bytes(&self) -> usize {
         let core =
             std::mem::size_of::<PathId>() + std::mem::size_of::<u16>() + std::mem::size_of::<i32>();
-        let own = match self.entries {
+        let own = match &self.entries {
             Entries::Own { .. } => {
                 std::mem::size_of::<u32>()
                     + std::mem::size_of::<u16>()
@@ -516,7 +589,7 @@ impl RouteColumns {
                     + std::mem::size_of::<u32>()
                     + std::mem::size_of::<u32>()
             }
-            Entries::Sessions(_) => 0,
+            Entries::Sessions { tags, .. } => usize::from(!tags.is_empty()),
         };
         self.path.len() * (core + own)
     }
@@ -594,7 +667,7 @@ mod tests {
             path_len: 3,
             learned_from: 7,
             city: 2,
-            rel: rel_tag(Some(Relationship::Peer)),
+            rel: route_tag(Relationship::Peer, Relationship::Peer),
             local_pref: 200,
             igp_cost: 5,
             age: 60,
@@ -637,15 +710,22 @@ mod tests {
 
     #[test]
     fn rel_tags_round_trip() {
-        for rel in [
-            None,
-            Some(Relationship::Customer),
-            Some(Relationship::Peer),
-            Some(Relationship::Provider),
-            Some(Relationship::Sibling),
-        ] {
-            assert_eq!(rel_of_tag(rel_tag(rel)), rel);
+        use Relationship::{Customer, Peer, Provider, Sibling};
+        assert_eq!((rel_of_tag(REL_NONE), tier_of_tag(REL_NONE)), (None, None));
+        for rel in [Customer, Peer, Provider] {
+            let tag = route_tag(rel, rel);
+            assert_eq!((rel_of_tag(tag), tier_of_tag(tag)), (Some(rel), Some(rel)));
         }
+        let mut tags = vec![];
+        for tier in [Customer, Peer, Provider] {
+            let tag = route_tag(Sibling, tier);
+            assert_eq!(
+                (rel_of_tag(tag), tier_of_tag(tag)),
+                (Some(Sibling), Some(tier))
+            );
+            tags.push(tag);
+        }
+        assert_eq!(tags, [4, 5, 6], "a sibling tag per carried tier");
     }
 
     #[test]
@@ -693,6 +773,40 @@ mod tests {
         rib.set(1, Some(other));
         rib.roll_back();
         assert!(rib.same_routes(&copy) && rib.occupied() == 1);
+    }
+
+    #[test]
+    fn sibling_sessions_tag_each_slot_with_the_tier_it_carries() {
+        use Relationship::{Peer, Provider, Sibling};
+        let peer_tag = route_tag(Peer, Peer);
+        let sessions = Arc::new(EntryColumns::from_sessions(
+            [(7, 2, peer_tag, 5), (8, 2, route_tag(Sibling, Sibling), 5)].into_iter(),
+        ));
+        let mut rib = RouteColumns::over_sessions(sessions);
+        assert_eq!(rib.bytes(), 2 * 11, "a sibling session adds a tag per slot");
+        let carried = CompactRoute {
+            learned_from: 8,
+            city: 2,
+            rel: route_tag(Sibling, Provider),
+            age: 0,
+            ..r(9)
+        };
+        rib.set(1, Some(carried));
+        assert_eq!(rib.get(1), Some(carried));
+        // A tier change alone is journaled and rolled back.
+        let copy = rib.clone();
+        rib.start_journal(rib.new_journal());
+        rib.set(
+            1,
+            Some(CompactRoute {
+                rel: route_tag(Sibling, Peer),
+                ..carried
+            }),
+        );
+        assert!(!rib.same_routes(&copy));
+        rib.roll_back();
+        assert!(rib.same_routes(&copy));
+        assert_eq!(rib.get(1), Some(carried));
     }
 
     #[test]

@@ -4,20 +4,39 @@
 //! Local-preference tiers follow Gao–Rexford (customer 300 / peer 200 /
 //! provider 100), then the world's per-AS deviations are layered on top:
 //! per-neighbor deltas, a +1000 domestic tier, a −400 backup-link penalty.
+//!
+//! Siblings are transparent: a route learned over a sibling session ranks
+//! and exports at the tier it had at the sibling ([`carried_tier`]), so an
+//! organization routes as one network.
 
-use crate::compact::{rel_tag, CompactRoute};
+use crate::compact::{route_tag, CompactRoute};
 use crate::patharena::{PathArena, PathId};
 use ir_topology::graph::{LinkKind, NodeIdx};
 use ir_topology::policy::{PolicySpec, TransitScope};
 use ir_topology::World;
 use ir_types::{Asn, CityId, Prefix, Relationship};
 
-/// Base local preference for a relationship tier.
+/// Base local preference for a relationship tier. A sibling session has no
+/// tier of its own ([`carried_tier`]); `Sibling` reads as the customer
+/// tier, the one a route the sibling originated or learned from a customer
+/// carries.
 pub fn base_pref(rel: Relationship) -> i32 {
     match rel {
         Relationship::Customer | Relationship::Sibling => 300,
         Relationship::Peer => 200,
         Relationship::Provider => 100,
+    }
+}
+
+/// The tier a route imported over a `rel` session ranks and exports at,
+/// where `sender_tier` is the tier of the sender's own best route
+/// (`Customer` for its origination): the session's own relationship,
+/// except over a sibling session, which carries the sender's tier — through
+/// chains of siblings too, since the sender's tier is already carried.
+pub(crate) fn carried_tier(rel: Relationship, sender_tier: Relationship) -> Relationship {
+    match rel {
+        Relationship::Sibling => sender_tier,
+        rel => rel,
     }
 }
 
@@ -43,7 +62,8 @@ fn path_is_domestic(world: &World, me: NodeIdx, arena: &PathArena, path: PathId)
 
 /// Import filter + attribute computation for the interned `path` announced
 /// by neighbor `from` over the session at `city` with relationship `rel`
-/// (of `from`, as seen from `me`, hybrid-resolved by the caller).
+/// (of `from`, as seen from `me`, hybrid-resolved by the caller), ranked
+/// at `tier` ([`carried_tier`]).
 ///
 /// Returns `None` when the announcement is rejected (loop prevention,
 /// AS-set filtering). Compact routes carry no prefix — the per-prefix
@@ -62,6 +82,7 @@ pub(crate) fn import(
     from: NodeIdx,
     city: CityId,
     rel: Relationship,
+    tier: Relationship,
     kind: LinkKind,
     path: PathId,
     igp_cost: u32,
@@ -85,7 +106,7 @@ pub(crate) fn import(
         return None;
     }
 
-    let mut pref = base_pref(rel);
+    let mut pref = base_pref(tier);
     pref += i32::from(policy.pref_delta(world.graph.asn(from)));
     if kind == LinkKind::Backup {
         pref += BACKUP_PENALTY;
@@ -99,7 +120,7 @@ pub(crate) fn import(
         path_len: len as u16,
         learned_from: from as u32,
         city: city.0,
-        rel: rel_tag(Some(rel)),
+        rel: route_tag(rel, tier),
         local_pref: pref,
         igp_cost,
         age,
@@ -107,28 +128,28 @@ pub(crate) fn import(
 }
 
 /// Export filter: may an AS with resolved spec `policy` announce its
-/// current route — learned on class `learned_rel` (`None` = local
-/// origination) — to neighbor `to`, whose relationship over the session in
-/// question is `rel_to`? `prefix` is consulted only for local routes'
+/// current route — ranked at tier `tier` (`None` = local origination) — to
+/// neighbor `to`, whose relationship over the session in question is
+/// `rel_to`? `prefix` is consulted only for local routes'
 /// selective-announcement policy.
 ///
-/// Checks, in order: Gao–Rexford export (driven by the class the route
-/// was learned on), partial transit, and — for locally-originated
-/// routes — the origin's selective-announcement table.
+/// Checks, in order: Gao–Rexford export (driven by the route's tier: the
+/// class it was learned on, or the tier a sibling session carried),
+/// partial transit, and — for locally-originated routes — the origin's
+/// selective-announcement table.
 pub(crate) fn may_export(
     policy: &PolicySpec,
-    learned_rel: Option<Relationship>,
+    tier: Option<Relationship>,
     prefix: Prefix,
     to: Asn,
     rel_to: Relationship,
 ) -> bool {
-    match learned_rel {
-        // Class the route was learned on; partial transit then limits `to`
-        // to customer-learned routes.
-        Some(learned_rel) => {
-            learned_rel.exportable_to(rel_to)
+    match tier {
+        // Partial transit limits `to` to customer-tier routes.
+        Some(tier) => {
+            tier.exportable_to(rel_to)
                 && (policy.transit_scope(to) != TransitScope::CustomerRoutesOnly
-                    || matches!(learned_rel, Relationship::Customer | Relationship::Sibling))
+                    || tier == Relationship::Customer)
         }
         // Origin-side prefix-specific policy (§4.3).
         None => policy.may_announce(&prefix, to),
@@ -158,7 +179,20 @@ mod tests {
     ) -> Option<CompactRoute> {
         let mut arena = PathArena::new();
         let id = arena.intern(path);
-        import(w, w.policy(me), &arena, me, from, city, rel, kind, id, 1, 0)
+        import(
+            w,
+            w.policy(me),
+            &arena,
+            me,
+            from,
+            city,
+            rel,
+            rel,
+            kind,
+            id,
+            1,
+            0,
+        )
     }
 
     #[test]
@@ -342,7 +376,8 @@ mod tests {
                 ] {
                     for kind in [LinkKind::Normal, LinkKind::Backup] {
                         let id = arena.intern(&path);
-                        let got = import(&w, spec, &arena, me, from, city, rel, kind, id, 3, 60);
+                        let got =
+                            import(&w, spec, &arena, me, from, city, rel, rel, kind, id, 3, 60);
                         assert_eq!(got.is_some(), accepted, "node {me}: {path:?}");
                         let Some(r) = got else { continue };
                         let backup = if kind == LinkKind::Backup { -400 } else { 0 };

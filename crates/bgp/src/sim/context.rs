@@ -3,7 +3,7 @@
 //! session layout, [`ShapeTable`], and extract/hydrate between the two.
 
 use super::{ActivationOrder, Announcement, PrefixSim};
-use crate::compact::{rel_of_tag, rel_tag, CompactRoute, EntryColumns, RouteColumns};
+use crate::compact::{rel_of_tag, route_tag, CompactRoute, EntryColumns, RouteColumns};
 use crate::compact::{NO_CITY, NO_NODE};
 use crate::patharena::PathArena;
 use crate::route::Route;
@@ -89,11 +89,10 @@ impl CsrTopology {
                 listeners[slot] = (l as u32, base + si as u32);
             }
         }
-        let entries = Arc::new(EntryColumns::from_sessions(
-            sessions
-                .iter()
-                .map(|s| (s.peer as u32, s.city.0, rel_tag(Some(s.rel)), s.igp)),
-        ));
+        let entries =
+            Arc::new(EntryColumns::from_sessions(sessions.iter().map(|s| {
+                (s.peer as u32, s.city.0, route_tag(s.rel, s.rel), s.igp)
+            })));
         CsrTopology {
             sessions,
             session_off,

@@ -9,7 +9,7 @@ use crate::decision::{decide, DecisionKey};
 use crate::worklist::BitWorklist;
 use ir_fault::ServiceClock;
 use ir_topology::graph::NodeIdx;
-use ir_types::{Asn, CityId};
+use ir_types::{Asn, CityId, Relationship};
 
 /// Cycle witness of an event that ended on a dispute wheel: the
 /// wave-barrier state recurred, so [`PrefixSim`] jumped to the state the
@@ -238,8 +238,11 @@ impl<'w> PrefixSim<'w> {
                 }
                 let new_best = self.select_at(x);
                 let old = self.best.get(x);
+                // The same route in another tier (a sibling re-learned it
+                // at another city of a hybrid link) is a change: it ranks
+                // and exports differently downstream.
                 let keep = match (&old, &new_best) {
-                    (Some(o), Some(new)) => o.same_route(new),
+                    (Some(o), Some(new)) => o.same_route(new) && o.rel == new.rel,
                     (None, None) => true,
                     _ => false,
                 };
@@ -395,17 +398,25 @@ impl<'w> PrefixSim<'w> {
             let exported = t.export(&sender, l, s);
             // An unchanged exported path implies an unchanged import: every
             // other route attribute is a deterministic function of the
-            // session and the path (ages are re-stamped at selection).
-            // Equal paths ⇔ equal handles, so this is one u32 compare.
+            // session, the path and — over a sibling session only — the
+            // sender's tier (ages are re-stamped at selection). Equal paths
+            // ⇔ equal handles, so this is one u32 compare, plus one byte
+            // on a sibling session.
             let entry_pid = rib.path_id(rib_idx);
             let unchanged = match exported {
                 None => entry_pid.is_empty(),
-                Some(p) => p == entry_pid,
+                Some(p) => {
+                    p == entry_pid
+                        && (s.rel != Relationship::Sibling
+                            || rib
+                                .get(rib_idx)
+                                .is_some_and(|r| r.rel == sender.tag_over(s)))
+                }
             };
             if unchanged {
                 continue;
             }
-            let imported = exported.and_then(|p| t.import(&mut imports, l, s, p));
+            let imported = exported.and_then(|p| t.import(&mut imports, &sender, l, s, p));
             // The export changed but the import verdict didn't: nothing for
             // the listener to react to.
             if imported.is_none() && !rib.is_some(rib_idx) {

@@ -5,7 +5,7 @@
 
 use super::context::{link_key, Session, SimContext};
 use super::{Announcement, Inputs, PrefixSim};
-use crate::compact::{clamp_age, rel_of_tag, CompactRoute, RouteColumns};
+use crate::compact::{clamp_age, route_tag, tier_of_tag, CompactRoute, RouteColumns};
 use crate::extension::{DefensePlan, ExtensionCheck};
 use crate::patharena::{PathArena, PathId};
 use crate::policy_eval;
@@ -64,16 +64,31 @@ pub(super) struct Transfer<'a, 'w> {
     age: u32,
 }
 
-/// The sending side of the export half: `idx`'s ASN, selected route,
-/// effective policy and — for the primary origin only — its announcement,
-/// resolved once per sender so the per-listener loop of
+/// The sending side of the export half: `idx`'s ASN, selected route and
+/// its tier, effective policy and — for the primary origin only — its
+/// announcement, resolved once per sender so the per-listener loop of
 /// [`PrefixSim::push_exports`] re-reads none of them.
 pub(super) struct Sender<'a> {
     idx: NodeIdx,
     asn: Asn,
     best: Option<CompactRoute>,
+    /// The tier `best` ranks at (`None` = local origination or no route).
+    tier: Option<Relationship>,
     policy: &'a PolicySpec,
     ann: Option<&'a Announcement>,
+}
+
+impl Sender<'_> {
+    /// The tier a sibling listener imports this sender's route at: its own
+    /// tier, and the customer tier for an origination.
+    fn carried(&self) -> Relationship {
+        self.tier.unwrap_or(Relationship::Customer)
+    }
+
+    /// The route tag `to` stores for this sender's route over `s`.
+    pub(super) fn tag_over(&self, s: &Session) -> u8 {
+        route_tag(s.rel, policy_eval::carried_tier(s.rel, self.carried()))
+    }
 }
 
 impl<'a> Transfer<'a, '_> {
@@ -82,6 +97,7 @@ impl<'a> Transfer<'a, '_> {
             idx,
             asn: self.ctx.world.graph.asn(idx),
             best,
+            tier: best.and_then(|b| tier_of_tag(b.rel)),
             policy: overlay_policy(self.ctx.world, &self.inputs.overlay, idx),
             ann: self.origin.filter(|&(o, _)| o == idx).map(|(_, a)| a),
         }
@@ -112,7 +128,7 @@ impl<'a> Transfer<'a, '_> {
         // consistent).
         let rel = s.rel.reverse();
         let prefix = self.inputs.prefix;
-        if !policy_eval::may_export(from.policy, rel_of_tag(best.rel), prefix, to_asn, rel) {
+        if !policy_eval::may_export(from.policy, from.tier, prefix, to_asn, rel) {
             return None;
         }
         // Export-side prepending (inbound traffic engineering), plus the
@@ -125,14 +141,15 @@ impl<'a> Transfer<'a, '_> {
             .then_some(path)
     }
 
-    /// Import half: what `to` installs for `path` arriving over its session
-    /// `s`, or `None` if a filter, a defense or import policy drops it.
-    /// Every call is one import evaluation, counted into `imports` before
-    /// any filter runs.
+    /// Import half: what `to` installs for `path`, exported by `from`,
+    /// arriving over its session `s`, or `None` if a filter, a defense or
+    /// import policy drops it. Every call is one import evaluation, counted
+    /// into `imports` before any filter runs.
     #[inline]
     pub(super) fn import(
         &self,
         imports: &mut usize,
+        from: &Sender<'_>,
         to: NodeIdx,
         s: &Session,
         path: PathId,
@@ -152,8 +169,10 @@ impl<'a> Transfer<'a, '_> {
             return None;
         }
         let policy = overlay_policy(ctx.world, &self.inputs.overlay, to);
+        let tier = policy_eval::carried_tier(s.rel, from.carried());
         policy_eval::import(
-            ctx.world, policy, self.arena, to, s.peer, s.city, s.rel, s.kind, path, s.igp, self.age,
+            ctx.world, policy, self.arena, to, s.peer, s.city, s.rel, tier, s.kind, path, s.igp,
+            self.age,
         )
     }
 
@@ -209,9 +228,10 @@ impl<'w> PrefixSim<'w> {
             if only_peer.is_some_and(|peer| peer != s.peer) {
                 continue;
             }
+            let sender = t.sender(s.peer, best.get(s.peer));
             let imported = t
-                .export(&t.sender(s.peer, best.get(s.peer)), x, s)
-                .and_then(|p| t.import(&mut imports, x, s, p));
+                .export(&sender, x, s)
+                .and_then(|p| t.import(&mut imports, &sender, x, s, p));
             rib.set(base + si, imported);
         }
         imports

@@ -28,7 +28,7 @@
 //! [`EngineStats::shapes_computed`] / [`EngineStats::prefixes_shared`]
 //! (via [`RoutingUniverse::engine_stats`]) make the sharing observable.
 
-use crate::compact::{CompactRoute, MemoryBudget, RouteColumns, NO_NODE};
+use crate::compact::{rel_of_tag, CompactRoute, MemoryBudget, RouteColumns, NO_NODE, REL_NONE};
 use crate::patharena::{PathArena, PathId};
 use crate::route::Route;
 use crate::sim::{ActivationOrder, Announcement, EngineStats, PrefixSim, ShapeTable, SimContext};
@@ -44,8 +44,10 @@ use std::sync::Arc;
 
 /// Snapshot format tag; bump on any layout change. `02` sealed the CRC32
 /// trailer into the layout; `03` dropped the serving-layer counters
-/// [`EngineStats`] no longer carries.
-const SNAPSHOT_MAGIC: &[u8] = b"IRUNIV03";
+/// [`EngineStats`] no longer carries; `04` widened the route tag to carry a
+/// sibling route's tier (routes computed under the older, promoting
+/// sibling rule are not this engine's).
+const SNAPSHOT_MAGIC: &[u8] = b"IRUNIV04";
 
 /// Converged routing state for a set of prefixes.
 pub struct RoutingUniverse {
@@ -60,8 +62,8 @@ pub struct RoutingUniverse {
     /// Origin of each prefix.
     origins: BTreeMap<Prefix, Asn>,
     /// Prefixes whose propagation failed to converge (policy disputes),
-    /// ascending. Generated worlds do contain live dispute wheels — the
-    /// seed-7 paper world reports 410 of its 1 212 prefixes here.
+    /// ascending. Generated worlds can contain live dispute wheels — 2 of
+    /// tiny seeds 0..300 do, while paper worlds 1..12 converge.
     unconverged: Vec<Prefix>,
     /// Fault-recovery accounting (all zero when computed without faults).
     resilience: UniverseResilience,
@@ -578,6 +580,16 @@ impl RoutingUniverse {
                     igp_cost: r.u32()?,
                     age: r.u32()?,
                 };
+                let tag_fits = match route.learned_from {
+                    NO_NODE => route.rel == REL_NONE,
+                    _ => rel_of_tag(route.rel).is_some(),
+                };
+                if !tag_fits {
+                    return Err(Error::parse(
+                        None,
+                        format!("snapshot row carries route tag {}", route.rel),
+                    ));
+                }
                 if route.learned_from != NO_NODE && route.learned_from as usize >= n_asns {
                     return Err(Error::parse(
                         None,
@@ -851,20 +863,23 @@ mod tests {
             msg.contains("IRUNIV01") && msg.contains("not supported"),
             "unhelpful version error: {msg}"
         );
-        // The previous layout, intact and correctly sealed, is still a
+        // The previous layouts, intact and correctly sealed, are still a
         // version mismatch — not a "magic mismatch" or a short read.
-        let mut prev = u.to_snapshot_bytes().unwrap();
-        prev.truncate(prev.len() - 4);
-        prev[..8].copy_from_slice(b"IRUNIV02");
-        seal_with_crc(&mut prev);
-        let Err(err) = RoutingUniverse::from_snapshot_bytes(&prev) else {
-            panic!("previous-format image accepted");
-        };
-        let msg = err.to_string();
-        assert!(
-            msg.contains("IRUNIV02") && msg.contains("expected IRUNIV03"),
-            "unhelpful version error: {msg}"
-        );
+        for magic in [b"IRUNIV02", b"IRUNIV03"] {
+            let mut prev = u.to_snapshot_bytes().unwrap();
+            prev.truncate(prev.len() - 4);
+            prev[..8].copy_from_slice(magic);
+            seal_with_crc(&mut prev);
+            let Err(err) = RoutingUniverse::from_snapshot_bytes(&prev) else {
+                panic!("previous-format image accepted");
+            };
+            let msg = err.to_string();
+            let name = String::from_utf8_lossy(magic);
+            assert!(
+                msg.contains(&*name) && msg.contains("expected IRUNIV04"),
+                "unhelpful version error: {msg}"
+            );
+        }
         // A same-format corrupt file still reports corruption.
         let mut torn = u.to_snapshot_bytes().unwrap();
         let last = torn.len() - 1;

@@ -10,14 +10,17 @@
 //! plain announcements, iterative poisoning as the alternate-route
 //! experiments perform it, `via` restrictions, origin moves, withdrawals,
 //! and re-announcements); a proptest adds randomized poison sets and
-//! origins on top.
+//! origins on top. Hand-built sibling fixtures pin the transparent-sibling
+//! rule: a route learned from a sibling keeps the tier it had there.
 
 #[allow(dead_code)]
 mod support;
 
-use ir_bgp::{Announcement, PrefixSim};
-use ir_topology::{GeneratorConfig, World};
-use ir_types::{Asn, Prefix, Timestamp};
+use ir_bgp::{Announcement, PrefixSim, Route};
+use ir_topology::graph::{AsNode, AsRole};
+use ir_topology::policy::PolicySpec;
+use ir_topology::{GeneratorConfig, LinkKind, World};
+use ir_types::{Asn, CityId, CountryId, Ipv4, OrgId, Prefix, Relationship, Timestamp};
 use std::collections::BTreeSet;
 use support::SweepSim;
 
@@ -443,6 +446,158 @@ fn event_engine_matches_sweep_oracle_under_via_restrictions() {
         );
         assert!(pair.compared >= provs.len() + 2);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Sibling transparency: hand-built organizations, route for route against
+// the oracle, with the tier each route carries read off its local-pref.
+// ---------------------------------------------------------------------------
+
+/// A one-city world: `(asn, org)` nodes, in node-index order, and links
+/// `(a, b, what b is to a)`; AS 1 originates the one prefix.
+fn org_world(nodes: &[(u32, u32)], links: &[(u32, u32, Relationship)]) -> (World, Prefix) {
+    let mut world = World::default();
+    let city = CityId(0);
+    let prefix = Prefix::new(Ipv4(1 << 24), 16);
+    for &(asn, org) in nodes {
+        world.graph.add_node(AsNode {
+            asn: Asn(asn),
+            org: OrgId(org),
+            home_country: CountryId(0),
+            presence: vec![city],
+            role: AsRole::Transit,
+            prefixes: if asn == 1 { vec![prefix] } else { Vec::new() },
+        });
+    }
+    world.policies = vec![PolicySpec::default(); nodes.len()];
+    for &(a, b, rel) in links {
+        let (a, b) = (world.graph.index_of(Asn(a)), world.graph.index_of(Asn(b)));
+        let (a, b) = (a.expect("fixture AS"), b.expect("fixture AS"));
+        world
+            .graph
+            .add_link(a, b, rel, vec![city], LinkKind::Normal);
+    }
+    (world, prefix)
+}
+
+/// Announces AS 1's prefix on both engines (they must agree route for
+/// route) and returns the event engine's route at each of `asns`.
+fn converge_org(world: &World, prefix: Prefix, asns: &[u32]) -> Vec<Option<Route>> {
+    let mut pair = Pair::new(world, prefix);
+    pair.announce(Announcement::plain(Asn(1), prefix), Timestamp::ZERO, "org");
+    let route = |asn: u32| pair.event.best(world.graph.index_of(Asn(asn)).unwrap());
+    let routes = asns.iter().map(|&a| route(a)).collect();
+    pair.withdraw(Timestamp(ROUND), "org withdraw");
+    routes
+}
+
+/// `(path, relationship learned over, local-pref)` of a route.
+fn summary(r: &Option<Route>) -> Option<(String, Option<Relationship>, i32)> {
+    r.as_ref()
+        .map(|r| (r.path.to_string(), r.rel, r.local_pref))
+}
+
+#[test]
+fn siblings_holding_only_provider_routes_converge() {
+    use Relationship::{Provider, Sibling};
+    // AS1 buys transit from AS2 and AS3; sibling ASes 10 and 11 (one org)
+    // each buy from one of them. Each sibling's own provider route and the
+    // one its sibling offers are both provider tier (100), so path length
+    // decides and each keeps its own: no DISAGREE between them.
+    let (world, prefix) = org_world(
+        &[(1, 1), (2, 2), (3, 3), (10, 9), (11, 9)],
+        &[
+            (1, 2, Provider),
+            (1, 3, Provider),
+            (10, 2, Provider),
+            (11, 3, Provider),
+            (10, 11, Sibling),
+        ],
+    );
+    let got: Vec<_> = converge_org(&world, prefix, &[10, 11])
+        .iter()
+        .map(summary)
+        .collect();
+    assert_eq!(
+        got,
+        [
+            Some(("2 1".into(), Some(Provider), 100)),
+            Some(("3 1".into(), Some(Provider), 100)),
+        ]
+    );
+}
+
+#[test]
+fn a_sibling_chain_carries_the_provider_tier_to_customers_only() {
+    use Relationship::{Customer, Peer, Provider, Sibling};
+    // AS10 buys transit from the origin; AS10–AS11–AS12 is one org, chained
+    // by sibling links. AS12 has a customer (20), a peer (21) and a
+    // provider (22), none of which reaches AS1 any other way.
+    let (world, prefix) = org_world(
+        &[
+            (1, 1),
+            (10, 9),
+            (11, 9),
+            (12, 9),
+            (20, 20),
+            (21, 21),
+            (22, 22),
+        ],
+        &[
+            (10, 1, Provider),
+            (10, 11, Sibling),
+            (11, 12, Sibling),
+            (12, 20, Customer),
+            (12, 21, Peer),
+            (12, 22, Provider),
+        ],
+    );
+    let got: Vec<_> = converge_org(&world, prefix, &[11, 12, 20, 21, 22])
+        .iter()
+        .map(summary)
+        .collect();
+    assert_eq!(
+        got,
+        [
+            // Provider tier (100), carried over one sibling hop and two.
+            Some(("10 1".into(), Some(Sibling), 100)),
+            Some(("11 10 1".into(), Some(Sibling), 100)),
+            // Exported to the customer only: peer and provider get nothing.
+            Some(("12 11 10 1".into(), Some(Provider), 100)),
+            None,
+            None,
+        ]
+    );
+}
+
+#[test]
+fn an_origin_inside_an_organization_exports_at_customer_tier() {
+    use Relationship::{Customer, Peer, Provider, Sibling};
+    // The origin AS1 and AS10 are one org. AS10 has a peer (21), a provider
+    // (22) and a customer (20): its sibling-learned route is customer tier
+    // (300) and goes to all three.
+    let (world, prefix) = org_world(
+        &[(1, 9), (10, 9), (20, 20), (21, 21), (22, 22)],
+        &[
+            (1, 10, Sibling),
+            (10, 20, Customer),
+            (10, 21, Peer),
+            (10, 22, Provider),
+        ],
+    );
+    let got: Vec<_> = converge_org(&world, prefix, &[10, 20, 21, 22])
+        .iter()
+        .map(summary)
+        .collect();
+    assert_eq!(
+        got,
+        [
+            Some(("1".into(), Some(Sibling), 300)),
+            Some(("10 1".into(), Some(Provider), 100)),
+            Some(("10 1".into(), Some(Peer), 200)),
+            Some(("10 1".into(), Some(Customer), 300)),
+        ]
+    );
 }
 
 mod proptests {

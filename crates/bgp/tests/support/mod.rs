@@ -16,16 +16,18 @@
 //! The oracle shares only the model with the engine: it builds its own
 //! session list from the [`World`]'s links and restates every import and
 //! export rule from [`PolicySpec`](ir_topology::policy::PolicySpec)'s
-//! public fields and accessors. What it still borrows from `ir-bgp` is the
-//! route and path types, the local-preference constants, and
-//! [`decision::select`], the one BGP decision order.
+//! public fields and accessors — sibling transparency included: it keeps
+//! each AS's route tier beside its route. What it still borrows from
+//! `ir-bgp` is the route and path types, the two local-preference
+//! adjustment constants, and [`decision::select`], the one BGP decision
+//! order.
 //!
 //! Each test binary includes this module with `mod support;` and uses a
 //! different part of it. It holds no `#[test]`, so nothing here runs once
 //! per including binary.
 
 use ir_bgp::decision;
-use ir_bgp::policy_eval::{base_pref, BACKUP_PENALTY, DOMESTIC_BONUS};
+use ir_bgp::policy_eval::{BACKUP_PENALTY, DOMESTIC_BONUS};
 use ir_bgp::{Announcement, AsPath, Convergence, EngineStats, Route, Segment};
 use ir_fault::{FaultEvent, TimedFault};
 use ir_topology::graph::{LinkKind, NodeIdx};
@@ -84,6 +86,17 @@ fn sessions_of(world: &World) -> Vec<Vec<Session>> {
         .collect()
 }
 
+/// Gao–Rexford local preference of a tier: customer 300, peer 200,
+/// provider 100. A tier is never `Sibling` ([`SweepSim::tier`]).
+fn tier_pref(tier: Relationship) -> i32 {
+    match tier {
+        Relationship::Customer => 300,
+        Relationship::Peer => 200,
+        Relationship::Provider => 100,
+        Relationship::Sibling => unreachable!("a route's tier is never sibling"),
+    }
+}
+
 /// Canonical key for an undirected link between two node indices.
 fn link_key(a: NodeIdx, b: NodeIdx) -> (NodeIdx, NodeIdx) {
     (a.min(b), a.max(b))
@@ -107,6 +120,11 @@ pub struct SweepSim<'w> {
     origin_idx: Option<NodeIdx>,
     announce_time: Timestamp,
     best: Vec<Option<Route>>,
+    /// The tier each selected route ranks and exports at: the relationship
+    /// it was learned over, or — over a sibling session — the tier the
+    /// sibling's own route had (the customer tier for its origination).
+    /// `None` for a local origination or no route.
+    tier: Vec<Option<Relationship>>,
     /// Links currently down (canonical index pairs); candidate enumeration
     /// skips their sessions.
     downed: BTreeSet<(NodeIdx, NodeIdx)>,
@@ -133,6 +151,7 @@ impl<'w> SweepSim<'w> {
             origin_idx: None,
             announce_time: Timestamp::ZERO,
             best: vec![None; n],
+            tier: vec![None; n],
             downed: BTreeSet::new(),
             poison_filters: BTreeSet::new(),
             clock: Timestamp::ZERO,
@@ -166,18 +185,28 @@ impl<'w> SweepSim<'w> {
         self.run()
     }
 
-    /// The routes AS `x` can currently choose between: its origination plus
-    /// every neighbor export surviving the poison filter and `x`'s import
-    /// policy. Every export that reaches `x` counts as one import.
-    fn candidates(&self, x: NodeIdx, imports: &mut usize) -> Vec<Route> {
+    /// The tier a route learned from `peer` over a `rel` session ranks
+    /// at: the session's own relationship, except that a sibling session
+    /// carries the tier `peer`'s selected route has (customer for its
+    /// origination).
+    fn tier(&self, peer: NodeIdx, rel: Relationship) -> Relationship {
+        match rel {
+            Relationship::Sibling => self.tier[peer].unwrap_or(Relationship::Customer),
+            rel => rel,
+        }
+    }
+
+    /// The routes AS `x` can currently choose between, each with its tier:
+    /// its origination plus every neighbor export surviving the poison
+    /// filter and `x`'s import policy. Every export that reaches `x` counts
+    /// as one import.
+    fn candidates(&self, x: NodeIdx, imports: &mut usize) -> Vec<(Route, Option<Relationship>)> {
         let mut cands = Vec::new();
         if let (Some(origin_idx), Some(ann)) = (self.origin_idx, &self.announcement) {
             if origin_idx == x {
-                cands.push(Route::originate(
-                    self.prefix,
-                    ann.origination_path(),
-                    self.announce_time,
-                ));
+                let local =
+                    Route::originate(self.prefix, ann.origination_path(), self.announce_time);
+                cands.push((local, None));
             }
         }
         for s in &self.sessions[x] {
@@ -191,7 +220,8 @@ impl<'w> SweepSim<'w> {
             if self.poison_filters.contains(&x) && path.has_set() {
                 continue;
             }
-            cands.extend(self.import(x, s, path));
+            let tier = self.tier(s.peer, s.rel);
+            cands.extend(self.import(x, s, tier, path).map(|r| (r, Some(tier))));
         }
         cands
     }
@@ -213,16 +243,15 @@ impl<'w> SweepSim<'w> {
                     return None;
                 }
             }
-            // Learned: Gao–Rexford on the class it was learned on, then
-            // partial transit, which gives `to` customer routes only.
-            Some(learned) => {
-                if !learned.exportable_to(s.rel_from_peer) {
+            // Learned: Gao–Rexford on the route's tier, then partial
+            // transit, which gives `to` customer-tier routes only.
+            Some(_) => {
+                let tier = self.tier[from].expect("a learned route has a tier");
+                if !tier.exportable_to(s.rel_from_peer) {
                     return None;
                 }
-                let customer_learned =
-                    matches!(learned, Relationship::Customer | Relationship::Sibling);
                 if spec.transit_scope(to_asn) == TransitScope::CustomerRoutesOnly
-                    && !customer_learned
+                    && tier != Relationship::Customer
                 {
                     return None;
                 }
@@ -235,9 +264,9 @@ impl<'w> SweepSim<'w> {
         Some(best.path.prepend_n(self.world.graph.asn(from), extra + own))
     }
 
-    /// What `x` installs for `path` arriving over its session `s`, or
-    /// `None` if loop prevention or AS-set filtering drops it.
-    fn import(&self, x: NodeIdx, s: &Session, path: AsPath) -> Option<Route> {
+    /// What `x` installs for `path` arriving over its session `s` at
+    /// `tier`, or `None` if loop prevention or AS-set filtering drops it.
+    fn import(&self, x: NodeIdx, s: &Session, tier: Relationship, path: AsPath) -> Option<Route> {
         let g = &self.world.graph;
         let spec = self.world.policy(x);
         let me = g.asn(x);
@@ -254,7 +283,7 @@ impl<'w> SweepSim<'w> {
             return None;
         }
         let from = g.asn(s.peer);
-        let mut local_pref = base_pref(s.rel) + i32::from(spec.pref_delta(from));
+        let mut local_pref = tier_pref(tier) + i32::from(spec.pref_delta(from));
         if s.kind == LinkKind::Backup {
             local_pref += BACKUP_PENALTY;
         }
@@ -294,16 +323,23 @@ impl<'w> SweepSim<'w> {
             let mut changed = false;
             for x in 0..n {
                 activations += 1;
-                let cands = self.candidates(x, &mut imports);
-                let new_best = decision::select(&cands).map(|(r, _)| r.clone());
+                let (routes, tiers): (Vec<Route>, Vec<_>) =
+                    self.candidates(x, &mut imports).into_iter().unzip();
+                let winner = decision::select(&routes)
+                    .map(|(r, _)| routes.iter().position(|c| std::ptr::eq(c, r)).unwrap());
+                let new_best = winner.map(|i| routes[i].clone());
+                let new_tier = winner.and_then(|i| tiers[i]);
+                // A route that changed tier is a change, even over the same
+                // session and path.
                 let keep = match (&self.best[x], &new_best) {
-                    (Some(old), Some(new)) => old.same_route(new),
+                    (Some(old), Some(new)) => old.same_route(new) && self.tier[x] == new_tier,
                     (None, None) => true,
                     _ => false,
                 };
                 if !keep {
                     changed = true;
                     self.best[x] = new_best;
+                    self.tier[x] = new_tier;
                 }
             }
             if !changed {

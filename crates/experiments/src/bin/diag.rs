@@ -6,11 +6,11 @@
 //! prints the resilience counters alongside the usual dumps. Anything else
 //! is refused with a usage line and exit status 2.
 //!
-//! When the universe has unconverged prefixes (paper scale, seed 7: 410 of
-//! 1 212) the dump includes the oscillation witnesses of their
-//! announcement shapes: period histogram, rounds executed versus
-//! fast-forwarded, and how many flapping ASes `ir-audit` had flagged as
-//! IR-A002 dispute-wheel candidates.
+//! When the universe has unconverged prefixes (tiny scale, seeds 53 and
+//! 202: 2 each; the paper worlds converge) the dump includes the
+//! oscillation witnesses of their announcement shapes: period histogram,
+//! rounds executed versus fast-forwarded, and how many flapping ASes
+//! `ir-audit` had flagged as IR-A002 dispute-wheel candidates.
 //!
 //! Nothing here is timed: the benchmark of record (`benchmark/run.sh`)
 //! measures every layer these dumps exercise.

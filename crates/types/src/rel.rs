@@ -27,9 +27,12 @@ pub enum Relationship {
 impl Relationship {
     /// Gao–Rexford preference rank: lower is preferred (cheaper).
     ///
-    /// Sibling routes are ranked alongside customer routes: the paper (§4.2)
-    /// marks decisions routed via a sibling as satisfying the *Best*
-    /// condition, and organizations do not charge themselves.
+    /// Sibling routes are ranked alongside customer routes. That is the
+    /// classification's convention: the paper (§4.2) marks decisions routed
+    /// via a sibling as satisfying the *Best* condition, and organizations
+    /// do not charge themselves. The routing engine ranks a route learned
+    /// from a sibling by the tier it had at the sibling instead (customer,
+    /// peer or provider), so an organization routes as one network.
     pub fn rank(self) -> u8 {
         match self {
             Relationship::Customer | Relationship::Sibling => 0,
@@ -48,11 +51,14 @@ impl Relationship {
         }
     }
 
-    /// Gao–Rexford export rule: may a route learned over `self` be exported
-    /// to a neighbor with relationship `to`?
+    /// Gao–Rexford export rule: may a route of tier `self` be exported to a
+    /// neighbor with relationship `to`?
     ///
-    /// Customer (and sibling) routes go to everyone; peer and provider routes
-    /// go only to customers (and siblings, which behave as the same network).
+    /// Customer routes go to everyone; peer and provider routes go only to
+    /// customers and siblings (the same network). The routing engine asks
+    /// this of a route's tier, which for a route learned from a sibling is
+    /// the tier it had at the sibling; `Sibling` as `self` reads as the
+    /// customer tier, the one a route the sibling originated carries.
     pub fn exportable_to(self, to: Relationship) -> bool {
         match self {
             Relationship::Customer | Relationship::Sibling => true,

@@ -29,8 +29,9 @@ run cargo fmt --check
 # event-driven engine against the sweep oracle — and warm what-if answers
 # against cold recomputation — under optimized codegen too (debug-only
 # runs have missed wrapping/ordering bugs before).
-# `oscillation_differential` is the same gate on worlds with live dispute
-# wheels (BAD GADGET + 22 generator worlds): the event engine's
+# `oscillation_differential` is the same gate on worlds with dispute
+# wheels (BAD GADGET alone and grafted onto a generated world, DISAGREE,
+# and the 2 generator worlds that still oscillate): the event engine's
 # fast-forward must land on the cap-burning oracle's tables after
 # announce, poisoned re-announce and withdraw/re-announce, step budgets
 # bound executed work, and converging events keep their pinned counters.
@@ -48,8 +49,10 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --lib patharena
 # Free-order serving answers must stay route-for-route exact (ages
 # included) against cold WaveExact replay under both verdicts.
 # `whatif_certified`: warm answers against worlds `edited_world` baked the edits into.
+# `free_order_differential` + `generator_clean`: certified worlds (sibling orgs included) route identically in free order.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-audit \
-    --test delta_audit_differential --test whatif_certified
+    --test delta_audit_differential --test whatif_certified \
+    --test free_order_differential --test generator_clean
 # Security-scenario gate (release): hijack scenarios must equal
 # hand-driven cold engine convergence, 0%-adoption sweeps must equal
 # plain delta replay byte-for-byte, full-ROV capture sets must match the
@@ -72,10 +75,10 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-measure --test warm_campaign -
 # converge a single prefix and a 1000-prefix universe slice inside the
 # compact storage's memory budget. Minutes on one core.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test scale_smoke -- --ignored
-# Paper-world oscillation proof (release, ignored by default): the seed-7
-# universe keeps its 410 unconverged prefixes, matches the sweep oracle on
-# a 16-prefix sample, carries a short-period witness for every wheel, and
-# executes exactly 1 955 263 activations (the cap burn was 97.3 M). ~15 s.
+# Paper-world proof (release, ignored by default): the seed-7 universe
+# converges (410 prefixes oscillated while siblings promoted routes to
+# customer tier), matches the sweep oracle on a 16-prefix sample, and
+# executes exactly 823 096 activations. ~10 s.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test oscillation_differential \
     -- --ignored
 # Serving-loop gate (release): the real ir-serve binary on an ephemeral

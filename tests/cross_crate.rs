@@ -290,7 +290,9 @@ fn export_policy_never_leaks_peer_routes_upstream() {
 fn relationship_rank_matches_route_class_preference() {
     // On the converged universe, whenever an AS has a candidate customer
     // route it never selects a provider route (absent policy deviations at
-    // that AS).
+    // that AS). A route learned from a sibling carries the tier it had at
+    // the sibling; it is a customer route when that tier is (local-pref
+    // 300 under plain Gao–Rexford).
     let s = scenario();
     let mut checked = 0usize;
     for prefix in s.universe.prefixes().take(30) {
@@ -304,10 +306,11 @@ fn relationship_rank_matches_route_class_preference() {
             let cands = sim.candidates(x);
             let Some(best) = sim.best(x) else { continue };
             let Some(best_rel) = best.rel else { continue };
-            if cands
-                .iter()
-                .any(|c| matches!(c.rel, Some(Relationship::Customer | Relationship::Sibling)))
-            {
+            if cands.iter().any(|c| match c.rel {
+                Some(Relationship::Customer) => true,
+                Some(Relationship::Sibling) => c.local_pref >= 300,
+                _ => false,
+            }) {
                 assert_ne!(
                     best_rel,
                     Relationship::Provider,
