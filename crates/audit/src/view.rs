@@ -58,9 +58,11 @@ pub(crate) fn sessions_excluding(
     out
 }
 
-/// Whether `rel` can put a learned route in the customer tier (base local
-/// preference 300): customer sessions always, sibling sessions when the
-/// sibling's own route is customer tier.
+/// Whether `rel` is scored as a customer-tier session (base local
+/// preference 300): customer and sibling sessions are. A sibling session
+/// carries the tier its sibling's route had, which may be peer or provider,
+/// so IR-A002 (the only caller) still treats every sibling spoke as
+/// customer tier until it learns the carried tiers (ROADMAP 3(d)).
 pub(crate) fn customer_class(rel: Relationship) -> bool {
     matches!(rel, Relationship::Customer | Relationship::Sibling)
 }

@@ -3,7 +3,7 @@
 //! A [`crate::route::Route`] is the *API boundary* type — convenient,
 //! self-describing, but ~100+ heap bytes once the path clone is counted.
 //! The engines store routes as [`CompactRoute`]s instead: a path handle
-//! and seven scalars (25 bytes of column data; 10 in an adj-RIB-in, whose
+//! and seven scalars (25 bytes of column data; 11 in an adj-RIB-in, whose
 //! slots know their session), with the path reduced to a [`PathId`] into
 //! the per-context [`crate::patharena::PathArena`] and the neighbor
 //! reduced to a dense node index. [`RouteColumns`] lays a table
@@ -179,10 +179,9 @@ enum Entries {
     Own { entry: EntryColumns, age: Vec<u32> },
     /// An adj-RIB-in: the sessions' entry attributes, and no ages —
     /// selection re-stamps every candidate with the current clock, so a
-    /// stored age would never be read. Loads report age 0. Where some
-    /// session is a sibling session, whose routes differ in the tier they
-    /// carry, `tags` holds each slot's own route tag; otherwise it is empty
-    /// and the session's tag is every route's.
+    /// stored age would never be read. Loads report age 0. `tags` holds
+    /// each slot's own route tag: over a sibling session, routes differ in
+    /// the tier they carry.
     Sessions {
         entry: Arc<EntryColumns>,
         tags: Vec<u8>,
@@ -195,9 +194,9 @@ enum Entries {
 ///
 /// In an adj-RIB-in, slot `i` caches what arrived over session `i`, so the
 /// entry attributes of every route it can hold are the session's own: that
-/// table stores the path handle, its length and the local preference (10
-/// bytes per slot; 11 with the route tag where some session is a sibling
-/// session) and reads the rest from the world's shared [`EntryColumns`].
+/// table stores the path handle, its length, the local preference and the
+/// route tag (11 bytes per slot) and reads the rest from the world's shared
+/// [`EntryColumns`].
 /// A best table stores all 25 bytes.
 ///
 /// Every mutation goes through [`RouteColumns::set`], [`RouteColumns::take`]
@@ -268,16 +267,8 @@ impl RouteColumns {
     /// An all-vacant adj-RIB-in: one slot per session, whose entry
     /// attributes are the session's own.
     pub fn over_sessions(sessions: Arc<EntryColumns>) -> RouteColumns {
-        let siblings = sessions
-            .rel
-            .iter()
-            .any(|&t| rel_of_tag(t) == Some(Relationship::Sibling));
-        let tags = if siblings {
-            sessions.rel.clone()
-        } else {
-            Vec::new()
-        };
         let len = sessions.learned_from.len();
+        let tags = sessions.rel.clone();
         RouteColumns::with_entries(
             len,
             Entries::Sessions {
@@ -336,9 +327,7 @@ impl RouteColumns {
         }
         let (entry, rel, age) = match &self.entries {
             Entries::Own { entry, age } => (entry, entry.rel[i], age[i]),
-            Entries::Sessions { entry, tags } => {
-                (&**entry, tags.get(i).copied().unwrap_or(entry.rel[i]), 0)
-            }
+            Entries::Sessions { entry, tags } => (&**entry, tags[i], 0),
         };
         Some(CompactRoute {
             path: self.path[i],
@@ -382,10 +371,7 @@ impl RouteColumns {
                             ) == (r.learned_from, r.city, rel_of_tag(r.rel), r.igp_cost),
                             "slot {i} holds a route from another session"
                         );
-                        match tags.get_mut(i) {
-                            Some(tag) => *tag = r.rel,
-                            None => debug_assert_eq!(entry.rel[i], r.rel, "untagged slot {i}"),
-                        }
+                        tags[i] = r.rel;
                     }
                 }
             }
@@ -454,12 +440,10 @@ impl RouteColumns {
                 into.igp_cost.extend_from_slice(&entry.igp_cost[lo..hi]);
                 into_age.extend_from_slice(&age[lo..hi]);
             }
-            (Entries::Sessions { tags, .. }, Entries::Sessions { tags: into, .. })
-                if !tags.is_empty() =>
-            {
+            (Entries::Sessions { tags, .. }, Entries::Sessions { tags: into, .. }) => {
                 into.extend_from_slice(&tags[lo..hi]);
             }
-            _ => {}
+            _ => unreachable!("a journal is shaped like its table"),
         }
     }
 
@@ -498,12 +482,10 @@ impl RouteColumns {
                     entry.igp_cost[lo..hi].copy_from_slice(&was.igp_cost[from.clone()]);
                     age[lo..hi].copy_from_slice(&was_age[from]);
                 }
-                (Entries::Sessions { tags, .. }, Entries::Sessions { tags: was, .. })
-                    if !tags.is_empty() =>
-                {
+                (Entries::Sessions { tags, .. }, Entries::Sessions { tags: was, .. }) => {
                     tags[lo..hi].copy_from_slice(&was[from]);
                 }
-                _ => {}
+                _ => unreachable!("a journal is shaped like its table"),
             }
         }
         self.occupied = journal.occupied;
@@ -589,7 +571,7 @@ impl RouteColumns {
                     + std::mem::size_of::<u32>()
                     + std::mem::size_of::<u32>()
             }
-            Entries::Sessions { tags, .. } => usize::from(!tags.is_empty()),
+            Entries::Sessions { .. } => std::mem::size_of::<u8>(),
         };
         self.path.len() * (core + own)
     }
@@ -761,7 +743,7 @@ mod tests {
         };
         assert_eq!(rib.get(1), Some(ageless), "an adj-RIB-in keeps no ages");
         assert_eq!(rib.get(0), None);
-        assert_eq!(rib.bytes(), 2 * 10, "entry columns are the sessions'");
+        assert_eq!(rib.bytes(), 2 * 11, "entry columns are the sessions'");
         assert_eq!(RouteColumns::new(2).bytes(), 2 * 25);
         let copy = rib.clone();
         assert!(copy.same_routes(&rib));
@@ -783,7 +765,6 @@ mod tests {
             [(7, 2, peer_tag, 5), (8, 2, route_tag(Sibling, Sibling), 5)].into_iter(),
         ));
         let mut rib = RouteColumns::over_sessions(sessions);
-        assert_eq!(rib.bytes(), 2 * 11, "a sibling session adds a tag per slot");
         let carried = CompactRoute {
             learned_from: 8,
             city: 2,

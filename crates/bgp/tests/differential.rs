@@ -11,17 +11,20 @@
 //! experiments perform it, `via` restrictions, origin moves, withdrawals,
 //! and re-announcements); a proptest adds randomized poison sets and
 //! origins on top. Hand-built sibling fixtures pin the transparent-sibling
-//! rule: a route learned from a sibling keeps the tier it had there.
+//! rule: a route learned from a sibling keeps the tier it had there — also
+//! when the sibling re-learns the same path in another tier, which one
+//! fixture checks warm against cold.
 
 #[allow(dead_code)]
 mod support;
 
-use ir_bgp::{Announcement, PrefixSim, Route};
+use ir_bgp::{Announcement, DefensePlan, Delta, ExtensionCheck, PolicyExtension, PrefixSim, Route};
 use ir_topology::graph::{AsNode, AsRole};
 use ir_topology::policy::PolicySpec;
 use ir_topology::{GeneratorConfig, LinkKind, World};
 use ir_types::{Asn, CityId, CountryId, Ipv4, OrgId, Prefix, Relationship, Timestamp};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use support::SweepSim;
 
 /// 90 minutes between events, like the paper's experiment cadence.
@@ -598,6 +601,109 @@ fn an_origin_inside_an_organization_exports_at_customer_tier() {
             Some(("10 1".into(), Some(Customer), 300)),
         ]
     );
+}
+
+/// Peerlock at the adopting AS: over any session but a provider session,
+/// refuse a path through the protected AS unless that AS is the peer.
+struct Peerlock {
+    protected: Asn,
+}
+
+impl PolicyExtension for Peerlock {
+    fn name(&self) -> &'static str {
+        "peerlock"
+    }
+
+    fn accept_import(&self, check: &ExtensionCheck<'_>) -> bool {
+        check.rel == Relationship::Provider
+            || check.peer_asn() == self.protected
+            || !check.arena.contains(check.path, self.protected)
+    }
+}
+
+#[test]
+fn a_sibling_follows_a_tier_only_change_of_its_sibling() {
+    use Relationship::{Customer, Provider, Sibling};
+    // AS1 buys transit from AS2, AS2 from AS3. AS3 and AS10 meet at two
+    // cities: at city 0 AS3 is AS10's customer, at city 1 its provider.
+    // AS10 and AS11 are one org; AS11 buys transit from AS22.
+    let (mut world, prefix) = org_world(
+        &[(1, 1), (2, 2), (3, 3), (10, 9), (11, 9), (22, 22)],
+        &[
+            (1, 2, Provider),
+            (2, 3, Provider),
+            (10, 3, Customer),
+            (10, 11, Sibling),
+            (11, 22, Provider),
+        ],
+    );
+    let idx = |w: &World, asn: u32| w.graph.index_of(Asn(asn)).unwrap();
+    let (t, n) = (idx(&world, 10), idx(&world, 3));
+    world.graph.set_hybrid(t, n, CityId(1), Provider);
+    let world = world;
+    let mut plan = DefensePlan::for_world(&world);
+    let id = plan.register(Arc::new(Peerlock { protected: Asn(2) }));
+    plan.adopt(t, id.expect("one extension"));
+    let plan = Arc::new(plan);
+    // Filters no AS-set here; what it does is re-derive AS10's adj-RIB-in.
+    let rederive = Delta::PoisonFilter {
+        of: Asn(10),
+        enabled: true,
+    };
+    let routes = |sim: &PrefixSim<'_>| -> Vec<_> {
+        [10, 11, 22]
+            .iter()
+            .map(|&a| summary(&sim.best(idx(&world, a))))
+            .collect()
+    };
+
+    // Warm: converge undefended, install peerlock at AS10, re-derive.
+    let mut warm = PrefixSim::new(&world, prefix);
+    warm.announce(Announcement::plain(Asn(1), prefix), Timestamp::ZERO);
+    assert_eq!(
+        routes(&warm),
+        [
+            Some(("3 2 1".into(), Some(Customer), 300)),
+            Some(("10 3 2 1".into(), Some(Sibling), 300)),
+            Some(("11 10 3 2 1".into(), Some(Customer), 300)),
+        ]
+    );
+    warm.set_defenses(Some(Arc::clone(&plan)));
+    assert!(warm.apply_delta(&rederive, Timestamp(ROUND)).converged);
+
+    // Cold: peerlock from the start, the same edit.
+    let mut cold = PrefixSim::new(&world, prefix);
+    cold.set_defenses(Some(plan));
+    cold.announce(Announcement::plain(Asn(1), prefix), Timestamp::ZERO);
+    assert!(cold.apply_delta(&rederive, Timestamp(ROUND)).converged);
+
+    // Peerlock refuses "3 2 1" over the customer session only, so AS10
+    // keeps the same path at city 1, at provider tier. Its export to AS11
+    // is the same path, "10 3 2 1", in another tier: AS11 must follow it
+    // down to provider tier and stop exporting it to its provider.
+    let want = [
+        Some(("3 2 1".into(), Some(Provider), 100)),
+        Some(("10 3 2 1".into(), Some(Sibling), 100)),
+        None,
+    ];
+    assert_eq!(routes(&cold), want, "cold");
+    assert_eq!(routes(&warm), want, "warm");
+    // Every route agrees but for its age: the warm sim installed AS10's
+    // at the edit.
+    let ageless = |r: Option<Route>| {
+        r.map(|r| Route {
+            age: Timestamp::ZERO,
+            ..r
+        })
+    };
+    for x in 0..world.graph.len() {
+        assert_eq!(
+            ageless(warm.best(x)),
+            ageless(cold.best(x)),
+            "warm and cold differ at {}",
+            world.graph.asn(x)
+        );
+    }
 }
 
 mod proptests {
