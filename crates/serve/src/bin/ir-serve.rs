@@ -12,9 +12,10 @@
 //!
 //! Pure-std builds cannot install POSIX signal handlers, so graceful
 //! drain is a protocol affair: send `{"op":"shutdown"}` (see DESIGN.md
-//! §12). An abrupt kill is survivable anyway — snapshots publish (at
-//! startup, on a `save` request and at drain) through the atomic save
-//! path, and startup uses the recovery load that discards staging debris.
+//! §12). An abrupt kill is survivable anyway — the snapshot publishes once,
+//! at startup, through the atomic save path (queries roll back, so the
+//! served universe never changes), and startup uses the recovery load
+//! that discards staging debris.
 //!
 //! The hidden `--torture-save PATH` mode exists for the crash-safety
 //! suite: it saves the same snapshot in a tight loop so a test can
@@ -171,7 +172,9 @@ fn main() {
     let universe = match &args.snapshot {
         Some(path) if path.exists() => match RoutingUniverse::recover_snapshot(path) {
             Ok(u) => {
-                println!("recovered snapshot {}", path.display());
+                // Stderr, like the audit line below: harnesses parse the
+                // first stdout line for the bound address.
+                eprintln!("recovered snapshot {}", path.display());
                 u
             }
             Err(e) => {
@@ -209,8 +212,8 @@ fn main() {
     if certified {
         engine.set_certifier(Box::new(DeltaAuditor::with_report(&world, report)));
     }
-    // Publish the initial state: queries never change the universe, so this
-    // image stays current until a `save` request or the drain republishes it.
+    // Publish the served state, once: queries never change the universe, so
+    // this image stays current for the life of the process.
     if let Some(path) = &args.snapshot {
         if let Err(e) = universe.save_snapshot(path) {
             eprintln!("cannot publish snapshot {}: {e}", path.display());
@@ -224,7 +227,6 @@ fn main() {
         default_budget: args.budget,
         deadline_ms: args.deadline_ms,
         breaker: RetryPolicy::default(),
-        snapshot_path: args.snapshot.clone(),
         ..ServeConfig::default()
     };
     let listener = match TcpListener::bind(&args.listen) {
@@ -255,7 +257,7 @@ fn main() {
     let s = server.stats();
     println!(
         "drained: served {} shed {} degraded {} (deadline {}, quarantine {}) \
-         errors {} disconnects {} autosaves {} high-water {} \
+         errors {} disconnects {} high-water {} \
          certificates preserved {} revoked {}",
         s.served,
         s.shed,
@@ -264,7 +266,6 @@ fn main() {
         s.quarantine_refusals,
         s.errors,
         s.disconnects,
-        s.autosaves,
         s.queue_high_water,
         s.certificates_preserved,
         s.certificates_revoked

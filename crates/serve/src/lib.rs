@@ -18,8 +18,9 @@
 //!   (`status: shed`, `retry_after_ms`) instead of queueing unboundedly.
 //! * [`server`] — the supervised loop: worker pool, per-query step
 //!   budgets that carry the wall deadline into the engine, per-prefix
-//!   circuit breakers, degraded-mode answers, graceful drain, and
-//!   crash-safe snapshot publishing (on `save` and at drain) through the
+//!   circuit breakers, degraded-mode answers, and graceful drain. It
+//!   writes no snapshot: queries roll back, so the served universe never
+//!   changes, and `ir-serve` publishes it once at startup through the
 //!   atomic temp + fsync + rename path.
 //! * [`client`] — a thin blocking socket client used by the tests, the
 //!   smoke script, and the benchmark's `serve_mixed` workload.

@@ -83,11 +83,6 @@ pub enum Request {
         /// Correlation id.
         id: Option<u64>,
     },
-    /// Snapshot the universe to the configured path now.
-    Save {
-        /// Correlation id.
-        id: Option<u64>,
-    },
     /// Graceful drain: stop admitting, finish queued work, exit.
     Shutdown {
         /// Correlation id.
@@ -105,7 +100,6 @@ impl Request {
             | Request::Health { id }
             | Request::Stats { id }
             | Request::Audit { id }
-            | Request::Save { id }
             | Request::Shutdown { id } => *id,
         }
     }
@@ -304,7 +298,6 @@ fn request_from_value(v: &Value, id: Option<u64>) -> Result<Request, String> {
         "health" => Request::Health { id },
         "stats" => Request::Stats { id },
         "audit" => Request::Audit { id },
-        "save" => Request::Save { id },
         "shutdown" => Request::Shutdown { id },
         other => return Err(format!("unknown op `{other}`")),
     })
@@ -371,7 +364,7 @@ pub fn route_line(id: Option<u64>, prefix: Prefix, asn: Asn) -> String {
     )
 }
 
-/// Builds a bare control request (`health`, `stats`, `audit`, `save`,
+/// Builds a bare control request (`health`, `stats`, `audit`,
 /// `shutdown`).
 pub fn control_line(id: Option<u64>, op: &str) -> String {
     tagged(id, "op", op, json!({}))
@@ -614,11 +607,6 @@ pub fn health_response(id: Option<u64>, draining: bool, prefixes: usize, shapes:
     )
 }
 
-/// `status: ok` response for a published `save`.
-pub fn saved_response(id: Option<u64>) -> String {
-    reply(id, "ok", json!({"saved": true}))
-}
-
 /// `status: ok` response acknowledging a `shutdown`: the drain has begun.
 pub fn draining_response(id: Option<u64>) -> String {
     reply(id, "ok", json!({"state": "draining"}))
@@ -642,7 +630,6 @@ pub fn stats_response(
         "quarantine_refusals": s.quarantine_refusals,
         "errors": s.errors,
         "disconnects": s.disconnects,
-        "autosaves": s.autosaves,
         "breaker_trips": s.breaker_trips,
         "queue_high_water": s.queue_high_water,
         "queue_cap": queue_cap,

@@ -5,8 +5,8 @@
 //!
 //! * **Admission control** — query work goes through a bounded
 //!   [`AdmissionQueue`]; a full queue sheds with `retry_after_ms` instead
-//!   of queueing unboundedly (control ops — health, stats, save, shutdown —
-//!   bypass admission so the server stays observable under overload).
+//!   of queueing unboundedly (control ops — health, stats, audit, shutdown
+//!   — bypass admission so the server stays observable under overload).
 //! * **Deadlines** — every query runs under a [`StepBudget`] activation
 //!   cap, and when a wall deadline is configured the budget also carries
 //!   it on the server's [`ServiceClock`], which the sim reads between
@@ -19,13 +19,12 @@
 //!   deadline trips, so a pathological prefix answers degraded immediately
 //!   instead of burning a worker every time.
 //! * **Graceful drain** — a `shutdown` request stops admission, lets the
-//!   workers finish the accepted backlog, force-EOFs idle readers, publishes
-//!   a final snapshot, and joins every thread before [`Server::run`] returns.
-//! * **Crash-safe snapshots** — `save` requests and the drain publish the
-//!   universe through [`RoutingUniverse::save_snapshot`]'s atomic temp +
-//!   fsync + rename path, so a kill at any instant leaves a loadable
-//!   last-good snapshot. Queries roll back, so the universe never changes
-//!   while it is served and needs no periodic re-save.
+//!   workers finish the accepted backlog, force-EOFs idle readers, and
+//!   joins every thread before [`Server::run`] returns.
+//!
+//! The server writes no snapshot. Queries roll back, so the universe never
+//! changes while it is served: the process that computed it publishes it
+//! once, at startup (`ir-serve --snapshot`), and that image stays current.
 //!
 //! [`Server::run`] spawns only the worker pool and, per connection, one
 //! reader and one writer thread.
@@ -37,8 +36,8 @@
 use crate::admission::AdmissionQueue;
 use crate::protocol::{
     audit_response, degraded_response, draining_response, error_response, health_response,
-    ok_response, parse_request, query_error_response, route_response, saved_response,
-    shed_response, stats_response, ParseError, Request,
+    ok_response, parse_request, query_error_response, route_response, shed_response,
+    stats_response, ParseError, Request,
 };
 use ir_bgp::{CertificateDelta, Delta, RoutingUniverse, StepBudget, WhatIfEngine, WhatIfQuery};
 use ir_fault::{key2, CircuitBreaker, RetryPolicy, ServiceClock};
@@ -46,7 +45,6 @@ use ir_types::Prefix;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -66,8 +64,6 @@ pub struct ServeConfig {
     pub deadline_ms: u64,
     /// Quarantine schedule for the per-prefix circuit breakers.
     pub breaker: RetryPolicy,
-    /// Where `save` requests and the drain publish the universe snapshot.
-    pub snapshot_path: Option<PathBuf>,
     /// Clock the deadlines and breakers read. Production wants
     /// [`ServiceClock::wall`]; deterministic tests inject
     /// [`ServiceClock::simulated`].
@@ -82,7 +78,6 @@ impl Default for ServeConfig {
             default_budget: 5_000_000,
             deadline_ms: 0,
             breaker: RetryPolicy::default(),
-            snapshot_path: None,
             clock: ServiceClock::wall(),
         }
     }
@@ -102,8 +97,8 @@ const RETRY_AFTER_MS: u64 = 25;
 const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Wire names of the tracked ops, in [`OpKind`] discriminant order.
-pub(crate) const OP_NAMES: [&str; 8] = [
-    "whatif", "hijack", "route", "health", "stats", "audit", "save", "shutdown",
+pub(crate) const OP_NAMES: [&str; 7] = [
+    "whatif", "hijack", "route", "health", "stats", "audit", "shutdown",
 ];
 
 /// One tracked request op — the index into the per-op latency breakdown.
@@ -121,10 +116,8 @@ pub enum OpKind {
     Stats = 4,
     /// `audit` re-audits (inline).
     Audit = 5,
-    /// `save` snapshot publishes (inline).
-    Save = 6,
     /// `shutdown` drains (inline).
-    Shutdown = 7,
+    Shutdown = 6,
 }
 
 impl OpKind {
@@ -166,8 +159,6 @@ pub struct ServeStats {
     pub errors: u64,
     /// Connections that vanished while a response was owed.
     pub disconnects: u64,
-    /// Snapshot publishes (explicit `save` + drain save).
-    pub autosaves: u64,
     /// Times any per-prefix breaker opened.
     pub breaker_trips: u64,
     /// Deepest admission backlog observed.
@@ -179,7 +170,7 @@ pub struct ServeStats {
     /// to wave-exact reconvergence).
     pub certificates_revoked: u64,
     /// Per-op count/latency breakdown, indexed by [`OpKind`].
-    pub ops: [OpLatency; 8],
+    pub ops: [OpLatency; 7],
 }
 
 #[derive(Default)]
@@ -199,10 +190,9 @@ struct Metrics {
     quarantine_refusals: AtomicU64,
     errors: AtomicU64,
     disconnects: AtomicU64,
-    autosaves: AtomicU64,
     certificates_preserved: AtomicU64,
     certificates_revoked: AtomicU64,
-    ops: [OpMetrics; 8],
+    ops: [OpMetrics; 7],
 }
 
 /// One admitted query, queued for a worker.
@@ -235,10 +225,6 @@ pub struct Server {
     /// daemon does not accumulate dead fds.
     conns: Mutex<BTreeMap<u64, TcpStream>>,
     conn_token: AtomicU64,
-    /// Serializes snapshot publishing: `save` ops on any connection and the
-    /// drain save all stage to the same `<file>.tmp`, so concurrent saves
-    /// would interleave write/rename and publish a torn image.
-    save_lock: Mutex<()>,
 }
 
 impl Server {
@@ -252,7 +238,6 @@ impl Server {
             breakers: Mutex::new(BTreeMap::new()),
             conns: Mutex::new(BTreeMap::new()),
             conn_token: AtomicU64::new(0),
-            save_lock: Mutex::new(()),
         }
     }
 
@@ -284,7 +269,6 @@ impl Server {
             quarantine_refusals: m.quarantine_refusals.load(Ordering::Relaxed),
             errors: m.errors.load(Ordering::Relaxed),
             disconnects: m.disconnects.load(Ordering::Relaxed),
-            autosaves: m.autosaves.load(Ordering::Relaxed),
             breaker_trips: trips,
             queue_high_water: self.queue.high_water() as u64,
             certificates_preserved: m.certificates_preserved.load(Ordering::Relaxed),
@@ -366,12 +350,13 @@ impl Server {
 
     /// Serves `listener` until a `shutdown` request (or
     /// [`Server::initiate_drain`] from another thread) drains the loop.
-    /// `universe` powers `save` and the drain save; without it (or a
-    /// `snapshot_path`) save requests answer with an error.
+    /// `_universe` is unused: the served universe never changes, so the
+    /// server has nothing to publish. The parameter stays until ROADMAP
+    /// 11(k) drops it with its callers.
     pub fn run(
         &self,
         engine: &WhatIfEngine<'_>,
-        universe: Option<&RoutingUniverse>,
+        _universe: Option<&RoutingUniverse>,
         listener: TcpListener,
     ) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
@@ -394,7 +379,7 @@ impl Server {
                         let _ = stream.set_nodelay(true);
                         let token = stream.try_clone().ok().map(|h| self.register_conn(h));
                         scope.spawn(move || {
-                            self.serve_connection(engine, universe, stream);
+                            self.serve_connection(engine, stream);
                             if let Some(token) = token {
                                 self.deregister_conn(token);
                             }
@@ -406,41 +391,14 @@ impl Server {
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             }
-            self.save_now(universe);
         });
         Ok(())
-    }
-
-    /// Publishes a snapshot through the atomic save path, if configured.
-    /// Callers race (`save` ops on any reader, drain); `save_lock`
-    /// serializes them so only one save stages at `<file>.tmp` at a time
-    /// and the published image is never torn.
-    fn save_now(&self, universe: Option<&RoutingUniverse>) -> bool {
-        let (Some(path), Some(u)) = (self.cfg.snapshot_path.as_ref(), universe) else {
-            return false;
-        };
-        let _publish = self
-            .save_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match u.save_snapshot(path) {
-            Ok(()) => {
-                self.metrics.autosaves.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => false,
-        }
     }
 
     /// Reader half of one connection: parse lines, answer control ops
     /// inline, admit query ops. A paired writer thread serialises all
     /// responses (inline ones and worker ones) onto the socket.
-    fn serve_connection(
-        &self,
-        engine: &WhatIfEngine<'_>,
-        universe: Option<&RoutingUniverse>,
-        stream: TcpStream,
-    ) {
+    fn serve_connection(&self, engine: &WhatIfEngine<'_>, stream: TcpStream) {
         let Ok(write_half) = stream.try_clone() else {
             return;
         };
@@ -478,7 +436,7 @@ impl Server {
                     let _ = tx.send(error_response(e.id, &e.message));
                 }
                 Ok(req) => {
-                    if self.handle_request(engine, universe, req, &tx) {
+                    if self.handle_request(engine, req, &tx) {
                         break; // shutdown requested on this connection
                     }
                 }
@@ -495,7 +453,6 @@ impl Server {
     fn handle_request(
         &self,
         engine: &WhatIfEngine<'_>,
-        universe: Option<&RoutingUniverse>,
         req: Request,
         tx: &mpsc::Sender<String>,
     ) -> bool {
@@ -585,20 +542,6 @@ impl Server {
                     report.warnings(),
                     &report.certificate.blockers,
                 ));
-                false
-            }
-            Request::Save { id } => {
-                let response = if universe.is_none() || self.cfg.snapshot_path.is_none() {
-                    self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    error_response(id, "no snapshot path configured")
-                } else if self.save_now(universe) {
-                    saved_response(id)
-                } else {
-                    self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    error_response(id, "snapshot save failed")
-                };
-                self.record_op(OpKind::Save, started);
-                let _ = tx.send(response);
                 false
             }
             Request::Shutdown { id } => {

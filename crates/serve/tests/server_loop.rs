@@ -306,65 +306,6 @@ fn finished_connections_leave_the_registry() {
     assert_eq!(stats.received, 0, "health bypasses admission");
 }
 
-#[test]
-fn concurrent_saves_always_publish_a_loadable_snapshot() {
-    // Regression: unserialized saves staged to the same `<file>.tmp` and
-    // could interleave write/rename, publishing a torn image. Hammer the
-    // save op from several clients at once; the published file must load
-    // after every round.
-    let dir = std::env::temp_dir().join(format!("ir-serve-racesave-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("u.iruniv");
-    let cfg = ServeConfig {
-        snapshot_path: Some(path.clone()),
-        ..ServeConfig::default()
-    };
-    let stats = with_server(cfg, |_, addr| {
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
-                    for i in 0..8u64 {
-                        let line = c.request(&control_line(Some(i), "save")).unwrap().unwrap();
-                        assert_eq!(status_of(&line), "ok", "save raced: {line}");
-                    }
-                });
-            }
-        });
-        RoutingUniverse::recover_snapshot(&path).expect("snapshot loadable mid-hammer");
-    });
-    // 4 clients × 8 saves + the drain save, none lost to rename races.
-    assert_eq!(stats.autosaves, 33);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn save_publishes_through_the_atomic_path() {
-    let dir = std::env::temp_dir().join(format!("ir-serve-save-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("u.iruniv");
-    let cfg = ServeConfig {
-        snapshot_path: Some(path.clone()),
-        ..ServeConfig::default()
-    };
-    let stats = with_server(cfg, |_, addr| {
-        let mut c = Client::connect(addr).expect("connect");
-        let line = c.request(&control_line(Some(1), "save")).unwrap().unwrap();
-        assert_eq!(status_of(&line), "ok", "got: {line}");
-    });
-    // Explicit save + the drain save.
-    assert_eq!(stats.autosaves, 2);
-    let recovered = RoutingUniverse::recover_snapshot(&path).expect("published snapshot loads");
-    let (world, prefixes) = tiny_fixture();
-    let want = RoutingUniverse::compute(&world, &prefixes);
-    assert_eq!(
-        recovered.to_snapshot_bytes().unwrap(),
-        want.to_snapshot_bytes().unwrap(),
-        "published snapshot is byte-identical to the served universe"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A served reply must not wait out a delayed ACK: with Nagle on and the
 /// line terminator in a write of its own, every request/response pair on
 /// loopback took ≈ 40–90 ms for a microsecond lookup.

@@ -313,7 +313,6 @@ fn request_builders_have_golden_lines_and_parse_back() {
         ("health", Request::Health { id: Some(2) }),
         ("stats", Request::Stats { id: Some(2) }),
         ("audit", Request::Audit { id: Some(2) }),
-        ("save", Request::Save { id: Some(2) }),
         ("shutdown", Request::Shutdown { id: Some(2) }),
     ] {
         assert_eq!(parse_request(&control_line(Some(2), op)).unwrap(), want);
@@ -405,7 +404,6 @@ fn response_encoders_have_golden_lines() {
         quarantine_refusals: 6,
         errors: 7,
         disconnects: 8,
-        autosaves: 9,
         breaker_trips: 10,
         queue_high_water: 11,
         certificates_preserved: 12,
@@ -484,7 +482,7 @@ fn response_encoders_have_golden_lines() {
             concat!(
                 r#"{"id":6,"status":"ok","received":1,"served":2,"shed":3,"degraded":4,"#,
                 r#""deadline_aborts":5,"quarantine_refusals":6,"errors":7,"disconnects":8,"#,
-                r#""autosaves":9,"breaker_trips":10,"queue_high_water":11,"queue_cap":64,"#,
+                r#""breaker_trips":10,"queue_high_water":11,"queue_cap":64,"#,
                 r#""certificates_preserved":12,"certificates_revoked":13,"#,
                 r#""shape_waits":14,"shape_wait_us":15,"ops":{"#,
                 r#""whatif":{"count":0,"total_ms":0,"max_ms":0},"#,
@@ -493,8 +491,7 @@ fn response_encoders_have_golden_lines() {
                 r#""health":{"count":3,"total_ms":30,"max_ms":300},"#,
                 r#""stats":{"count":4,"total_ms":40,"max_ms":400},"#,
                 r#""audit":{"count":5,"total_ms":50,"max_ms":500},"#,
-                r#""save":{"count":6,"total_ms":60,"max_ms":600},"#,
-                r#""shutdown":{"count":7,"total_ms":70,"max_ms":700}}}"#,
+                r#""shutdown":{"count":6,"total_ms":60,"max_ms":600}}}"#,
             )
             .to_string(),
         ),
@@ -504,8 +501,9 @@ fn response_encoders_have_golden_lines() {
     }
 }
 
-/// The replies the serving loop assembles for `route`, `health`, `save` and
-/// `shutdown`, byte for byte off a live socket (tiny world, seed 7).
+/// The replies the serving loop assembles for `route`, `health` and
+/// `shutdown`, byte for byte off a live socket (tiny world, seed 7). The
+/// server publishes no snapshot, so `save` is an unknown op.
 #[test]
 fn served_control_replies_have_golden_lines() {
     let world = GeneratorConfig::tiny().build(7);
@@ -520,12 +518,7 @@ fn served_control_replies_have_golden_lines() {
     let engine = WhatIfEngine::from_universe(&world, &universe, ActivationOrder::default())
         .expect("tiny universe hydrates");
     let origin = universe.origin(prefixes[0]).unwrap();
-    let dir = std::env::temp_dir().join(format!("ir-wire-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let server = Server::new(ServeConfig {
-        snapshot_path: Some(dir.join("universe.snap")),
-        ..ServeConfig::default()
-    });
+    let server = Server::new(ServeConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
     let addr = listener.local_addr().unwrap();
     let p = prefixes[0];
@@ -559,11 +552,10 @@ fn served_control_replies_have_golden_lines() {
             route.as_str(),
             r#"{"id":3,"status":"error","error":"unknown AS AS4000000000"}"#,
             r#"{"id":4,"status":"error","error":"prefix 203.0.113.0/24 is not resident"}"#,
-            r#"{"id":5,"status":"ok","saved":true}"#,
+            r#"{"id":5,"status":"error","error":"unknown op `save`"}"#,
             r#"{"status":"ok","state":"draining"}"#,
         ]
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn asn() -> impl Strategy<Value = Asn> {
