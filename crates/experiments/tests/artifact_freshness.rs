@@ -536,14 +536,16 @@ fn repro_blocks(j: &Value) -> Vec<(&'static str, String)> {
                     ),
                 ],
                 vec![
-                    "`lg_augment`: inferred links, Best/Short".into(),
+                    "`lg_augment`: inferred links, Best/Short, feed → feed + glasses".into(),
                     format!(
-                        "{} → {} links, {} → {} ({} glass paths)",
+                        "{} → {} links, {} → {} ({} glass paths); five-month aggregate {} links, {}",
                         thousands(count(&lg["base_links"])),
                         thousands(count(&lg["augmented_links"])),
                         pct(num(&lg["base_best_short_pct"])),
                         pct(num(&lg["augmented_best_short_pct"])),
-                        thousands(count(&lg["lg_paths"]))
+                        thousands(count(&lg["lg_paths"])),
+                        thousands(count(&lg["aggregate_links"])),
+                        pct(num(&lg["aggregate_best_short_pct"]))
                     ),
                 ],
             ],

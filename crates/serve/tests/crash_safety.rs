@@ -2,12 +2,15 @@
 //! recovery load must produce the last published snapshot byte-for-byte.
 //! The binary's `--torture-save` mode rewrites the same snapshot in a
 //! tight loop, so killing it at staggered offsets lands inside every phase
-//! of the write (staging create, write, fsync, rename).
+//! of the write (staging create, write, fsync, rename). The daemon itself
+//! publishes once, at startup, and a restart serves the published image.
 
 use ir_bgp::RoutingUniverse;
+use ir_serve::{control_line, route_line, Client};
 use ir_types::Prefix;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -18,7 +21,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// The exact universe `--scale tiny --seed 7 --prefixes 8` serves.
-fn reference_bytes() -> Vec<u8> {
+fn reference() -> RoutingUniverse {
     let world = ir_topology::GeneratorConfig::tiny().build(7);
     let prefixes: Vec<Prefix> = world
         .graph
@@ -28,8 +31,100 @@ fn reference_bytes() -> Vec<u8> {
         .take(8)
         .collect();
     RoutingUniverse::compute(&world, &prefixes)
+}
+
+fn reference_bytes() -> Vec<u8> {
+    reference()
         .to_snapshot_bytes()
         .expect("reference snapshot encodes")
+}
+
+/// Starts `ir-serve --snapshot path` on an ephemeral port and returns the
+/// child, its stdout, and its first stdout line.
+fn serve_snapshot(path: &Path) -> (Child, BufReader<ChildStdout>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ir-serve"))
+        .args([
+            "--snapshot",
+            path.to_str().expect("utf8 path"),
+            "--listen",
+            "127.0.0.1:0",
+            "--scale",
+            "tiny",
+            "--seed",
+            "7",
+            "--prefixes",
+            "8",
+            "--workers",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ir-serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first stdout line");
+    (child, stdout, first)
+}
+
+/// Sends one `route` lookup, then `shutdown`; returns the route reply once
+/// the daemon has exited 0.
+fn route_then_shutdown(mut child: Child, banner: &str) -> String {
+    // "ir-serve listening on 127.0.0.1:PORT (...)"
+    assert!(
+        banner.starts_with("ir-serve listening on "),
+        "first stdout line is not the banner: {banner}"
+    );
+    let addr = banner.split_whitespace().nth(3).expect("banner address");
+    let u = reference();
+    let prefix = u.prefixes().next().expect("a resident prefix");
+    let origin = u.origin(prefix).expect("prefix origin");
+    let mut c = Client::connect(addr).expect("connect to daemon");
+    let reply = c
+        .request(&route_line(Some(1), prefix, origin))
+        .unwrap()
+        .expect("route reply");
+    c.request(&control_line(Some(2), "shutdown"))
+        .unwrap()
+        .expect("shutdown ack");
+    let status = child.wait().expect("child exit");
+    assert!(status.success(), "daemon exited {status}");
+    reply
+}
+
+/// One publish, at startup: the file is the reference image, the drain
+/// leaves it alone (same bytes, inode and mtime), and a restart on it
+/// prints the banner first and answers the same lookup byte for byte.
+#[cfg(unix)]
+#[test]
+fn the_startup_publish_is_the_only_one_and_a_restart_serves_it() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = scratch_dir("publish");
+    let path = dir.join("u.iruniv");
+    let want = reference_bytes();
+
+    let (child, _stdout, banner) = serve_snapshot(&path);
+    assert_eq!(std::fs::read(&path).expect("published"), want);
+    let published = std::fs::metadata(&path).expect("published metadata");
+    let first = route_then_shutdown(child, &banner);
+    let drained = std::fs::metadata(&path).expect("drained metadata");
+    assert_eq!(std::fs::read(&path).expect("still there"), want);
+    assert_eq!(
+        drained.ino(),
+        published.ino(),
+        "the drain replaced the file"
+    );
+    assert_eq!(
+        drained.modified().unwrap(),
+        published.modified().unwrap(),
+        "the drain rewrote the file"
+    );
+
+    let (child, _stdout, banner) = serve_snapshot(&path);
+    let again = route_then_shutdown(child, &banner);
+    assert_eq!(again, first, "the restart answers differently");
+    assert!(first.contains(r#""status":"ok""#), "{first}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
