@@ -724,6 +724,8 @@ mod tests {
     use super::*;
     use ir_fault::FaultConfig;
     use ir_topology::GeneratorConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn compute_reaches_fixpoints_and_supports_lpm() {
@@ -962,5 +964,95 @@ mod tests {
                 assert_ne!(route.learned_from, Some(a), "route over downed link");
             }
         }
+    }
+
+    /// Cuts the CRC trailer off `image`, applies `edit` to the body and
+    /// seals it again, so the structural decoder sees the edit.
+    fn reseal(image: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = image[..image.len() - 4].to_vec();
+        edit(&mut body);
+        seal_with_crc(&mut body);
+        body
+    }
+
+    /// One random edit of a snapshot body: a flipped byte, a run of 0x00
+    /// or 0xFF, a truncation, or a duplicated span.
+    fn mutate(body: &mut Vec<u8>, rng: &mut StdRng) {
+        if body.is_empty() {
+            return;
+        }
+        let at = rng.random_range(0..body.len());
+        match rng.random_range(0..4u8) {
+            0 => body[at] ^= rng.random_range(1..=255u8),
+            1 => {
+                let end = body.len().min(at + rng.random_range(1..=16usize));
+                body[at..end].fill(if rng.random_bool(0.5) { 0x00 } else { 0xFF });
+            }
+            2 => body.truncate(at),
+            _ => {
+                let end = body.len().min(at + rng.random_range(1..=64usize));
+                let span = body[at..end].to_vec();
+                let to = rng.random_range(0..=body.len());
+                body.splice(to..to, span);
+            }
+        }
+    }
+
+    /// A snapshot is read from outside the program at daemon startup, so
+    /// no byte sequence may panic the decoder or anything fed what it
+    /// accepts. Every mutated image is resealed (a bare CRC mismatch would
+    /// stop it before the structural decoder), and every one that decodes
+    /// must re-encode to a fixed point, answer every route lookup, hydrate
+    /// a what-if engine or refuse to, and refuse a count of `u32::MAX` in
+    /// each of its four top-level count fields before allocating for it.
+    #[test]
+    fn hostile_snapshot_mutations_never_panic() {
+        let w = GeneratorConfig::tiny().build(7);
+        let ps: Vec<Prefix> = prefix_owners(&w).keys().copied().take(4).collect();
+        let image = RoutingUniverse::compute(&w, &ps)
+            .to_snapshot_bytes()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut decoded = 0;
+        for _ in 0..3000 {
+            let edits = rng.random_range(1..=3);
+            let hostile = reseal(&image, |body| {
+                for _ in 0..edits {
+                    mutate(body, &mut rng);
+                }
+            });
+            let Ok(u) = RoutingUniverse::from_snapshot_bytes(&hostile) else {
+                continue;
+            };
+            decoded += 1;
+            let again = u.to_snapshot_bytes().expect("a decoded image re-encodes");
+            let reloaded =
+                RoutingUniverse::from_snapshot_bytes(&again).expect("re-encoding decodes");
+            assert_eq!(reloaded.to_snapshot_bytes().unwrap(), again);
+            for p in u.prefixes() {
+                for x in 0..=w.graph.len() {
+                    let _ = u.route(p, x);
+                }
+            }
+            let _ = crate::WhatIfEngine::from_universe(&w, &u, ActivationOrder::default());
+            // The re-encoding is canonical, so its count fields sit where
+            // the writer put them: the ASN table, the shapes, and (counted
+            // back from the 22 trailing counters) prefixes and unconverged.
+            let unconverged_at = again.len() - 4 - 22 * 8 - 5 * u.unconverged.len() - 4;
+            let prefixes_at = unconverged_at - 13 * u.tables.len() - 4;
+            for at in [8, 12 + 4 * u.asns.len(), prefixes_at, unconverged_at] {
+                let huge = reseal(&again, |body| {
+                    body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                });
+                let Err(err) = RoutingUniverse::from_snapshot_bytes(&huge) else {
+                    panic!("a count of u32::MAX at byte {at} decoded");
+                };
+                assert!(
+                    err.to_string().contains("count 4294967295 exceeds"),
+                    "count at byte {at} refused late: {err}"
+                );
+            }
+        }
+        assert!(decoded > 100, "only {decoded} mutated images decoded");
     }
 }

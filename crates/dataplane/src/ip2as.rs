@@ -21,15 +21,6 @@ pub struct OriginTable {
     min_len: u8,
 }
 
-/// The network mask for a prefix length.
-fn prefix_mask(len: u8) -> u32 {
-    if len == 0 {
-        0
-    } else {
-        u32::MAX << (32 - len)
-    }
-}
-
 impl OriginTable {
     /// Builds the table from a converged routing universe (every announced
     /// prefix with its origin).
@@ -63,7 +54,7 @@ impl OriginTable {
         // Any prefix containing `ip` has its base in [ip & mask(min_len),
         // ip]; entries are sorted by base, so walk backward from the first
         // entry past `ip` until bases drop below the floor.
-        let floor = ip.0 & prefix_mask(self.min_len);
+        let floor = ip.0 & Prefix::mask(self.min_len);
         let pos = self.entries.partition_point(|(p, _)| p.base.0 <= ip.0);
         let mut best: Option<(Prefix, Asn)> = None;
         for &(p, a) in self.entries[..pos].iter().rev() {

@@ -43,6 +43,10 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp \
     --test oscillation_differential --test whatif_inplace --test work_counts
 # The arena's hasher, one-walk import read and rollback, optimized too.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --lib patharena
+# Hostile snapshots: ~3 000 resealed byte mutations of a universe image
+# never panic the decoder, route lookups or engine hydration, and a
+# u32::MAX count is refused before it is allocated.
+run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --lib hostile_snapshot
 # Certificate-maintenance gate (release): ≥1000 randomized (certified
 # world, delta batch) pairs must get the same verdict from the incremental
 # DeltaAuditor as from a full re-audit of the edited world, and certified
@@ -85,8 +89,9 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --test oscillation_differe
 # port, wall deadline on, answers a 50-query mixed batch (malformed JSON
 # and over-deadline included), drains clean on a shutdown request, and
 # exits 0 — and a SIGKILL mid-snapshot-write must recover the last-good
-# image on restart. `server_loop` runs the deadline, quarantine, shed and
-# save paths under optimized codegen too.
+# image on restart, the startup publish must be the only write, and a
+# restart must serve it. `server_loop` runs the deadline, quarantine and
+# shed paths under optimized codegen too.
 # `wire_golden` + `wire_alloc`: streamed replies keep bytes and allocation bound optimized.
 # `wire_hostile`: ~20k mutated lines never panic either parser, and trees round-trip.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-serve \
