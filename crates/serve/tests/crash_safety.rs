@@ -39,9 +39,19 @@ fn reference_bytes() -> Vec<u8> {
         .expect("reference snapshot encodes")
 }
 
+/// A daemon that is killed if a failed assertion drops it still running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Starts `ir-serve --snapshot path` on an ephemeral port and returns the
-/// child, its stdout, and its first stdout line.
-fn serve_snapshot(path: &Path) -> (Child, BufReader<ChildStdout>, String) {
+/// daemon, its stdout, and its first stdout line.
+fn serve_snapshot(path: &Path) -> (Daemon, BufReader<ChildStdout>, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ir-serve"))
         .args([
             "--snapshot",
@@ -64,12 +74,12 @@ fn serve_snapshot(path: &Path) -> (Child, BufReader<ChildStdout>, String) {
     let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
     let mut first = String::new();
     stdout.read_line(&mut first).expect("first stdout line");
-    (child, stdout, first)
+    (Daemon(child), stdout, first)
 }
 
 /// Sends one `route` lookup, then `shutdown`; returns the route reply once
 /// the daemon has exited 0.
-fn route_then_shutdown(mut child: Child, banner: &str) -> String {
+fn route_then_shutdown(mut daemon: Daemon, banner: &str) -> String {
     // "ir-serve listening on 127.0.0.1:PORT (...)"
     assert!(
         banner.starts_with("ir-serve listening on "),
@@ -87,7 +97,7 @@ fn route_then_shutdown(mut child: Child, banner: &str) -> String {
     c.request(&control_line(Some(2), "shutdown"))
         .unwrap()
         .expect("shutdown ack");
-    let status = child.wait().expect("child exit");
+    let status = daemon.0.wait().expect("child exit");
     assert!(status.success(), "daemon exited {status}");
     reply
 }
