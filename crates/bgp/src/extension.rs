@@ -1,14 +1,13 @@
-//! Pluggable per-AS defense policies evaluated in the import/export path.
+//! Pluggable per-AS defense policies evaluated in the import path.
 //!
 //! The paper measures which policies ASes run *in the wild*; the security
 //! scenario suite (the `ir-scenarios` crate) needs the dual: inject a
 //! policy and measure what it blocks. A [`PolicyExtension`] is a
 //! stateless predicate consulted by [`crate::sim::PrefixSim`] right after
-//! the built-in poison filters and before a route enters the adj-RIB-in
-//! (import side) or leaves toward a neighbor (export side). Extensions
-//! see only immutable world state plus the interned path, so they stay
-//! cheap enough to sit on the hot path and trivially `Send + Sync` for
-//! the rayon sweep.
+//! the built-in poison filters and before a route enters the adj-RIB-in.
+//! Extensions see only immutable world state plus the interned path, so
+//! they stay cheap enough to sit on the hot path and trivially
+//! `Send + Sync` for the rayon sweep.
 //!
 //! Heterogeneous deployment — the whole point of an adoption sweep — is a
 //! [`DefensePlan`]: a small registry of extensions plus a per-AS bitmask
@@ -29,17 +28,15 @@ pub struct ExtensionCheck<'a> {
     pub world: &'a World,
     /// Arena holding the route's interned AS path.
     pub arena: &'a PathArena,
-    /// The AS applying the check (importer on import, exporter on export).
+    /// The AS applying the check: the importer.
     pub me: NodeIdx,
-    /// The session peer the route is coming from (import) or going to
-    /// (export).
+    /// The session peer the route is coming from.
     pub peer: NodeIdx,
     /// Relationship of `peer` as seen from `me`.
     pub rel: Relationship,
     /// Prefix the route is for.
     pub prefix: Prefix,
-    /// The AS path as received (import) or as it would be sent, prepends
-    /// included (export).
+    /// The AS path as received.
     pub path: PathId,
 }
 
@@ -60,10 +57,8 @@ impl ExtensionCheck<'_> {
     }
 }
 
-/// A defense policy an AS may adopt. Both hooks default to *accept* so an
-/// implementation overrides only the direction it cares about (ROV and
-/// enforce-first-AS are import-side; an export-side extension could model
-/// egress filtering).
+/// A defense policy an AS may adopt: a filter on the routes it imports.
+/// The hook defaults to *accept*.
 ///
 /// A verdict must be a pure function of the [`ExtensionCheck`]: the engine
 /// caches import results in the adj-RIB-in, replays them in warm forks, and
@@ -75,12 +70,6 @@ pub trait PolicyExtension: Send + Sync {
 
     /// Whether `me` accepts this route from `peer` into its adj-RIB-in.
     fn accept_import(&self, check: &ExtensionCheck<'_>) -> bool {
-        let _ = check;
-        true
-    }
-
-    /// Whether `me` lets this route out toward `peer`.
-    fn allow_export(&self, check: &ExtensionCheck<'_>) -> bool {
         let _ = check;
         true
     }
@@ -167,7 +156,7 @@ impl DefensePlan {
         self.per_as.get(node).copied().unwrap_or(0)
     }
 
-    /// Evaluate every extension `check.me` has adopted on the import side.
+    /// Evaluate every extension `check.me` has adopted.
     pub fn accepts_import(&self, check: &ExtensionCheck<'_>) -> bool {
         let mut mask = self.mask(check.me);
         while mask != 0 {
@@ -175,20 +164,6 @@ impl DefensePlan {
             mask &= mask - 1;
             match self.exts.get(bit) {
                 Some(ext) if !ext.accept_import(check) => return false,
-                _ => {}
-            }
-        }
-        true
-    }
-
-    /// Evaluate every extension `check.me` has adopted on the export side.
-    pub fn allows_export(&self, check: &ExtensionCheck<'_>) -> bool {
-        let mut mask = self.mask(check.me);
-        while mask != 0 {
-            let bit = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            match self.exts.get(bit) {
-                Some(ext) if !ext.allow_export(check) => return false,
                 _ => {}
             }
         }

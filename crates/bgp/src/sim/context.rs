@@ -9,7 +9,7 @@ use crate::patharena::PathArena;
 use crate::route::Route;
 use ir_topology::graph::{LinkKind, NodeIdx};
 use ir_topology::World;
-use ir_types::{Asn, CityId, Prefix, Relationship, Timestamp};
+use ir_types::{Asn, CityId, Error, Prefix, Relationship, Timestamp};
 use std::sync::Arc;
 
 /// One BGP session: a (link, interconnection city) pair. Hybrid links
@@ -262,23 +262,33 @@ impl<'w> PrefixSim<'w> {
     /// arena and the adj-RIB-in re-derived per node from the converged
     /// invariant — O(sessions) policy evaluations instead of a full
     /// worklist run. Assumes the table came from a plain announcement at
-    /// `Timestamp::ZERO`, which is how [`crate::RoutingUniverse`] computes.
+    /// `Timestamp::ZERO`, which is how [`crate::RoutingUniverse`] computes,
+    /// and refuses one that is not a fixpoint of this world: it must hold
+    /// one row per AS, and each row must be the route the decision process
+    /// selects from the re-derived adj-RIB-in, age included.
     pub(crate) fn hydrate(
         ctx: Arc<SimContext<'w>>,
         order: ActivationOrder,
         prefix: Prefix,
         origin: Asn,
         table: &ShapeTable,
-    ) -> PrefixSim<'w> {
+    ) -> Result<PrefixSim<'w>, Error> {
         let mut sim = PrefixSim::with_context_ordered(ctx, prefix, order);
+        let n = sim.best.len();
+        let not_a_fixpoint = || {
+            let why = format!("{prefix}: table is not a fixpoint of this world");
+            Error::incomplete("what-if base", why)
+        };
+        if table.rows.len() != n {
+            return Err(not_a_fixpoint());
+        }
         let ann = Announcement::plain(origin, prefix);
         let path = ann.origination_path();
         sim.inputs.ann_path = sim.arena.intern(&path);
         sim.inputs.ann_path_len = path.len() as u16;
         sim.inputs.origin_idx = sim.ctx.world.graph.index_of(origin);
         sim.inputs.announcement = Some(ann);
-        let n = sim.best.len();
-        for x in 0..n.min(table.rows.len()) {
+        for x in 0..n {
             if let Some(mut r) = table.rows.get(x) {
                 r.path = sim.arena.intern(&table.arena.materialize(r.path));
                 sim.best.set(x, Some(r));
@@ -287,6 +297,9 @@ impl<'w> PrefixSim<'w> {
         for x in 0..n {
             sim.rederive_rib(x, None);
         }
-        sim
+        if (0..n).any(|x| sim.best.get(x) != sim.select_at(x)) {
+            return Err(not_a_fixpoint());
+        }
+        Ok(sim)
     }
 }

@@ -365,7 +365,7 @@ impl<'w> PrefixSim<'w> {
     /// Best route at `x` per the decision process over the origination and
     /// the adj-RIB-in, with the winner re-stamped to the current clock (the
     /// age it would carry as a live candidate).
-    fn select_at(&self, x: NodeIdx) -> Option<CompactRoute> {
+    pub(super) fn select_at(&self, x: NodeIdx) -> Option<CompactRoute> {
         let mut best: Option<CompactRoute> = None;
         self.for_each_candidate(x, |r| {
             if best.is_none_or(|b| decide(&self.key(r), &self.key(b)).0.is_lt()) {

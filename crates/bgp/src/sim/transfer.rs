@@ -42,9 +42,9 @@ pub(super) fn overlay_policy<'a>(
 /// Everything a route crossing a session reads, borrowed from one sim —
 /// the single statement of the transfer pipeline (the arena mutably: an
 /// export conses into it). The **export half** runs link-up check → the
-/// origin's `via` restriction → Gao–Rexford export rule → prepending →
-/// export-side defenses; the **import half** counts the evaluation, then
-/// runs AS-set (poison) filter → import-side defenses → import policy.
+/// origin's `via` restriction → Gao–Rexford export rule → prepending; the
+/// **import half** counts the evaluation, then runs AS-set (poison) filter
+/// → defenses → import policy.
 /// [`PrefixSim::push_exports`] puts its unchanged-path short-circuit
 /// between the halves; [`PrefixSim::rederive_rib`] runs them back to back.
 pub(super) struct Transfer<'a, 'w> {
@@ -106,7 +106,7 @@ impl<'a> Transfer<'a, '_> {
     /// Export half: the path `from` announces to `to` over `s` — the
     /// session as `to` holds it, `s.peer == from.idx` — as an arena cons of
     /// `from` plus its export prepending. `None` when the link is down,
-    /// `from` has no route, or policy or a defense withholds it. `from`'s
+    /// `from` has no route, or policy withholds it. `from`'s
     /// policy is its resolved spec: the world's ground truth, or the sim's
     /// overlay entry after a [`super::Delta`] edited it.
     #[inline]
@@ -135,10 +135,7 @@ impl<'a> Transfer<'a, '_> {
         // ordinary prepend for learned routes, in one cons.
         let extra = from.policy.prepends_to(to_asn) as usize;
         let count = if best.is_local() { extra } else { extra + 1 };
-        let path = self.arena.prepend_n(best.path, from.asn, count);
-        self.defenses
-            .is_none_or(|plan| plan.allows_export(&self.check(from.idx, to, rel, path)))
-            .then_some(path)
+        Some(self.arena.prepend_n(best.path, from.asn, count))
     }
 
     /// Import half: what `to` installs for `path`, exported by `from`,

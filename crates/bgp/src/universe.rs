@@ -1055,4 +1055,47 @@ mod tests {
         }
         assert!(decoded > 100, "only {decoded} mutated images decoded");
     }
+
+    /// A table that decodes is not yet a table of this world: resealing a
+    /// tiny image after changing one learned row's `local_pref` or
+    /// `learned_from` leaves an image the decoder accepts and hydration
+    /// refuses, while the unmodified image hydrates.
+    #[test]
+    fn hostile_snapshot_non_fixpoint_tables_are_refused() {
+        let w = GeneratorConfig::tiny().build(7);
+        let ps: Vec<Prefix> = prefix_owners(&w).keys().copied().take(4).collect();
+        let u = RoutingUniverse::compute(&w, &ps);
+        let image = u.to_snapshot_bytes().unwrap();
+        let order = ActivationOrder::default();
+        let genuine = RoutingUniverse::from_snapshot_bytes(&image).unwrap();
+        assert!(crate::WhatIfEngine::from_universe(&w, &genuine, order).is_ok());
+        // The first shape's rows follow the magic, the ASN table, the shape
+        // count and the shape's arena (its sets, then 9-byte cells); a row
+        // is a 4-byte empty path or a 25-byte route.
+        let table = u.tables.values().next().unwrap();
+        let (cells, sets) = table.arena().raw_cells();
+        let sets_len: usize = sets.iter().map(|s| 4 + 4 * s.len()).sum();
+        let mut at = 8 + 4 + 4 * u.asns.len() + 4 + 4 + sets_len + 4 + 9 * cells.len() + 4;
+        let mut x = 0;
+        while table.rows.get(x).is_none_or(|r| r.learned_from == NO_NODE) {
+            at += if table.rows.is_some(x) { 25 } else { 4 };
+            x += 1;
+        }
+        let row = table.rows.get(x).unwrap();
+        let other = (row.learned_from + 1) % u.asns.len() as u32;
+        // `learned_from` sits 6 bytes into a row, `local_pref` 13.
+        for (offset, value) in [
+            (13, (row.local_pref + 1).to_le_bytes()),
+            (6, other.to_le_bytes()),
+        ] {
+            let hostile = reseal(&image, |body| {
+                body[at + offset..at + offset + 4].copy_from_slice(&value);
+            });
+            let decoded = RoutingUniverse::from_snapshot_bytes(&hostile).expect("the edit decodes");
+            let Err(err) = crate::WhatIfEngine::from_universe(&w, &decoded, order) else {
+                panic!("a table edited at row {x}, byte {offset} hydrated");
+            };
+            assert!(err.to_string().contains("not a fixpoint"), "{err}");
+        }
+    }
 }

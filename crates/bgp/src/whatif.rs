@@ -358,8 +358,8 @@ impl<'w> WhatIfEngine<'w> {
     /// propagation: each shape table is hydrated back into a live sim
     /// (best columns re-interned, adj-RIB-in re-derived from the converged
     /// invariant). The universe must be fully converged, computed without
-    /// faults, and over this same `world` — the service path after
-    /// reloading a snapshot from disk.
+    /// faults, and over this same `world`, and each table a fixpoint of
+    /// it — the service path after reloading a snapshot from disk.
     pub fn from_universe(
         world: &'w World,
         universe: &RoutingUniverse,
@@ -402,14 +402,15 @@ impl<'w> WhatIfEngine<'w> {
             }
         }
         let ctx = SimContext::shared(world);
-        let shapes: Vec<(ShapeState<'w>, Vec<Prefix>)> = groups
+        let shapes: Vec<Result<(ShapeState<'w>, Vec<Prefix>), Error>> = groups
             .par_iter()
             .map(|(origin, members, table)| {
                 let rep = members[0];
-                let sim = PrefixSim::hydrate(Arc::clone(&ctx), order, rep, *origin, table);
-                (ShapeState::new(sim, true), members.clone())
+                let sim = PrefixSim::hydrate(Arc::clone(&ctx), order, rep, *origin, table)?;
+                Ok((ShapeState::new(sim, true), members.clone()))
             })
             .collect();
+        let shapes = shapes.into_iter().collect::<Result<_, _>>()?;
         Ok(Self::assemble(world, order, shapes))
     }
 

@@ -18,11 +18,10 @@
 //! The model is *honestly obtainable*: both signals come from measurement
 //! procedures the paper actually ran, never from ground truth.
 
-use crate::classify::{Category, Classifier, ClassifyConfig};
+use crate::classify::{Category, Classifier};
 use crate::dataset::{Decision, MeasuredPath};
 use ir_measure::AlternateDiscovery;
 use ir_topology::orgs::OrgRegistry;
-use ir_topology::RelationshipDb;
 use ir_types::{Asn, CountryId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -156,15 +155,14 @@ impl InformedModel {
         }
     }
 
-    /// Reclassifies a whole campaign: returns `(gr_best_short,
-    /// informed_best_short, total)` counts for the headline comparison.
+    /// Reclassifies a whole campaign under `classifier`: returns
+    /// `(gr_best_short, informed_best_short, total)` counts for the
+    /// headline comparison.
     pub fn evaluate(
         &self,
-        db: &RelationshipDb,
-        cfg: ClassifyConfig<'_>,
+        classifier: &Classifier<'_>,
         paths: &[MeasuredPath],
     ) -> (usize, usize, usize) {
-        let classifier = Classifier::new(db, cfg);
         let mut gr = 0usize;
         let mut informed = 0usize;
         let mut total = 0usize;
@@ -174,7 +172,7 @@ impl InformedModel {
                 if !classifier.classify(&d).category.is_violation() {
                     gr += 1;
                 }
-                if self.classify(&classifier, &d, &p.path) == Category::BestShort {
+                if self.classify(classifier, &d, &p.path) == Category::BestShort {
                     informed += 1;
                 }
             }
@@ -186,7 +184,9 @@ impl InformedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::ClassifyConfig;
     use ir_measure::peering::DiscoveredRoute;
+    use ir_topology::RelationshipDb;
     use ir_types::{CityId, Prefix, Relationship};
 
     fn db() -> RelationshipDb {

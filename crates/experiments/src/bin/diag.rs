@@ -15,6 +15,7 @@
 //! Nothing here is timed: the benchmark of record (`benchmark/run.sh`)
 //! measures every layer these dumps exercise.
 
+use ir_experiments::report::assemble_report;
 use ir_experiments::{scenario::ScenarioConfig, Scenario};
 use ir_fault::FaultConfig;
 
@@ -237,13 +238,16 @@ fn main() {
             "cumulative", total.events, total.activations, total.imports
         );
     }
-    println!("{}", ir_experiments::exp_table1::run(&s).render());
-    println!("{}", ir_experiments::exp_fig1::run(&s).render());
-    println!("{}", ir_experiments::exp_fig3::run(&s).render());
-    println!("{}", ir_experiments::exp_table2::run(&s).render());
-    println!("{}", ir_experiments::exp_table3::run(&s).render());
-    println!("{}", ir_experiments::exp_table4::run(&s).render());
-    println!("{}", ir_experiments::exp_alternates::run(&s, 60).render());
-    println!("{}", ir_experiments::exp_validation::run(&s, 10).render());
-    println!("{}", ir_experiments::exp_fig2::run(&s).render());
+    let sections = &[
+        "table1",
+        "fig1",
+        "fig3",
+        "table2",
+        "table3",
+        "table4",
+        "alternates",
+        "validation",
+        "fig2",
+    ];
+    print!("{}", assemble_report(&s, seed, scale, sections).0);
 }

@@ -10,7 +10,7 @@
 //! sweep [--seeds N] [--scale tiny|paper]
 //! ```
 
-use ir_core::classify::Category;
+use ir_core::classify::{Classifier, ClassifyConfig};
 use ir_core::refine::Variant;
 use ir_experiments::scenario::{Scenario, ScenarioConfig};
 use rayon::prelude::*;
@@ -66,10 +66,11 @@ fn main() {
                 _ => ScenarioConfig::tiny(seed),
             };
             let s = Scenario::build(cfg);
+            let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
             let fig1 = ir_experiments::exp_fig1::run(&s);
-            let fig3 = ir_experiments::exp_fig3::run(&s);
-            let t3 = ir_experiments::exp_table3::run(&s);
-            let fig2 = ir_experiments::exp_fig2::run(&s);
+            let fig3 = ir_experiments::exp_fig3::run(&s, &classifier);
+            let t3 = ir_experiments::exp_table3::run(&s, &classifier);
+            let fig2 = ir_experiments::exp_fig2::run(&s, &classifier);
             Row {
                 seed,
                 simple: fig1
@@ -117,9 +118,6 @@ fn main() {
         if !notes.is_empty() {
             println!("      ⚠ seed {}: {}", row.seed, notes.join(", "));
         }
-
-        // One category sanity line per seed.
-        let _ = Category::ALL;
     }
 
     let mean = |f: fn(&Row) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;

@@ -59,13 +59,13 @@ pub fn poisoning_campaign(s: &Scenario, max_targets: usize) -> Option<Vec<Altern
     Some(peering.campaign(prefix, &targets, &setup, MAX_ROUNDS, &FaultPlane::quiet()))
 }
 
-/// Runs the experiment. `max_targets` caps runtime (0 = all observed).
+/// Runs the experiment over a [`poisoning_campaign`]'s discoveries.
 ///
-/// A world generated without a testbed AS cannot run active experiments;
-/// the result is then the empty (all-zero) accounting rather than a panic,
-/// so the rest of the pipeline still reports.
-pub fn run(s: &Scenario, max_targets: usize) -> Alternates {
-    let Some(discoveries) = poisoning_campaign(s, max_targets) else {
+/// A world generated without a testbed AS cannot run active experiments
+/// (`None`); the result is then the empty (all-zero) accounting rather
+/// than a panic, so the rest of the pipeline still reports.
+pub fn run(s: &Scenario, campaign: Option<&[AlternateDiscovery]>) -> Alternates {
+    let Some(discoveries) = campaign else {
         let mut degraded = s.degraded(&["universe", "inferred"]);
         degraded.push("world: no testbed AS — active experiments skipped".into());
         return Alternates {
@@ -88,7 +88,7 @@ pub fn run(s: &Scenario, max_targets: usize) -> Alternates {
         .map(|d| check_order(&s.inferred, d))
         .collect();
     let summary = OrderSummary::tally(verdicts.iter());
-    let acc = LinkAccounting::build(&s.inferred, &discoveries);
+    let acc = LinkAccounting::build(&s.inferred, discoveries);
 
     Alternates {
         degraded: s.degraded(&["universe", "inferred"]),
@@ -142,7 +142,7 @@ mod tests {
 
     fn result() -> &'static Alternates {
         static R: OnceLock<Alternates> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7(), 30))
+        R.get_or_init(|| run(crate::testutil::tiny7(), Some(crate::testutil::campaign())))
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::report::TextTable;
 use crate::scenario::Scenario;
-use ir_core::classify::{Category, Classifier, ClassifyConfig};
+use ir_core::classify::{Category, Classifier};
 use ir_core::skew::{violations, SkewBy, SkewCurve};
 use serde::Serialize;
 
@@ -36,10 +36,10 @@ pub struct Fig2 {
     pub degraded: Vec<String>,
 }
 
-/// Runs the experiment.
-pub fn run(s: &Scenario) -> Fig2 {
-    let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
-    let vs = violations(&classifier, &s.decisions);
+/// Runs the experiment over `classifier`, the default one for
+/// `s.inferred`.
+pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Fig2 {
+    let vs = violations(classifier, &s.decisions);
     let dest = SkewCurve::build(&vs, SkewBy::Destination, None);
     let src = SkewCurve::build(&vs, SkewBy::Source, None);
 
@@ -143,7 +143,7 @@ mod tests {
 
     fn fig2() -> &'static Fig2 {
         static R: OnceLock<Fig2> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::classifier()))
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::report::{pct, TextTable};
 use crate::scenario::Scenario;
-use ir_core::classify::{Category, Classifier, ClassifyConfig};
+use ir_core::classify::{Category, Classifier};
 use ir_core::geography::continental_breakdown;
 use ir_types::Continent;
 use serde::Serialize;
@@ -45,10 +45,10 @@ fn bar(group: &str, b: &ir_core::classify::Breakdown) -> Fig3Bar {
     }
 }
 
-/// Runs the experiment.
-pub fn run(s: &Scenario) -> Fig3 {
-    let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
-    let g = continental_breakdown(&classifier, &s.measured);
+/// Runs the experiment over `classifier`, the default one for
+/// `s.inferred`.
+pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Fig3 {
+    let g = continental_breakdown(classifier, &s.measured);
     let mut bars = Vec::new();
     for c in Continent::ALL {
         if let Some(b) = g.per_continent.get(&c) {
@@ -113,7 +113,7 @@ mod tests {
 
     fn fig3() -> &'static Fig3 {
         static R: OnceLock<Fig3> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::classifier()))
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! detected domestic preference — against the plain model on the same
 //! campaign dataset.
 
-use crate::exp_alternates::poisoning_campaign;
 use crate::report::TextTable;
 use crate::scenario::Scenario;
-use ir_core::classify::{Classifier, ClassifyConfig};
+use ir_core::classify::Classifier;
 use ir_core::nextmodel::InformedModel;
+use ir_measure::peering::AlternateDiscovery;
 use serde::Serialize;
 
 /// The result.
@@ -27,14 +27,21 @@ pub struct Informed {
     pub degraded: Vec<String>,
 }
 
-/// Runs the evaluation. `max_targets` caps the poisoning work.
+/// Runs the evaluation: learns from a [`poisoning_campaign`]'s
+/// discoveries and reclassifies with `classifier`, the default one for
+/// `s.inferred`.
 ///
-/// A world generated without a testbed AS cannot learn rankings; the
-/// result is then the plain-GR-only evaluation (nothing learned) rather
-/// than a panic, so the rest of the pipeline still reports.
-pub fn run(s: &Scenario, max_targets: usize) -> Informed {
-    // Reuse the active-experiment machinery to learn rankings.
-    let Some(discoveries) = poisoning_campaign(s, max_targets) else {
+/// A world generated without a testbed AS cannot learn rankings (`None`);
+/// the result is then the plain-GR-only evaluation (nothing learned)
+/// rather than a panic, so the rest of the pipeline still reports.
+///
+/// [`poisoning_campaign`]: crate::exp_alternates::poisoning_campaign
+pub fn run(
+    s: &Scenario,
+    campaign: Option<&[AlternateDiscovery]>,
+    classifier: &Classifier<'_>,
+) -> Informed {
+    let Some(discoveries) = campaign else {
         let mut degraded = s.degraded(&["decisions", "inferred", "measured"]);
         degraded.push("world: no testbed AS — ranking discovery skipped".into());
         return Informed {
@@ -49,15 +56,8 @@ pub fn run(s: &Scenario, max_targets: usize) -> Informed {
         };
     };
 
-    let learn_classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
-    let model = InformedModel::learn(
-        &discoveries,
-        &s.measured,
-        &learn_classifier,
-        &s.world.orgs,
-        3,
-    );
-    let (gr, informed, total) = model.evaluate(&s.inferred, ClassifyConfig::default(), &s.measured);
+    let model = InformedModel::learn(discoveries, &s.measured, classifier, &s.world.orgs, 3);
+    let (gr, informed, total) = model.evaluate(classifier, &s.measured);
     Informed {
         degraded: s.degraded(&["decisions", "inferred", "measured"]),
         decisions: total,
@@ -100,8 +100,9 @@ mod tests {
 
     #[test]
     fn informed_model_never_loses_and_learns_something() {
-        let s = crate::testutil::tiny7();
-        let r = run(s, 40);
+        use crate::testutil::{campaign, classifier, tiny7};
+        let s = tiny7();
+        let r = run(s, Some(campaign()), classifier());
         assert!(
             r.learned_pairs > 10,
             "rankings learned: {}",

@@ -6,7 +6,7 @@
 
 use crate::report::{pct, TextTable};
 use crate::scenario::Scenario;
-use ir_core::classify::{Classifier, ClassifyConfig};
+use ir_core::classify::Classifier;
 use ir_core::geography::domestic_stats;
 use ir_types::Continent;
 use serde::Serialize;
@@ -30,10 +30,10 @@ pub struct Table3 {
     pub degraded: Vec<String>,
 }
 
-/// Runs the experiment.
-pub fn run(s: &Scenario) -> Table3 {
-    let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
-    let stats = domestic_stats(&classifier, &s.measured, &s.world.orgs, &s.world.geo);
+/// Runs the experiment over `classifier`, the default one for
+/// `s.inferred`.
+pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Table3 {
+    let stats = domestic_stats(classifier, &s.measured, &s.world.orgs, &s.world.geo);
     let rows = Continent::ALL
         .iter()
         .filter_map(|c| {
@@ -79,7 +79,7 @@ mod tests {
 
     fn table3() -> &'static Table3 {
         static R: OnceLock<Table3> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::classifier()))
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::report::{pct, TextTable};
 use crate::scenario::Scenario;
-use ir_core::classify::{Category, Classifier, ClassifyConfig};
+use ir_core::classify::{Category, Classifier};
 use ir_core::geography::cable_stats;
 use serde::Serialize;
 
@@ -35,13 +35,12 @@ pub struct Table4 {
     pub degraded: Vec<String>,
 }
 
-/// Runs the experiment.
-pub fn run(s: &Scenario) -> Table4 {
+/// Runs the experiment over `classifier`, the default one for
+/// `s.inferred`.
+pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Table4 {
     let cables = s.world.cables.cable_asns();
-    let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
-    let stats = cable_stats(&classifier, &s.measured, &cables);
-    let classifier2 = Classifier::new(&s.inferred, ClassifyConfig::default());
-    let overall = classifier2.breakdown(&s.decisions);
+    let stats = cable_stats(classifier, &s.measured, &cables);
+    let overall = classifier.breakdown(&s.decisions);
     let baseline = 1.0 - overall.pct(Category::BestShort) / 100.0;
     let rows = [
         Category::NonBestShort,
@@ -98,7 +97,7 @@ mod tests {
 
     fn table4() -> &'static Table4 {
         static R: OnceLock<Table4> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::classifier()))
     }
 
     #[test]

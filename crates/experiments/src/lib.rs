@@ -54,12 +54,30 @@ pub use scenario::{Scenario, ScenarioConfig};
 pub(crate) mod testutil {
     //! One tiny scenario shared by every unit test in this crate —
     //! building it is by far the most expensive step, and the runners
-    //! only read it.
+    //! only read it — with the inputs `assemble_report` shares between
+    //! sections: the default classifier and a poisoning campaign.
     use crate::scenario::{Scenario, ScenarioConfig};
+    use ir_core::classify::{Classifier, ClassifyConfig};
+    use ir_measure::peering::AlternateDiscovery;
     use std::sync::OnceLock;
 
     pub(crate) fn tiny7() -> &'static Scenario {
         static S: OnceLock<Scenario> = OnceLock::new();
         S.get_or_init(|| Scenario::build(ScenarioConfig::tiny(7)))
+    }
+
+    pub(crate) fn classifier() -> &'static Classifier<'static> {
+        static C: OnceLock<Classifier<'static>> = OnceLock::new();
+        C.get_or_init(|| Classifier::new(&tiny7().inferred, ClassifyConfig::default()))
+    }
+
+    /// A 40-target campaign: enough informative targets for the
+    /// alternates and informed tests.
+    pub(crate) fn campaign() -> &'static [AlternateDiscovery] {
+        static D: OnceLock<Vec<AlternateDiscovery>> = OnceLock::new();
+        D.get_or_init(|| {
+            crate::exp_alternates::poisoning_campaign(tiny7(), 40)
+                .expect("tiny worlds have a testbed")
+        })
     }
 }

@@ -110,11 +110,19 @@ fn to_json<T: serde::Serialize>(r: &T) -> serde_json::Value {
     serde_json::to_value(r).unwrap_or_else(|e| panic!("experiment result serialization: {e}"))
 }
 
+/// Targets of the §3.2 poisoning campaign a report runs: the alternates
+/// and informed sections both learn from this one campaign.
+const CAMPAIGN_TARGETS: usize = 120;
+
 /// Runs the named experiments over a built scenario and assembles the
 /// full reproduction report: the text `repro` prints to stdout and the
 /// JSON document `--json` writes. Shared by the `repro` binary and the
 /// artifact-freshness test, so the committed `repro_paper_seed7.*`
 /// artifacts are checked against exactly the shipping pipeline.
+///
+/// The default classifier and the poisoning campaign are built once per
+/// call, on first use, and handed to every section that reads them; a
+/// call that names none of those sections builds neither.
 ///
 /// Unknown names panic — callers validate against [`ALL_EXPERIMENTS`].
 pub fn assemble_report(
@@ -123,6 +131,9 @@ pub fn assemble_report(
     scale: &str,
     wanted: &[&str],
 ) -> (String, serde_json::Value) {
+    use crate::exp_alternates::poisoning_campaign;
+    use ir_core::classify::{Classifier, ClassifyConfig};
+    use std::cell::OnceCell;
     use std::fmt::Write as _;
 
     let cert = &s.audit.certificate;
@@ -148,8 +159,23 @@ pub fn assemble_report(
         }
     });
 
+    let classifier = OnceCell::new();
+    let classifier =
+        || classifier.get_or_init(|| Classifier::new(&s.inferred, ClassifyConfig::default()));
+    let campaign = OnceCell::new();
+    let campaign = || campaign.get_or_init(|| poisoning_campaign(s, CAMPAIGN_TARGETS));
+
     let mut text = String::new();
     for name in wanted {
+        // A section prints its rendering and files its result under its
+        // own name.
+        macro_rules! section {
+            ($result:expr) => {{
+                let r = $result;
+                let _ = writeln!(text, "{}", r.render());
+                out[*name] = to_json(&r);
+            }};
+        }
         match *name {
             "stats" => {
                 let _ = writeln!(text, "Dataset statistics");
@@ -167,71 +193,25 @@ pub fn assemble_report(
                     s.observed_ases()
                 );
             }
-            "table1" => {
-                let r = crate::exp_table1::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["table1"] = to_json(&r);
-            }
-            "fig1" => {
-                let r = crate::exp_fig1::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["fig1"] = to_json(&r);
-            }
-            "table2" => {
-                let r = crate::exp_table2::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["table2"] = to_json(&r);
-            }
-            "alternates" => {
-                let r = crate::exp_alternates::run(s, 120);
-                let _ = writeln!(text, "{}", r.render());
-                out["alternates"] = to_json(&r);
-            }
-            "fig2" => {
-                let r = crate::exp_fig2::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["fig2"] = to_json(&r);
-            }
-            "fig3" => {
-                let r = crate::exp_fig3::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["fig3"] = to_json(&r);
-            }
-            "table3" => {
-                let r = crate::exp_table3::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["table3"] = to_json(&r);
-            }
-            "table4" => {
-                let r = crate::exp_table4::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["table4"] = to_json(&r);
-            }
-            "validation" => {
-                let r = crate::exp_validation::run(s, 10);
-                let _ = writeln!(text, "{}", r.render());
-                out["validation"] = to_json(&r);
-            }
+            "table1" => section!(crate::exp_table1::run(s)),
+            "fig1" => section!(crate::exp_fig1::run(s)),
+            "table2" => section!(crate::exp_table2::run(s)),
+            "alternates" => section!(crate::exp_alternates::run(s, campaign().as_deref())),
+            "fig2" => section!(crate::exp_fig2::run(s, classifier())),
+            "fig3" => section!(crate::exp_fig3::run(s, classifier())),
+            "table3" => section!(crate::exp_table3::run(s, classifier())),
+            "table4" => section!(crate::exp_table4::run(s, classifier())),
+            "validation" => section!(crate::exp_validation::run(s, 10)),
             "informed" => {
-                let r = crate::exp_informed::run(s, 120);
-                let _ = writeln!(text, "{}", r.render());
-                out["informed"] = to_json(&r);
+                section!(crate::exp_informed::run(
+                    s,
+                    campaign().as_deref(),
+                    classifier()
+                ))
             }
-            "consistency" => {
-                let r = crate::exp_consistency::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["consistency"] = to_json(&r);
-            }
-            "lg_augment" => {
-                let r = crate::exp_lg_augment::run(s, 40);
-                let _ = writeln!(text, "{}", r.render());
-                out["lg_augment"] = to_json(&r);
-            }
-            "predict" => {
-                let r = crate::exp_predict::run(s);
-                let _ = writeln!(text, "{}", r.render());
-                out["predict"] = to_json(&r);
-            }
+            "consistency" => section!(crate::exp_consistency::run(s)),
+            "lg_augment" => section!(crate::exp_lg_augment::run(s, 40)),
+            "predict" => section!(crate::exp_predict::run(s)),
             other => panic!("unknown experiment: {other}"),
         }
     }

@@ -12,10 +12,10 @@
 //!
 //! Pure-std builds cannot install POSIX signal handlers, so graceful
 //! drain is a protocol affair: send `{"op":"shutdown"}` (see DESIGN.md
-//! §12). An abrupt kill is survivable anyway — the snapshot publishes once,
-//! at startup, through the atomic save path (queries roll back, so the
-//! served universe never changes), and startup uses the recovery load
-//! that discards staging debris.
+//! §12). An abrupt kill is survivable anyway — a computed snapshot
+//! publishes once, at startup, through the atomic save path (queries roll
+//! back, so the served universe never changes), and startup uses the
+//! recovery load that discards staging debris and republishes nothing.
 //!
 //! The hidden `--torture-save PATH` mode exists for the crash-safety
 //! suite: it saves the same snapshot in a tight loop so a test can
@@ -23,7 +23,6 @@
 
 use ir_audit::DeltaAuditor;
 use ir_bgp::{RoutingUniverse, WhatIfEngine};
-use ir_fault::RetryPolicy;
 use ir_serve::{ServeConfig, Server};
 use ir_topology::{GeneratorConfig, World};
 use ir_types::Prefix;
@@ -169,21 +168,24 @@ fn main() {
     }
 
     let world = build_world(&args);
-    let universe = match &args.snapshot {
+    let recovered = match &args.snapshot {
         Some(path) if path.exists() => match RoutingUniverse::recover_snapshot(path) {
             Ok(u) => {
                 // Stderr, like the audit line below: harnesses parse the
                 // first stdout line for the bound address.
                 eprintln!("recovered snapshot {}", path.display());
-                u
+                Some(u)
             }
             Err(e) => {
                 eprintln!("snapshot {} unusable ({e}); recomputing", path.display());
-                RoutingUniverse::compute(&world, &pick_prefixes(&world, args.prefixes))
+                None
             }
         },
-        _ => RoutingUniverse::compute(&world, &pick_prefixes(&world, args.prefixes)),
+        _ => None,
     };
+    let computed = recovered.is_none();
+    let universe = recovered
+        .unwrap_or_else(|| RoutingUniverse::compute(&world, &pick_prefixes(&world, args.prefixes)));
     // Audit the world once at startup: the certificate picks the engine's
     // activation order, and on certified worlds the same report seeds the
     // incremental delta auditor that judges every query's edit set.
@@ -212,9 +214,10 @@ fn main() {
     if certified {
         engine.set_certifier(Box::new(DeltaAuditor::with_report(&world, report)));
     }
-    // Publish the served state, once: queries never change the universe, so
-    // this image stays current for the life of the process.
-    if let Some(path) = &args.snapshot {
+    // Publish a universe this process computed, once: queries never change
+    // it, so the image stays current for the life of the process. A
+    // recovered universe is the published image already.
+    if let Some(path) = args.snapshot.as_ref().filter(|_| computed) {
         if let Err(e) = universe.save_snapshot(path) {
             eprintln!("cannot publish snapshot {}: {e}", path.display());
             exit(1);
@@ -226,7 +229,6 @@ fn main() {
         workers: args.workers,
         default_budget: args.budget,
         deadline_ms: args.deadline_ms,
-        breaker: RetryPolicy::default(),
         ..ServeConfig::default()
     };
     let listener = match TcpListener::bind(&args.listen) {

@@ -102,9 +102,10 @@ fn route_then_shutdown(mut daemon: Daemon, banner: &str) -> String {
     reply
 }
 
-/// One publish, at startup: the file is the reference image, the drain
-/// leaves it alone (same bytes, inode and mtime), and a restart on it
-/// prints the banner first and answers the same lookup byte for byte.
+/// One publish, at startup: the file is the reference image, neither the
+/// drain nor a restart on it touches it (same bytes, inode and mtime), and
+/// the restart prints the banner first and answers the same lookup byte
+/// for byte.
 #[cfg(unix)]
 #[test]
 fn the_startup_publish_is_the_only_one_and_a_restart_serves_it() {
@@ -112,26 +113,26 @@ fn the_startup_publish_is_the_only_one_and_a_restart_serves_it() {
     let dir = scratch_dir("publish");
     let path = dir.join("u.iruniv");
     let want = reference_bytes();
+    let untouched = |published: &std::fs::Metadata, by: &str| {
+        let now = std::fs::metadata(&path).expect("snapshot metadata");
+        assert_eq!(std::fs::read(&path).expect("still there"), want, "{by}");
+        assert_eq!(now.ino(), published.ino(), "{by} replaced the file");
+        assert_eq!(
+            now.modified().unwrap(),
+            published.modified().unwrap(),
+            "{by} rewrote the file"
+        );
+    };
 
     let (child, _stdout, banner) = serve_snapshot(&path);
     assert_eq!(std::fs::read(&path).expect("published"), want);
     let published = std::fs::metadata(&path).expect("published metadata");
     let first = route_then_shutdown(child, &banner);
-    let drained = std::fs::metadata(&path).expect("drained metadata");
-    assert_eq!(std::fs::read(&path).expect("still there"), want);
-    assert_eq!(
-        drained.ino(),
-        published.ino(),
-        "the drain replaced the file"
-    );
-    assert_eq!(
-        drained.modified().unwrap(),
-        published.modified().unwrap(),
-        "the drain rewrote the file"
-    );
+    untouched(&published, "the drain");
 
     let (child, _stdout, banner) = serve_snapshot(&path);
     let again = route_then_shutdown(child, &banner);
+    untouched(&published, "the restart");
     assert_eq!(again, first, "the restart answers differently");
     assert!(first.contains(r#""status":"ok""#), "{first}");
     let _ = std::fs::remove_dir_all(&dir);

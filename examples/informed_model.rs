@@ -11,11 +11,8 @@
 
 use ir_core::classify::{Category, Classifier, ClassifyConfig};
 use ir_core::nextmodel::InformedModel;
-use ir_experiments::exp_table2::monitor_setup;
+use ir_experiments::exp_alternates::poisoning_campaign;
 use ir_experiments::scenario::{Scenario, ScenarioConfig};
-use ir_fault::FaultPlane;
-use ir_measure::peering::{observe_routes, Peering};
-use ir_types::{Asn, Timestamp};
 
 fn main() {
     let s = Scenario::build(ScenarioConfig::tiny(5));
@@ -26,25 +23,14 @@ fn main() {
     );
 
     // Learn rankings via the poisoning experiments.
-    let peering = Peering::new(&s.world).expect("testbed");
-    let setup = monitor_setup(&s);
-    let prefix = peering.prefixes()[0];
-    let mut sim = ir_bgp::PrefixSim::new(&s.world, prefix);
-    sim.announce(peering.anycast(prefix, &[]), Timestamp::ZERO);
-    let targets: Vec<Asn> = observe_routes(&sim, &setup)
-        .keys()
-        .copied()
-        .filter(|a| *a != Asn::TESTBED && !peering.muxes().contains(a))
-        .take(40)
-        .collect();
+    let discoveries = poisoning_campaign(&s, 40).expect("testbed");
     println!(
-        "poisoning {} target ASes to reveal their preference orders…",
-        targets.len()
+        "poisoned {} target ASes to reveal their preference orders",
+        discoveries.len()
     );
-    let discoveries = peering.campaign(prefix, &targets, &setup, 8, &FaultPlane::quiet());
 
-    let learn_cl = Classifier::new(&s.inferred, ClassifyConfig::default());
-    let model = InformedModel::learn(&discoveries, &s.measured, &learn_cl, &s.world.orgs, 3);
+    let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
+    let model = InformedModel::learn(&discoveries, &s.measured, &classifier, &s.world.orgs, 3);
     println!(
         "learned {} (AS, neighbor) ranking pairs; detected {} domestic-preferring ASes",
         model.learned_pairs(),
@@ -52,7 +38,6 @@ fn main() {
     );
 
     // Show individual upgrades.
-    let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
     let mut shown = 0;
     for m in &s.measured {
         for d in m.decisions() {
@@ -74,7 +59,7 @@ fn main() {
         }
     }
 
-    let (gr, informed, total) = model.evaluate(&s.inferred, ClassifyConfig::default(), &s.measured);
+    let (gr, informed, total) = model.evaluate(&classifier, &s.measured);
     println!(
         "\noverall: GR explains {gr}/{total} ({:.1}%), informed model {informed}/{total} ({:.1}%)",
         100.0 * gr as f64 / total as f64,

@@ -44,8 +44,10 @@ run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp \
 # The arena's hasher, one-walk import read and rollback, optimized too.
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --lib patharena
 # Hostile snapshots: ~3 000 resealed byte mutations of a universe image
-# never panic the decoder, route lookups or engine hydration, and a
-# u32::MAX count is refused before it is allocated.
+# never panic the decoder, route lookups or engine hydration, a u32::MAX
+# count is refused before it is allocated, and hydration refuses a table
+# that decodes but is not a fixpoint of the world (wrong row count, or a
+# row the re-derived adj-RIB-in would not select).
 run cargo test "${OFFLINE[@]}" --release -q -p ir-bgp --lib hostile_snapshot
 # Certificate-maintenance gate (release): ≥1000 randomized (certified
 # world, delta batch) pairs must get the same verdict from the incremental

@@ -5,13 +5,19 @@
 //! which refinement helps) rather than absolute numbers: the substrate is
 //! a synthetic Internet, not the authors' 2015 measurement window.
 
+use ir_core::classify::{Classifier, ClassifyConfig};
 use ir_core::refine::Variant;
+use ir_experiments::report::{assemble_report, ALL_EXPERIMENTS};
 use ir_experiments::scenario::{Scenario, ScenarioConfig};
 use std::sync::OnceLock;
 
 fn scenario() -> &'static Scenario {
     static S: OnceLock<Scenario> = OnceLock::new();
     S.get_or_init(|| Scenario::build(ScenarioConfig::tiny(7)))
+}
+
+fn classifier() -> Classifier<'static> {
+    Classifier::new(&scenario().inferred, ClassifyConfig::default())
 }
 
 #[test]
@@ -73,7 +79,8 @@ fn table2_tie_breakers_carry_real_mass() {
 
 #[test]
 fn alternates_follow_gr_order_mostly() {
-    let a = ir_experiments::exp_alternates::run(scenario(), 40);
+    let campaign = ir_experiments::exp_alternates::poisoning_campaign(scenario(), 40);
+    let a = ir_experiments::exp_alternates::run(scenario(), campaign.as_deref());
     assert!(a.informative_targets >= 10);
     // The overwhelming majority follows both order properties (paper 86%).
     assert!(a.both * 3 >= a.informative_targets * 2, "{a:?}");
@@ -83,7 +90,7 @@ fn alternates_follow_gr_order_mostly() {
 
 #[test]
 fn figure2_violations_skew_to_content_destinations() {
-    let f = ir_experiments::exp_fig2::run(scenario());
+    let f = ir_experiments::exp_fig2::run(scenario(), &classifier());
     assert!(f.total_violations > 0);
     // Destination-side skew exceeds source-side skew (§5's key contrast).
     assert!(
@@ -105,7 +112,7 @@ fn figure2_violations_skew_to_content_destinations() {
 
 #[test]
 fn figure3_continental_paths_better_explained() {
-    let f = ir_experiments::exp_fig3::run(scenario());
+    let f = ir_experiments::exp_fig3::run(scenario(), &classifier());
     let cont = f.bar("Cont").unwrap();
     let non = f.bar("Non Cont").unwrap();
     assert!(cont.best_short > non.best_short);
@@ -113,13 +120,13 @@ fn figure3_continental_paths_better_explained() {
 
 #[test]
 fn table3_domestic_preference_has_signal() {
-    let t = ir_experiments::exp_table3::run(scenario());
+    let t = ir_experiments::exp_table3::run(scenario(), &classifier());
     assert!(t.overall_fraction > 0.05, "{:.3}", t.overall_fraction);
 }
 
 #[test]
 fn table4_cables_are_rare_but_deviant() {
-    let t = ir_experiments::exp_table4::run(scenario());
+    let t = ir_experiments::exp_table4::run(scenario(), &classifier());
     assert!(t.path_fraction < 0.25);
     if t.deviant_fraction > 0.0 {
         assert!(t.deviant_fraction > t.baseline_deviant_fraction);
@@ -133,20 +140,25 @@ fn validation_precision_is_high_but_imperfect() {
     assert!(v.true_precision > 0.4 && v.true_precision <= 1.0);
 }
 
+/// A full report is its sections side by side: one `assemble_report`
+/// call over every section renders the same text and JSON as one call per
+/// section, so nothing a section leaves in the classifier or campaign the
+/// report shares changes another section's output.
 #[test]
-fn all_results_serialize_to_json() {
+fn report_sections_compose() {
     let s = scenario();
-    let blob = serde_json::json!({
-        "table1": ir_experiments::exp_table1::run(s),
-        "fig1": ir_experiments::exp_fig1::run(s),
-        "fig2": ir_experiments::exp_fig2::run(s),
-        "fig3": ir_experiments::exp_fig3::run(s),
-        "table3": ir_experiments::exp_table3::run(s),
-        "table4": ir_experiments::exp_table4::run(s),
-        "validation": ir_experiments::exp_validation::run(s, 10),
-    });
-    let text = serde_json::to_string(&blob).expect("serializable");
-    assert!(text.len() > 500);
+    let (text, json) = assemble_report(s, 7, "tiny", ALL_EXPERIMENTS);
+    let mut joined_text = String::new();
+    let mut joined_json = serde_json::json!({});
+    for name in ALL_EXPERIMENTS {
+        let (section_text, section_json) = assemble_report(s, 7, "tiny", &[name]);
+        joined_text.push_str(&section_text);
+        for (key, value) in section_json.as_object().expect("a report is an object") {
+            joined_json[key.as_str()] = value.clone();
+        }
+    }
+    assert_eq!(text, joined_text);
+    assert_eq!(json, joined_json);
 }
 
 #[test]
