@@ -161,6 +161,27 @@ fn report_sections_compose() {
     assert_eq!(json, joined_json);
 }
 
+/// FNV-1a, 64 bit: a stable digest of report bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The whole tiny report, pinned byte for byte: a refactor of any section
+/// must leave its text and its serialized JSON exactly as they were.
+#[test]
+fn tiny_report_golden() {
+    let (text, json) = assemble_report(scenario(), 7, "tiny", ALL_EXPERIMENTS);
+    let json = serde_json::to_string(&json).expect("a report serializes");
+    let got = (fnv1a(text.as_bytes()), fnv1a(json.as_bytes()));
+    assert_eq!(
+        got,
+        (0xa385_902a_4615_cdd9, 0x761c_ce94_e24f_c169),
+        "tiny seed-7 report digests (text, JSON)"
+    );
+}
+
 #[test]
 fn scenario_build_is_deterministic() {
     let a = scenario();
