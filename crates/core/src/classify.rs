@@ -57,7 +57,8 @@ impl Category {
         Category::NonBestLong,
     ];
 
-    fn of(best: bool, short: bool) -> Category {
+    /// The category of a decision that is or is not Best and Short.
+    pub(crate) fn of(best: bool, short: bool) -> Category {
         match (best, short) {
             (true, true) => Category::BestShort,
             (false, true) => Category::NonBestShort,
@@ -360,11 +361,10 @@ impl<'a> Classifier<'a> {
     /// Classifies a batch (in parallel) and tallies a Figure 1-style
     /// breakdown.
     pub fn breakdown(&self, decisions: &[Decision]) -> Breakdown {
-        let mut b = Breakdown::default();
-        for v in self.classify_batch(decisions) {
-            b.add(v.category);
-        }
-        b
+        self.classify_batch(decisions)
+            .into_iter()
+            .map(|v| v.category)
+            .collect()
     }
 }
 
@@ -390,12 +390,33 @@ impl Breakdown {
         self.counts.iter().sum()
     }
 
+    /// Decisions that are not Best/Short.
+    pub fn violations(&self) -> usize {
+        self.total() - self.count(Category::BestShort)
+    }
+
     /// Percentage in a category (0 when empty).
     pub fn pct(&self, c: Category) -> f64 {
         if self.total() == 0 {
             0.0
         } else {
             100.0 * self.count(c) as f64 / self.total() as f64
+        }
+    }
+}
+
+impl FromIterator<Category> for Breakdown {
+    fn from_iter<I: IntoIterator<Item = Category>>(categories: I) -> Breakdown {
+        let mut b = Breakdown::default();
+        categories.into_iter().for_each(|c| b.add(c));
+        b
+    }
+}
+
+impl std::ops::AddAssign for Breakdown {
+    fn add_assign(&mut self, other: Breakdown) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
         }
     }
 }

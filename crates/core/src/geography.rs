@@ -1,62 +1,27 @@
-//! Geography analyses: Figure 3 and Tables 3–4 (§6).
+//! Geography analyses: Figure 3 and Tables 3–4 (§6), folds over the
+//! report's [`DecisionTable`].
 //!
 //! * **Continental breakdown** — traceroutes whose geolocated hops all
 //!   stay on one continent are "continental"; the model explains those
-//!   noticeably better than intercontinental ones.
+//!   noticeably better than intercontinental ones. Figure 3 is the table
+//!   tallied by [`MeasuredPath::continental`].
 //! * **Domestic paths** — traceroutes that stay inside one country while
 //!   the model predicts a better (Best/Short) path through a foreign AS
 //!   (by whois registration) expose a domestic-preference policy.
 //! * **Undersea cables** — decisions involving an independently-operated
 //!   cable AS (from the TeleGeography-like side list) deviate from the
 //!   model at a far higher rate than ordinary decisions.
+//!
+//! [`MeasuredPath::continental`]: crate::dataset::MeasuredPath::continental
 
-use crate::classify::{Breakdown, Category, Classifier};
-use crate::dataset::{Decision, MeasuredPath};
-use ir_topology::geo::Geography;
+use crate::classify::Category;
+use crate::grmodel::GrRoutes;
+use crate::refine::Variant;
+use crate::table::{DecisionTable, Row};
 use ir_topology::orgs::OrgRegistry;
 use ir_types::{Asn, Continent};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Figure 3: per-continent and continental-vs-not breakdowns.
-#[derive(Debug, Clone, Default)]
-pub struct GeoBreakdown {
-    /// One bar per continent (continental traceroutes only).
-    pub per_continent: BTreeMap<Continent, Breakdown>,
-    /// All continental traceroutes combined ("Cont").
-    pub continental: Breakdown,
-    /// Intercontinental traceroutes ("Non Cont").
-    pub intercontinental: Breakdown,
-    /// How many traceroutes were continental.
-    pub continental_paths: usize,
-    /// Total traceroutes considered.
-    pub total_paths: usize,
-}
-
-/// Runs the Figure 3 analysis.
-pub fn continental_breakdown(classifier: &Classifier<'_>, paths: &[MeasuredPath]) -> GeoBreakdown {
-    let mut out = GeoBreakdown {
-        total_paths: paths.len(),
-        ..GeoBreakdown::default()
-    };
-    for p in paths {
-        let continent = p.continental();
-        if continent.is_some() {
-            out.continental_paths += 1;
-        }
-        for d in p.decisions() {
-            let cat = classifier.classify(&d).category;
-            match continent {
-                Some(c) => {
-                    out.per_continent.entry(c).or_default().add(cat);
-                    out.continental.add(cat);
-                }
-                None => out.intercontinental.add(cat),
-            }
-        }
-    }
-    out
-}
 
 /// Table 3: violations explained by domestic-path preference, per
 /// continent: `(explained, total violations on single-country paths)`.
@@ -96,79 +61,47 @@ impl DomesticStats {
 /// (whois) outside both the source and destination ASes' countries — i.e.
 /// the modeled alternative is multinational and the AS demonstrably
 /// avoided it.
-pub fn domestic_stats(
-    classifier: &Classifier<'_>,
-    paths: &[MeasuredPath],
-    registry: &OrgRegistry,
-    geo: &Geography,
-) -> DomesticStats {
-    let mut out = DomesticStats::default();
-    // Only traceroutes that stayed inside one country are candidates for
-    // the domestic-preference explanation (§6 "Domestic paths").
-    // Carrying the continent alongside the path keeps the filter and its
-    // downstream use in one place — no later re-derivation to go stale.
-    let candidates: Vec<(&MeasuredPath, Continent)> = paths
-        .iter()
-        .filter(|p| p.domestic().is_some())
-        .filter_map(|p| p.continental().map(|c| (p, c)))
+pub fn domestic_stats(table: &DecisionTable<'_>, registry: &OrgRegistry) -> DomesticStats {
+    // Only violations on traceroutes that stayed inside one country are
+    // candidates for the domestic-preference explanation (§6 "Domestic
+    // paths"), each with the continent it reports under.
+    let candidates: Vec<(Row<'_>, Continent)> = table
+        .rows(Variant::Simple)
+        .filter(|r| r.category.is_violation() && r.path.domestic().is_some())
+        .filter_map(|r| r.path.continental().map(|c| (r, c)))
         .collect();
-    // Classify everything up front (the classifier fans out internally),
-    // then precompute the model's routes for every violating destination in
-    // parallel. The local cache is needed because path extraction ignores
-    // PSP filtering, so it cannot reuse the classifier's (prefix-keyed)
-    // cache.
-    let decisions: Vec<Decision> = candidates.iter().flat_map(|(p, _)| p.decisions()).collect();
-    let verdicts = classifier.classify_batch(&decisions);
-    let violating_dests: Vec<Asn> = decisions
-        .iter()
-        .zip(&verdicts)
-        .filter(|(_, v)| v.category.is_violation())
-        .map(|(d, _)| d.dest)
-        .collect::<BTreeSet<Asn>>()
-        .into_iter()
-        .collect();
-    let computed: Vec<(Asn, crate::grmodel::GrRoutes)> = violating_dests
+    // The model's routes for every violating destination, in parallel. Path
+    // extraction ignores PSP filtering, so the classifier's (prefix-keyed)
+    // cache cannot serve them.
+    let mut dests: Vec<Asn> = candidates.iter().map(|(r, _)| r.decision.dest).collect();
+    dests.sort_unstable();
+    dests.dedup();
+    let model = table.classifier().model();
+    let computed: Vec<(Asn, GrRoutes)> = dests
         .par_iter()
-        .map(|&dest| (dest, classifier.model().routes_to(dest)))
+        .map(|&dest| (dest, model.routes_to(dest)))
         .collect();
-    let routes_cache: BTreeMap<Asn, crate::grmodel::GrRoutes> = computed.into_iter().collect();
-    let mut vi = 0usize;
-    for &(p, continent) in &candidates {
-        let src_country = registry.whois(p.src).map(|w| w.country);
-        let dst_country = registry.whois(p.dest).map(|w| w.country);
-        for d in p.decisions() {
-            let v = &verdicts[vi];
-            vi += 1;
-            if !v.category.is_violation() {
-                continue;
-            }
-            let entry = out.per_continent.entry(continent).or_insert((0, 0));
-            entry.1 += 1;
-            // Extract the model's preferred path and test for a foreign AS.
-            let Some(routes) = routes_cache.get(&d.dest) else {
-                // Every violating dest was precomputed; skipping (like an
-                // inextractable path below) only forgoes the multinational
-                // test for this decision.
-                continue;
-            };
-            let Some(model_path) = routes.extract_path(d.observer) else {
-                continue;
-            };
-            let multinational =
-                model_path
-                    .iter()
-                    .any(|asn| match registry.whois(*asn).map(|w| w.country) {
-                        Some(c) => Some(c) != src_country && Some(c) != dst_country,
-                        None => false,
-                    });
-            if multinational {
-                entry.0 += 1;
-            }
+    let routes: BTreeMap<Asn, GrRoutes> = computed.into_iter().collect();
+    let mut out = DomesticStats::default();
+    for (r, continent) in candidates {
+        let entry = out.per_continent.entry(continent).or_insert((0, 0));
+        entry.1 += 1;
+        // Extract the model's preferred path and test for a foreign AS; a
+        // path that cannot be extracted forgoes the test.
+        let d = r.decision;
+        let Some(model_path) = routes.get(&d.dest).and_then(|g| g.extract_path(d.observer)) else {
+            continue;
+        };
+        let country = |asn| registry.whois(asn).map(|w| w.country);
+        let (src_country, dst_country) = (country(r.path.src), country(r.path.dest));
+        let multinational = model_path.iter().any(|&asn| match country(asn) {
+            Some(c) => Some(c) != src_country && Some(c) != dst_country,
+            None => false,
+        });
+        if multinational {
+            entry.0 += 1;
         }
     }
-    // Make sure every continent with data keys the same geography the
-    // caller reports on (absent continents simply report 0/0).
-    let _ = geo;
     out
 }
 
@@ -214,46 +147,39 @@ impl CableStats {
     }
 }
 
-/// Runs the Table 4 analysis against the cable-AS side list.
-pub fn cable_stats(
-    classifier: &Classifier<'_>,
-    paths: &[MeasuredPath],
-    cable_asns: &BTreeSet<Asn>,
-) -> CableStats {
-    let mut out = CableStats {
+/// Runs the Table 4 analysis against the cable-AS side list: a decision
+/// involves a cable when its observer or its next hop is a cable AS.
+pub fn cable_stats(table: &DecisionTable<'_>, cable_asns: &BTreeSet<Asn>) -> CableStats {
+    let paths = table.paths();
+    let by_cable = table.tally_by(Variant::Simple, |r| {
+        cable_asns.contains(&r.decision.observer) || cable_asns.contains(&r.decision.next_hop)
+    });
+    let cable = by_cable.get(&true).copied().unwrap_or_default();
+    let other = by_cable.get(&false).copied().unwrap_or_default();
+    CableStats {
+        per_category: [
+            Category::NonBestShort,
+            Category::BestLong,
+            Category::NonBestLong,
+        ]
+        .into_iter()
+        .map(|c| (c, (cable.count(c), cable.count(c) + other.count(c))))
+        .filter(|&(_, (_, total))| total > 0)
+        .collect(),
+        paths_with_cables: paths
+            .iter()
+            .filter(|p| p.path.iter().any(|a| cable_asns.contains(a)))
+            .count(),
         total_paths: paths.len(),
-        ..CableStats::default()
-    };
-    for p in paths {
-        if p.path.iter().any(|a| cable_asns.contains(a)) {
-            out.paths_with_cables += 1;
-        }
-        for d in p.decisions() {
-            let cat = classifier.classify(&d).category;
-            let involves_cable =
-                cable_asns.contains(&d.observer) || cable_asns.contains(&d.next_hop);
-            if involves_cable {
-                out.cable_decisions.1 += 1;
-                if cat.is_violation() {
-                    out.cable_decisions.0 += 1;
-                }
-            }
-            if cat.is_violation() {
-                let e = out.per_category.entry(cat).or_insert((0, 0));
-                e.1 += 1;
-                if involves_cable {
-                    e.0 += 1;
-                }
-            }
-        }
+        cable_decisions: (cable.violations(), cable.total()),
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyConfig;
+    use crate::dataset::{Decision, MeasuredPath};
+    use crate::table::no_side_data;
     use ir_topology::RelationshipDb;
     use ir_types::{CityId, CountryId, Prefix, Relationship};
 
@@ -280,31 +206,47 @@ mod tests {
         }
     }
 
+    fn decisions(paths: &[MeasuredPath]) -> Vec<Decision> {
+        paths.iter().flat_map(|p| p.decisions()).collect()
+    }
+
+    /// Figure 3's fold: the table tallied by the continent its path stayed
+    /// on, if any.
     #[test]
     fn continental_split() {
         let db = db();
-        let c = Classifier::new(&db, ClassifyConfig::default());
         let paths = vec![
             path(3, &[3, 1, 5], &[Continent::Europe, Continent::Europe]),
             path(3, &[3, 1, 2, 5], &[Continent::Europe, Continent::Asia]),
         ];
-        let g = continental_breakdown(&c, &paths);
-        assert_eq!(g.total_paths, 2);
-        assert_eq!(g.continental_paths, 1);
-        assert_eq!(g.continental.total(), 2); // two decisions on the EU path
-        assert_eq!(g.intercontinental.total(), 3);
-        assert_eq!(g.per_continent[&Continent::Europe].total(), 2);
+        let decisions = decisions(&paths);
+        let t = DecisionTable::new(&db, no_side_data(), &paths, &decisions);
+        let g = t.tally_by(Variant::Simple, |r| r.path.continental());
+        assert_eq!(t.paths().len(), 2);
+        assert_eq!(
+            paths.iter().filter(|p| p.continental().is_some()).count(),
+            1
+        );
+        let continental: usize = g
+            .iter()
+            .filter(|(c, _)| c.is_some())
+            .map(|(_, b)| b.total())
+            .sum();
+        assert_eq!(continental, 2); // two decisions on the EU path
+        assert_eq!(g[&None].total(), 3);
+        assert_eq!(g[&Some(Continent::Europe)].total(), 2);
     }
 
     #[test]
     fn cable_attribution() {
         let db = db();
-        let c = Classifier::new(&db, ClassifyConfig::default());
         // 1→2→5 is NonBest/Long at 1 (the direct customer link 1–5 is
         // shorter and cheaper in the model).
         let paths = vec![path(1, &[1, 2, 5], &[Continent::Europe, Continent::Asia])];
+        let decisions = decisions(&paths);
+        let t = DecisionTable::new(&db, no_side_data(), &paths, &decisions);
         let cables: BTreeSet<Asn> = [Asn(2)].into_iter().collect();
-        let s = cable_stats(&c, &paths, &cables);
+        let s = cable_stats(&t, &cables);
         assert_eq!(s.paths_with_cables, 1);
         assert!(s.path_fraction() > 0.99);
         // Decision 1→2 involves the cable and is a violation; decision 2→5

@@ -19,6 +19,9 @@
 //!   decision slices in parallel with verdicts in input order;
 //! * [`refine`] — the Figure 1 pipeline: complex relationships, siblings,
 //!   and the two prefix-specific-policy criteria (§4.1–4.3);
+//! * [`table`] — the decisions classified once per report, one category
+//!   column per Figure 1 variant, that Figures 1–3, Tables 3–4 and the
+//!   informed model count;
 //! * [`alternates`] — preference-order checks over poisoning-revealed
 //!   routes, and the inter-AS-link accounting (§3.2, §4.4);
 //! * [`magnet`] — reverse-engineering the BGP decision process from the
@@ -54,6 +57,7 @@ pub mod nextmodel;
 pub mod predict;
 pub mod refine;
 pub mod skew;
+pub mod table;
 pub mod validate;
 
 pub use grmodel::{GrModel, GrRoutes, RouteClass};

@@ -18,8 +18,9 @@
 //! The model is *honestly obtainable*: both signals come from measurement
 //! procedures the paper actually ran, never from ground truth.
 
-use crate::classify::{Category, Classifier};
-use crate::dataset::{Decision, MeasuredPath};
+use crate::classify::Category;
+use crate::dataset::Decision;
+use crate::table::Row;
 use ir_measure::AlternateDiscovery;
 use ir_topology::orgs::OrgRegistry;
 use ir_types::{Asn, CountryId};
@@ -41,14 +42,13 @@ impl InformedModel {
     /// Learns the model from the paper's own measurement outputs.
     ///
     /// * `discoveries` — poisoning-revealed preference orders (§3.2);
-    /// * `paths` + `classifier` + `registry` — the passive campaign, used
-    ///   to detect domestic-preferring ASes: an AS is marked when at least
-    ///   `domestic_threshold` of its violating decisions sit on
-    ///   single-country traceroutes.
-    pub fn learn(
+    /// * `rows` (the passive campaign's decisions under plain GR) +
+    ///   `registry` — used to detect domestic-preferring ASes: an AS is
+    ///   marked when at least `domestic_threshold` of its violating
+    ///   decisions sit on single-country traceroutes.
+    pub fn learn<'r>(
         discoveries: &[AlternateDiscovery],
-        paths: &[MeasuredPath],
-        classifier: &Classifier<'_>,
+        rows: impl IntoIterator<Item = Row<'r>>,
         registry: &OrgRegistry,
         domestic_threshold: usize,
     ) -> InformedModel {
@@ -62,14 +62,9 @@ impl InformedModel {
         }
 
         let mut domestic_votes: BTreeMap<Asn, usize> = BTreeMap::new();
-        for p in paths {
-            if p.domestic().is_none() {
-                continue;
-            }
-            for d in p.decisions() {
-                if classifier.classify(&d).category.is_violation() {
-                    *domestic_votes.entry(d.observer).or_default() += 1;
-                }
+        for r in rows {
+            if r.category.is_violation() && r.path.domestic().is_some() {
+                *domestic_votes.entry(r.decision.observer).or_default() += 1;
             }
         }
         let domestic = domestic_votes
@@ -126,16 +121,16 @@ impl InformedModel {
             .all(|a| self.whois_country.get(a) == Some(home))
     }
 
-    /// Classifies a decision under the informed model: the GR verdict,
+    /// A row's category under the informed model: its plain-GR category,
     /// upgraded when learned rankings or detected domestic preference
     /// justify the choice.
-    pub fn classify(&self, classifier: &Classifier<'_>, d: &Decision, path: &[Asn]) -> Category {
-        let base = classifier.classify(d);
-        if base.category == Category::BestShort {
-            return base.category;
+    pub fn category(&self, row: &Row<'_>) -> Category {
+        let (d, base) = (row.decision, row.category);
+        if base == Category::BestShort {
+            return base;
         }
-        let mut best = base.category.is_best();
-        let mut short = base.category.is_short();
+        let mut best = base.is_best();
+        let mut short = base.is_short();
         // Learned ranking overrides the relationship-class Best test.
         if let Some(consistent) = self.rank_consistent(d.observer, d.next_hop) {
             best = consistent;
@@ -143,48 +138,20 @@ impl InformedModel {
         // Detected domestic preference: an all-domestic choice by a
         // domestic-preferring AS is policy-consistent in both dimensions
         // (the AS is optimizing under a constraint the model now knows).
-        if self.domestic.contains(&d.observer) && self.decision_is_domestic(d, path) {
+        if self.domestic.contains(&d.observer) && self.decision_is_domestic(d, &row.path.path) {
             best = true;
             short = true;
         }
-        match (best, short) {
-            (true, true) => Category::BestShort,
-            (false, true) => Category::NonBestShort,
-            (true, false) => Category::BestLong,
-            (false, false) => Category::NonBestLong,
-        }
-    }
-
-    /// Reclassifies a whole campaign under `classifier`: returns
-    /// `(gr_best_short, informed_best_short, total)` counts for the
-    /// headline comparison.
-    pub fn evaluate(
-        &self,
-        classifier: &Classifier<'_>,
-        paths: &[MeasuredPath],
-    ) -> (usize, usize, usize) {
-        let mut gr = 0usize;
-        let mut informed = 0usize;
-        let mut total = 0usize;
-        for p in paths {
-            for d in p.decisions() {
-                total += 1;
-                if !classifier.classify(&d).category.is_violation() {
-                    gr += 1;
-                }
-                if self.classify(classifier, &d, &p.path) == Category::BestShort {
-                    informed += 1;
-                }
-            }
-        }
-        (gr, informed, total)
+        Category::of(best, short)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyConfig;
+    use crate::dataset::MeasuredPath;
+    use crate::refine::Variant;
+    use crate::table::{no_side_data, DecisionTable};
     use ir_measure::peering::DiscoveredRoute;
     use ir_topology::RelationshipDb;
     use ir_types::{CityId, Prefix, Relationship};
@@ -211,6 +178,41 @@ mod tests {
         }
     }
 
+    /// A measured path from its first AS, with no geolocated hops (so it
+    /// is never domestic and votes for no AS).
+    fn path(hops: &[u32]) -> MeasuredPath {
+        MeasuredPath {
+            src: Asn(hops[0]),
+            path: hops.iter().copied().map(Asn).collect(),
+            dest: Asn(*hops.last().unwrap()),
+            prefix: None,
+            hostname: None,
+            link_cities: vec![None; hops.len() - 1],
+            hop_continents: Vec::new(),
+            hop_countries: Vec::new(),
+        }
+    }
+
+    /// Learns a model from `discoveries` and the table over one path, and
+    /// checks the table's first row against `expected` before handing both
+    /// to `check`.
+    fn with_first_row(
+        hops: &[u32],
+        expected: Decision,
+        discoveries: &[AlternateDiscovery],
+        registry: &OrgRegistry,
+        check: impl FnOnce(&mut InformedModel, Row<'_>),
+    ) {
+        let db = db();
+        let paths = [path(hops)];
+        let decisions = paths[0].decisions();
+        let table = DecisionTable::new(&db, no_side_data(), &paths, &decisions);
+        let mut model = InformedModel::learn(discoveries, table.rows(Variant::Simple), registry, 1);
+        let row = table.rows(Variant::Simple).next().unwrap();
+        assert_eq!(row.decision, &expected);
+        check(&mut model, row);
+    }
+
     fn discovery(target: u32, hops: &[u32]) -> AlternateDiscovery {
         AlternateDiscovery {
             target: Asn(target),
@@ -234,56 +236,56 @@ mod tests {
 
     #[test]
     fn learned_ranking_upgrades_nonbest_decisions() {
-        let db = db();
         // GR says: 1 routing to 5 via peer 2 is NonBest (customer 5 direct).
         // The poisoning experiment revealed that 1 actually prefers 2 first.
         let discoveries = vec![discovery(1, &[2, 5])];
-        let classifier = Classifier::new(&db, ClassifyConfig::default());
-        let model = InformedModel::learn(&discoveries, &[], &classifier, &empty_registry(), 1);
-        assert_eq!(model.learned_pairs(), 2);
         let d = decision(1, 2, 5, 2);
-        let path = [Asn(1), Asn(2), Asn(5)];
-        let c2 = Classifier::new(&db, ClassifyConfig::default());
-        let gr = c2.classify(&d).category;
-        assert!(!gr.is_best(), "plain GR flags the peer detour");
-        let informed = model.classify(&c2, &d, &path);
-        assert!(informed.is_best(), "revealed ranking explains it");
+        with_first_row(
+            &[1, 2, 5],
+            d,
+            &discoveries,
+            &empty_registry(),
+            |model, row| {
+                assert_eq!(model.learned_pairs(), 2);
+                assert!(!row.category.is_best(), "plain GR flags the peer detour");
+                assert!(
+                    model.category(&row).is_best(),
+                    "revealed ranking explains it"
+                );
+            },
+        );
     }
 
     #[test]
     fn learned_ranking_still_flags_inconsistent_choices() {
-        let db = db();
         // Revealed order at 1: prefers 5 first, then 2. Using 2 while 5
         // was available stays NonBest even under the informed model.
         let discoveries = vec![discovery(1, &[5, 2])];
-        let classifier = Classifier::new(&db, ClassifyConfig::default());
-        let model = InformedModel::learn(&discoveries, &[], &classifier, &empty_registry(), 1);
         let d = decision(1, 2, 5, 2);
-        let path = [Asn(1), Asn(2), Asn(5)];
-        let c2 = Classifier::new(&db, ClassifyConfig::default());
-        let informed = model.classify(&c2, &d, &path);
-        assert!(!informed.is_best());
+        with_first_row(
+            &[1, 2, 5],
+            d,
+            &discoveries,
+            &empty_registry(),
+            |model, row| {
+                assert!(!model.category(&row).is_best());
+            },
+        );
     }
 
     #[test]
     fn no_data_falls_back_to_gr() {
-        let db = db();
-        let classifier = Classifier::new(&db, ClassifyConfig::default());
-        let model = InformedModel::learn(&[], &[], &classifier, &empty_registry(), 1);
-        assert_eq!(model.learned_pairs(), 0);
-        assert_eq!(model.domestic_ases(), 0);
         let d = decision(1, 5, 5, 1);
-        let path = [Asn(1), Asn(5)];
-        let c2 = Classifier::new(&db, ClassifyConfig::default());
-        let gr = c2.classify(&d).category;
-        let c3 = Classifier::new(&db, ClassifyConfig::default());
-        assert_eq!(model.classify(&c3, &d, &path), gr);
+        with_first_row(&[1, 5], d, &[], &empty_registry(), |model, row| {
+            assert_eq!(model.learned_pairs(), 0);
+            assert_eq!(model.domestic_ases(), 0);
+            assert_eq!(model.category(&row), row.category);
+        });
     }
 
     #[test]
     fn domestic_detection_requires_whois_and_threshold() {
         use ir_topology::orgs::WhoisRecord;
-        let db = db();
         let mut reg = OrgRegistry::default();
         for asn in [1u32, 2, 5] {
             reg.add_whois(WhoisRecord {
@@ -295,13 +297,11 @@ mod tests {
         }
         // A model with AS 1 marked domestic (manually, via a path set that
         // votes it over the threshold) upgrades its domestic detours.
-        let classifier = Classifier::new(&db, ClassifyConfig::default());
-        let mut model = InformedModel::learn(&[], &[], &classifier, &reg, 1);
-        model.domestic.insert(Asn(1));
         let d = decision(1, 2, 5, 2);
-        let path = [Asn(1), Asn(2), Asn(5)];
-        let c2 = Classifier::new(&db, ClassifyConfig::default());
-        assert_eq!(model.classify(&c2, &d, &path), Category::BestShort);
+        with_first_row(&[1, 2, 5], d.clone(), &[], &reg, |model, row| {
+            model.domestic.insert(Asn(1));
+            assert_eq!(model.category(&row), Category::BestShort);
+        });
         // A path through an AS in another country is not domestic.
         reg.add_whois(WhoisRecord {
             asn: Asn(2),
@@ -309,10 +309,9 @@ mod tests {
             org_field: "ORG-2B".into(),
             country: CountryId(9),
         });
-        let classifier = Classifier::new(&db, ClassifyConfig::default());
-        let mut model2 = InformedModel::learn(&[], &[], &classifier, &reg, 1);
-        model2.domestic.insert(Asn(1));
-        let c3 = Classifier::new(&db, ClassifyConfig::default());
-        assert!(model2.classify(&c3, &d, &path).is_violation());
+        with_first_row(&[1, 2, 5], d, &[], &reg, |model, row| {
+            model.domestic.insert(Asn(1));
+            assert!(model.category(&row).is_violation());
+        });
     }
 }

@@ -1,7 +1,8 @@
 //! The Figure 1 refinement pipeline.
 //!
-//! Seven classification passes over the same decision set, each adding a
-//! source of routing-policy knowledge:
+//! Seven classifications of the same decision set, each adding a source
+//! of routing-policy knowledge; each is one column of the report's
+//! [`DecisionTable`](crate::table::DecisionTable):
 //!
 //! | Variant | Adds |
 //! |---|---|
@@ -13,11 +14,9 @@
 //! | `All1`    | Complex + Sibs + Psp1 |
 //! | `All2`    | Complex + Sibs + Psp2 |
 
-use crate::classify::{Breakdown, Classifier, ClassifyConfig, PspCriterion};
-use crate::dataset::Decision;
+use crate::classify::{ClassifyConfig, PspCriterion};
 use ir_inference::feeds::BgpFeed;
 use ir_inference::{ComplexRelDb, SiblingGroups};
-use ir_topology::RelationshipDb;
 
 /// The Figure 1 bars.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,35 +86,16 @@ impl<'a> RefineInputs<'a> {
         }
         cfg
     }
-
-    /// Runs one variant over the decisions.
-    pub fn run(
-        &self,
-        db: &'a RelationshipDb,
-        decisions: &[Decision],
-        variant: Variant,
-    ) -> Breakdown {
-        Classifier::new(db, self.config(variant)).breakdown(decisions)
-    }
-
-    /// Runs the whole Figure 1 pipeline.
-    pub fn run_all(
-        &self,
-        db: &'a RelationshipDb,
-        decisions: &[Decision],
-    ) -> Vec<(Variant, Breakdown)> {
-        Variant::ALL
-            .into_iter()
-            .map(|v| (v, self.run(db, decisions, v)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::Category;
-    use ir_types::{Asn, Relationship};
+    use crate::classify::{Breakdown, Category};
+    use crate::dataset::{Decision, MeasuredPath};
+    use crate::table::DecisionTable;
+    use ir_topology::RelationshipDb;
+    use ir_types::{Asn, Prefix, Relationship};
 
     fn db() -> RelationshipDb {
         use Relationship::*;
@@ -140,6 +120,20 @@ mod tests {
         }
     }
 
+    /// The measured path a row points at; no geography.
+    fn path(hops: &[u32], prefix: Option<Prefix>) -> MeasuredPath {
+        MeasuredPath {
+            src: Asn(hops[0]),
+            path: hops.iter().copied().map(Asn).collect(),
+            dest: Asn(*hops.last().unwrap()),
+            prefix,
+            hostname: None,
+            link_cities: vec![None; hops.len() - 1],
+            hop_continents: Vec::new(),
+            hop_countries: Vec::new(),
+        }
+    }
+
     #[test]
     fn pipeline_runs_all_variants() {
         let db = db();
@@ -153,13 +147,13 @@ mod tests {
             feed: &feed,
         };
         let decisions = vec![decision(1, 5, 5, 1), decision(1, 2, 5, 2)];
-        let all = inputs.run_all(&db, &decisions);
-        assert_eq!(all.len(), 7);
-        for (v, b) in &all {
+        let paths = [path(&[1, 5], None), path(&[1, 2, 5], None)];
+        let table = DecisionTable::new(&db, inputs, &paths, &decisions);
+        assert_eq!(Variant::ALL.len(), 7);
+        for v in Variant::ALL {
+            let b: Breakdown = table.column(v).iter().copied().collect();
             assert_eq!(b.total(), decisions.len(), "{} total", v.label());
-        }
-        // The direct customer decision is Best/Short under every variant.
-        for (_, b) in &all {
+            // The direct customer decision is Best/Short under every variant.
             assert!(b.count(Category::BestShort) >= 1);
         }
     }
@@ -170,9 +164,10 @@ mod tests {
         let db = db();
         // Decision: 1 routes to 5 via peer 2, suffix 2. Plain model says
         // NonBest (customer edge 1–5 exists, shorter and cheaper).
+        let prefix: Prefix = "10.9.0.0/24".parse().unwrap();
         let d = {
             let mut d = decision(1, 2, 5, 2);
-            d.prefix = Some("10.9.0.0/24".parse().unwrap());
+            d.prefix = Some(prefix);
             d
         };
         let complex = ComplexRelDb::default();
@@ -180,7 +175,7 @@ mod tests {
         let siblings = SiblingGroups::infer(&world.orgs);
         // Feed: 5 announces the prefix only toward 2 (never toward 1).
         let feed = BgpFeed::new(vec![FeedEntry {
-            prefix: "10.9.0.0/24".parse().unwrap(),
+            prefix,
             path: vec![Asn(1), Asn(2), Asn(5)],
         }]);
         let inputs = RefineInputs {
@@ -188,26 +183,26 @@ mod tests {
             siblings: &siblings,
             feed: &feed,
         };
+        let paths = [path(&[1, 2, 5], Some(prefix))];
+        let table = DecisionTable::new(&db, inputs, &paths, std::slice::from_ref(&d));
+        let count = |v: Variant, c: Category| table.column(v).iter().filter(|&&x| x == c).count();
         // Plain model: the direct customer edge 1–5 predicts a length-1
         // customer route, so the measured peer detour is NonBest *and*
         // Long.
-        let simple = inputs.run(&db, std::slice::from_ref(&d), Variant::Simple);
-        assert_eq!(simple.count(Category::NonBestLong), 1);
+        assert_eq!(count(Variant::Simple, Category::NonBestLong), 1);
         // Under PSP-1 the 1–5 edge is assumed absent for this prefix: the
         // best class at 1 becomes peer with length 2 — the decision is
         // fully explained.
-        let psp1 = inputs.run(&db, std::slice::from_ref(&d), Variant::Psp1);
         assert_eq!(
-            psp1.count(Category::BestShort),
+            count(Variant::Psp1, Category::BestShort),
             1,
             "PSP-1 explains the decision"
         );
         // PSP-2 needs evidence that the 1–5 edge ever carried a prefix; the
         // feed never shows it, so the edge is kept and the decision stays
         // unexplained.
-        let psp2 = inputs.run(&db, std::slice::from_ref(&d), Variant::Psp2);
         assert_eq!(
-            psp2.count(Category::NonBestLong),
+            count(Variant::Psp2, Category::NonBestLong),
             1,
             "PSP-2 is conservative"
         );

@@ -5,44 +5,15 @@
 //! finds heavy skew — destination ASes owned by Akamai account for 21% of
 //! violations and Netflix's AS for 17%, while the source-side skew is
 //! milder (Cogent 4.1%, Time Warner 2.2%).
+//!
+//! A curve is built from the report's decision table tallied by source or
+//! by destination AS ([`DecisionTable::tally_by`]).
+//!
+//! [`DecisionTable::tally_by`]: crate::table::DecisionTable::tally_by
 
-use crate::classify::{Category, Classifier};
-use crate::dataset::Decision;
+use crate::classify::{Breakdown, Category};
 use ir_types::Asn;
 use std::collections::BTreeMap;
-
-/// Which AS a violation is attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkewBy {
-    /// The traceroute's source (probe) AS.
-    Source,
-    /// The traceroute's destination AS.
-    Destination,
-}
-
-/// One violating decision with its category.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    pub decision: Decision,
-    pub category: Category,
-}
-
-/// Extracts the violations (every decision not Best/Short) from a decision
-/// set under a configured classifier. Classification runs in parallel via
-/// [`Classifier::classify_batch`]; the returned violations keep input order.
-pub fn violations(classifier: &Classifier<'_>, decisions: &[Decision]) -> Vec<Violation> {
-    classifier
-        .classify_batch(decisions)
-        .into_iter()
-        .zip(decisions)
-        .filter_map(|(v, d)| {
-            v.category.is_violation().then(|| Violation {
-                decision: d.clone(),
-                category: v.category,
-            })
-        })
-        .collect()
-}
 
 /// The skew analysis for one attribution axis and one violation subtype
 /// (or all subtypes with `category: None`).
@@ -54,25 +25,17 @@ pub struct SkewCurve {
 }
 
 impl SkewCurve {
-    /// Builds the curve.
-    pub fn build(violations: &[Violation], by: SkewBy, category: Option<Category>) -> SkewCurve {
-        let mut counts: BTreeMap<Asn, usize> = BTreeMap::new();
-        let mut total = 0usize;
-        for v in violations {
-            if let Some(c) = category {
-                if v.category != c {
-                    continue;
-                }
-            }
-            let key = match by {
-                SkewBy::Source => v.decision.src,
-                SkewBy::Destination => v.decision.dest,
-            };
-            *counts.entry(key).or_default() += 1;
-            total += 1;
-        }
-        let mut ranked: Vec<(Asn, usize)> = counts.into_iter().collect();
+    /// Builds the curve from the decisions tallied by the AS they are
+    /// attributed to (a source or a destination AS), counting the
+    /// violations of `category` or, with `None`, every violation.
+    pub fn build(tallies: &BTreeMap<Asn, Breakdown>, category: Option<Category>) -> SkewCurve {
+        let mut ranked: Vec<(Asn, usize)> = tallies
+            .iter()
+            .map(|(&asn, b)| (asn, category.map_or(b.violations(), |c| b.count(c))))
+            .filter(|&(_, n)| n > 0)
+            .collect();
         ranked.sort_by_key(|&(asn, n)| (std::cmp::Reverse(n), asn));
+        let total = ranked.iter().map(|&(_, n)| n).sum();
         SkewCurve { ranked, total }
     }
 
@@ -126,20 +89,20 @@ impl SkewCurve {
 mod tests {
     use super::*;
 
+    /// A violating decision from `src` toward `dest`, as a table row reads.
+    type Violation = (u32, u32, Category);
+
     fn violation(src: u32, dest: u32, category: Category) -> Violation {
-        Violation {
-            decision: Decision {
-                observer: Asn(src),
-                next_hop: Asn(0),
-                dest: Asn(dest),
-                prefix: None,
-                src: Asn(src),
-                suffix_len: 1,
-                link_city: None,
-                path_index: 0,
-            },
-            category,
+        (src, dest, category)
+    }
+
+    /// The violations tallied by destination, as Figure 2 folds the table.
+    fn by_destination(vs: &[Violation]) -> BTreeMap<Asn, Breakdown> {
+        let mut tallies: BTreeMap<Asn, Breakdown> = BTreeMap::new();
+        for &(_, dest, category) in vs {
+            tallies.entry(Asn(dest)).or_default().add(category);
         }
+        tallies
     }
 
     #[test]
@@ -150,7 +113,7 @@ mod tests {
             violation(3, 100, Category::BestLong),
             violation(4, 200, Category::NonBestLong),
         ];
-        let c = SkewCurve::build(&vs, SkewBy::Destination, None);
+        let c = SkewCurve::build(&by_destination(&vs), None);
         assert_eq!(c.total, 4);
         assert_eq!(c.ranked[0], (Asn(100), 3));
         assert!((c.share_of(Asn(100)) - 0.75).abs() < 1e-9);
@@ -166,7 +129,7 @@ mod tests {
             violation(1, 100, Category::NonBestShort),
             violation(1, 100, Category::BestLong),
         ];
-        let c = SkewCurve::build(&vs, SkewBy::Destination, Some(Category::BestLong));
+        let c = SkewCurve::build(&by_destination(&vs), Some(Category::BestLong));
         assert_eq!(c.total, 1);
     }
 
@@ -180,8 +143,8 @@ mod tests {
         let even: Vec<Violation> = (0..10)
             .map(|i| violation(i, 100 + i, Category::NonBestLong))
             .collect();
-        let c1 = SkewCurve::build(&conc, SkewBy::Destination, None);
-        let c2 = SkewCurve::build(&even, SkewBy::Destination, None);
+        let c1 = SkewCurve::build(&by_destination(&conc), None);
+        let c2 = SkewCurve::build(&by_destination(&even), None);
         // A single-AS curve degenerates to 0 by convention.
         assert!((c1.skew_coefficient() - 0.0).abs() < 1e-9);
         assert!((c2.skew_coefficient() - 0.0).abs() < 1e-9);
@@ -193,7 +156,19 @@ mod tests {
         for i in 0..5 {
             mixed.push(violation(i, 200 + i, Category::NonBestLong));
         }
-        let cm = SkewCurve::build(&mixed, SkewBy::Destination, None);
+        let cm = SkewCurve::build(&by_destination(&mixed), None);
         assert!(cm.skew_coefficient() > 0.0);
+    }
+
+    #[test]
+    fn best_short_decisions_are_not_violations() {
+        let mut tallies = by_destination(&[violation(1, 100, Category::NonBestLong)]);
+        tallies
+            .entry(Asn(200))
+            .or_default()
+            .add(Category::BestShort);
+        let c = SkewCurve::build(&tallies, None);
+        assert_eq!(c.total, 1);
+        assert_eq!(c.ranked, vec![(Asn(100), 1)]);
     }
 }

@@ -188,9 +188,9 @@ fn main() {
     );
     {
         // Classifier route-cache telemetry over the full decision set.
-        let classifier = ir_core::classify::Classifier::new(&s.inferred, Default::default());
-        classifier.classify_batch(&s.decisions);
-        println!("classifier cache: {}", classifier.cache_stats());
+        let table = s.decision_table();
+        table.column(ir_core::refine::Variant::Simple);
+        println!("classifier cache: {}", table.classifier().cache_stats());
     }
 
     // Event-engine counters on a testbed prefix: how much work announce,

@@ -10,7 +10,6 @@
 //! sweep [--seeds N] [--scale tiny|paper]
 //! ```
 
-use ir_core::classify::{Classifier, ClassifyConfig};
 use ir_core::refine::Variant;
 use ir_experiments::scenario::{Scenario, ScenarioConfig};
 use rayon::prelude::*;
@@ -66,11 +65,11 @@ fn main() {
                 _ => ScenarioConfig::tiny(seed),
             };
             let s = Scenario::build(cfg);
-            let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
-            let fig1 = ir_experiments::exp_fig1::run(&s);
-            let fig3 = ir_experiments::exp_fig3::run(&s, &classifier);
-            let t3 = ir_experiments::exp_table3::run(&s, &classifier);
-            let fig2 = ir_experiments::exp_fig2::run(&s, &classifier);
+            let table = s.decision_table();
+            let fig1 = ir_experiments::exp_fig1::run(&s, &table);
+            let fig3 = ir_experiments::exp_fig3::run(&s, &table);
+            let t3 = ir_experiments::exp_table3::run(&s, &table);
+            let fig2 = ir_experiments::exp_fig2::run(&s, &table);
             Row {
                 seed,
                 simple: fig1

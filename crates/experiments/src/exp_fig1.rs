@@ -7,8 +7,9 @@
 
 use crate::report::{pct, TextTable};
 use crate::scenario::Scenario;
-use ir_core::classify::Category;
+use ir_core::classify::{Breakdown, Category};
 use ir_core::refine::Variant;
+use ir_core::table::DecisionTable;
 use serde::Serialize;
 
 /// One Figure 1 bar.
@@ -31,12 +32,12 @@ pub struct Fig1 {
     pub degraded: Vec<String>,
 }
 
-/// Runs the experiment.
-pub fn run(s: &Scenario) -> Fig1 {
-    let inputs = s.refine_inputs();
-    let bars = inputs
-        .run_all(&s.inferred, &s.decisions)
+/// Runs the experiment over `table`, the scenario's decision table: one
+/// bar per column.
+pub fn run(s: &Scenario, table: &DecisionTable<'_>) -> Fig1 {
+    let bars = Variant::ALL
         .into_iter()
+        .map(|v| (v, table.column(v).iter().copied().collect::<Breakdown>()))
         .map(|(v, b)| Fig1Bar {
             variant: v.label().to_string(),
             best_short: b.pct(Category::BestShort),
@@ -92,7 +93,7 @@ mod tests {
 
     fn fig1() -> &'static Fig1 {
         static R: OnceLock<Fig1> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::table()))
     }
 
     #[test]

@@ -6,8 +6,10 @@
 
 use crate::report::TextTable;
 use crate::scenario::Scenario;
-use ir_core::classify::{Category, Classifier};
-use ir_core::skew::{violations, SkewBy, SkewCurve};
+use ir_core::classify::Category;
+use ir_core::refine::Variant;
+use ir_core::skew::SkewCurve;
+use ir_core::table::DecisionTable;
 use serde::Serialize;
 
 /// The full result.
@@ -36,12 +38,13 @@ pub struct Fig2 {
     pub degraded: Vec<String>,
 }
 
-/// Runs the experiment over `classifier`, the default one for
-/// `s.inferred`.
-pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Fig2 {
-    let vs = violations(classifier, &s.decisions);
-    let dest = SkewCurve::build(&vs, SkewBy::Destination, None);
-    let src = SkewCurve::build(&vs, SkewBy::Source, None);
+/// Runs the experiment over `table`, the scenario's decision table: its
+/// Simple column tallied by destination and by source AS.
+pub fn run(s: &Scenario, table: &DecisionTable<'_>) -> Fig2 {
+    let by_dest = table.tally_by(Variant::Simple, |r| r.decision.dest);
+    let by_src = table.tally_by(Variant::Simple, |r| r.decision.src);
+    let dest = SkewCurve::build(&by_dest, None);
+    let src = SkewCurve::build(&by_src, None);
 
     let provider_of = |asn: ir_types::Asn| -> Option<String> {
         s.world
@@ -74,7 +77,7 @@ pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Fig2 {
         .collect();
 
     // The paper plots each violation subtype as its own CDF.
-    let subtype = |by| {
+    let subtype = |tallies| {
         [
             ("Best+Long", Category::BestLong),
             ("NonBest+Short", Category::NonBestShort),
@@ -84,18 +87,18 @@ pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Fig2 {
         .map(|(label, cat)| {
             (
                 label.to_string(),
-                SkewCurve::build(&vs, by, Some(cat)).cumulative(),
+                SkewCurve::build(tallies, Some(cat)).cumulative(),
             )
         })
         .collect::<Vec<_>>()
     };
     Fig2 {
         degraded: s.degraded(&["decisions", "inferred"]),
-        total_violations: vs.len(),
+        total_violations: dest.total,
         dest_cumulative: dest.cumulative(),
         src_cumulative: src.cumulative(),
-        dest_by_subtype: subtype(SkewBy::Destination),
-        src_by_subtype: subtype(SkewBy::Source),
+        dest_by_subtype: subtype(&by_dest),
+        src_by_subtype: subtype(&by_src),
         top_destinations,
         top_sources,
         dest_skew: dest.skew_coefficient(),
@@ -143,7 +146,7 @@ mod tests {
 
     fn fig2() -> &'static Fig2 {
         static R: OnceLock<Fig2> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::classifier()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::table()))
     }
 
     #[test]

@@ -7,8 +7,9 @@
 
 use crate::report::{pct, TextTable};
 use crate::scenario::Scenario;
-use ir_core::classify::{Category, Classifier};
-use ir_core::geography::continental_breakdown;
+use ir_core::classify::{Breakdown, Category};
+use ir_core::refine::Variant;
+use ir_core::table::DecisionTable;
 use ir_types::Continent;
 use serde::Serialize;
 
@@ -34,7 +35,7 @@ pub struct Fig3 {
     pub degraded: Vec<String>,
 }
 
-fn bar(group: &str, b: &ir_core::classify::Breakdown) -> Fig3Bar {
+fn bar(group: &str, b: &Breakdown) -> Fig3Bar {
     Fig3Bar {
         group: group.to_string(),
         best_short: b.pct(Category::BestShort),
@@ -45,23 +46,30 @@ fn bar(group: &str, b: &ir_core::classify::Breakdown) -> Fig3Bar {
     }
 }
 
-/// Runs the experiment over `classifier`, the default one for
-/// `s.inferred`.
-pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Fig3 {
-    let g = continental_breakdown(classifier, &s.measured);
+/// Runs the experiment over `table`, the scenario's decision table: its
+/// Simple column tallied by the continent each traceroute stayed on.
+pub fn run(s: &Scenario, table: &DecisionTable<'_>) -> Fig3 {
+    let by_continent = table.tally_by(Variant::Simple, |r| r.path.continental());
     let mut bars = Vec::new();
+    let mut continental = Breakdown::default();
     for c in Continent::ALL {
-        if let Some(b) = g.per_continent.get(&c) {
-            bars.push(bar(c.code(), b));
+        if let Some(&b) = by_continent.get(&Some(c)) {
+            bars.push(bar(c.code(), &b));
+            continental += b;
         }
     }
-    bars.push(bar("Cont", &g.continental));
-    bars.push(bar("Non Cont", &g.intercontinental));
+    bars.push(bar("Cont", &continental));
+    let intercontinental = by_continent.get(&None).copied().unwrap_or_default();
+    bars.push(bar("Non Cont", &intercontinental));
     Fig3 {
         degraded: s.degraded(&["inferred", "measured"]),
         bars,
-        continental_paths: g.continental_paths,
-        total_paths: g.total_paths,
+        continental_paths: s
+            .measured
+            .iter()
+            .filter(|p| p.continental().is_some())
+            .count(),
+        total_paths: s.measured.len(),
     }
 }
 
@@ -113,7 +121,7 @@ mod tests {
 
     fn fig3() -> &'static Fig3 {
         static R: OnceLock<Fig3> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::classifier()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::table()))
     }
 
     #[test]

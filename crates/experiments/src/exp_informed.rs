@@ -5,13 +5,15 @@
 
 use crate::report::TextTable;
 use crate::scenario::Scenario;
-use ir_core::classify::Classifier;
+use ir_core::classify::Category;
 use ir_core::nextmodel::InformedModel;
+use ir_core::refine::Variant;
+use ir_core::table::DecisionTable;
 use ir_measure::peering::AlternateDiscovery;
 use serde::Serialize;
 
 /// The result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Informed {
     pub decisions: usize,
     pub gr_best_short: usize,
@@ -28,8 +30,8 @@ pub struct Informed {
 }
 
 /// Runs the evaluation: learns from a [`poisoning_campaign`]'s
-/// discoveries and reclassifies with `classifier`, the default one for
-/// `s.inferred`.
+/// discoveries and the Simple column of `table`, the scenario's decision
+/// table, then recounts that column under the learned model.
 ///
 /// A world generated without a testbed AS cannot learn rankings (`None`);
 /// the result is then the plain-GR-only evaluation (nothing learned)
@@ -39,25 +41,24 @@ pub struct Informed {
 pub fn run(
     s: &Scenario,
     campaign: Option<&[AlternateDiscovery]>,
-    classifier: &Classifier<'_>,
+    table: &DecisionTable<'_>,
 ) -> Informed {
     let Some(discoveries) = campaign else {
         let mut degraded = s.degraded(&["decisions", "inferred", "measured"]);
         degraded.push("world: no testbed AS — ranking discovery skipped".into());
         return Informed {
             degraded,
-            decisions: 0,
-            gr_best_short: 0,
-            informed_best_short: 0,
-            gr_pct: 0.0,
-            informed_pct: 0.0,
-            learned_pairs: 0,
-            domestic_ases: 0,
+            ..Informed::default()
         };
     };
 
-    let model = InformedModel::learn(discoveries, &s.measured, classifier, &s.world.orgs, 3);
-    let (gr, informed, total) = model.evaluate(classifier, &s.measured);
+    let model = InformedModel::learn(discoveries, table.rows(Variant::Simple), &s.world.orgs, 3);
+    let (mut gr, mut informed) = (0, 0);
+    for row in table.rows(Variant::Simple) {
+        gr += usize::from(row.category == Category::BestShort);
+        informed += usize::from(model.category(&row) == Category::BestShort);
+    }
+    let total = s.decisions.len();
     Informed {
         degraded: s.degraded(&["decisions", "inferred", "measured"]),
         decisions: total,
@@ -100,9 +101,9 @@ mod tests {
 
     #[test]
     fn informed_model_never_loses_and_learns_something() {
-        use crate::testutil::{campaign, classifier, tiny7};
+        use crate::testutil::{campaign, table, tiny7};
         let s = tiny7();
-        let r = run(s, Some(campaign()), classifier());
+        let r = run(s, Some(campaign()), table());
         assert!(
             r.learned_pairs > 10,
             "rankings learned: {}",

@@ -6,8 +6,8 @@
 
 use crate::report::{pct, TextTable};
 use crate::scenario::Scenario;
-use ir_core::classify::Classifier;
 use ir_core::geography::domestic_stats;
+use ir_core::table::DecisionTable;
 use ir_types::Continent;
 use serde::Serialize;
 
@@ -30,10 +30,9 @@ pub struct Table3 {
     pub degraded: Vec<String>,
 }
 
-/// Runs the experiment over `classifier`, the default one for
-/// `s.inferred`.
-pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Table3 {
-    let stats = domestic_stats(classifier, &s.measured, &s.world.orgs, &s.world.geo);
+/// Runs the experiment over `table`, the scenario's decision table.
+pub fn run(s: &Scenario, table: &DecisionTable<'_>) -> Table3 {
+    let stats = domestic_stats(table, &s.world.orgs);
     let rows = Continent::ALL
         .iter()
         .filter_map(|c| {
@@ -79,7 +78,7 @@ mod tests {
 
     fn table3() -> &'static Table3 {
         static R: OnceLock<Table3> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::classifier()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::table()))
     }
 
     #[test]

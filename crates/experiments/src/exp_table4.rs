@@ -7,8 +7,10 @@
 
 use crate::report::{pct, TextTable};
 use crate::scenario::Scenario;
-use ir_core::classify::{Category, Classifier};
+use ir_core::classify::{Breakdown, Category};
 use ir_core::geography::cable_stats;
+use ir_core::refine::Variant;
+use ir_core::table::DecisionTable;
 use serde::Serialize;
 
 /// One Table 4 row.
@@ -35,12 +37,11 @@ pub struct Table4 {
     pub degraded: Vec<String>,
 }
 
-/// Runs the experiment over `classifier`, the default one for
-/// `s.inferred`.
-pub fn run(s: &Scenario, classifier: &Classifier<'_>) -> Table4 {
+/// Runs the experiment over `table`, the scenario's decision table.
+pub fn run(s: &Scenario, table: &DecisionTable<'_>) -> Table4 {
     let cables = s.world.cables.cable_asns();
-    let stats = cable_stats(classifier, &s.measured, &cables);
-    let overall = classifier.breakdown(&s.decisions);
+    let stats = cable_stats(table, &cables);
+    let overall: Breakdown = table.column(Variant::Simple).iter().copied().collect();
     let baseline = 1.0 - overall.pct(Category::BestShort) / 100.0;
     let rows = [
         Category::NonBestShort,
@@ -97,7 +98,7 @@ mod tests {
 
     fn table4() -> &'static Table4 {
         static R: OnceLock<Table4> = OnceLock::new();
-        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::classifier()))
+        R.get_or_init(|| run(crate::testutil::tiny7(), crate::testutil::table()))
     }
 
     #[test]

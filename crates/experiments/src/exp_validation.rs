@@ -32,17 +32,7 @@ pub struct Validation {
 
 /// Runs the experiment, checking at most `limit` cases at glasses.
 pub fn run(s: &Scenario, limit: usize) -> Validation {
-    // Candidate origins: multi-prefix origins observed as campaign
-    // destinations (where per-prefix behavior can differ).
-    let mut origins: Vec<(Asn, Prefix)> = Vec::new();
-    for node in s.world.graph.nodes() {
-        if node.prefixes.len() >= 2 {
-            for p in &node.prefixes {
-                origins.push((node.asn, *p));
-            }
-        }
-    }
-    let cases = psp_cases(&s.inferred, &s.feed, &origins);
+    let cases = cases(s);
     let report = validate_cases(&s.world, &s.lg, &cases, limit);
 
     // Ground-truth precision: a case is truly correct when the origin's
@@ -84,7 +74,8 @@ pub fn run(s: &Scenario, limit: usize) -> Validation {
     }
 }
 
-/// Helper for tests: the raw case list.
+/// The PSP case list: criterion-1 claims about every prefix of a
+/// multi-prefix origin, where per-prefix behavior can differ.
 pub fn cases(s: &Scenario) -> Vec<PspCase> {
     let mut origins: Vec<(Asn, Prefix)> = Vec::new();
     for node in s.world.graph.nodes() {

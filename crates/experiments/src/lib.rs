@@ -55,9 +55,9 @@ pub(crate) mod testutil {
     //! One tiny scenario shared by every unit test in this crate —
     //! building it is by far the most expensive step, and the runners
     //! only read it — with the inputs `assemble_report` shares between
-    //! sections: the default classifier and a poisoning campaign.
+    //! sections: the decision table and a poisoning campaign.
     use crate::scenario::{Scenario, ScenarioConfig};
-    use ir_core::classify::{Classifier, ClassifyConfig};
+    use ir_core::table::DecisionTable;
     use ir_measure::peering::AlternateDiscovery;
     use std::sync::OnceLock;
 
@@ -66,9 +66,9 @@ pub(crate) mod testutil {
         S.get_or_init(|| Scenario::build(ScenarioConfig::tiny(7)))
     }
 
-    pub(crate) fn classifier() -> &'static Classifier<'static> {
-        static C: OnceLock<Classifier<'static>> = OnceLock::new();
-        C.get_or_init(|| Classifier::new(&tiny7().inferred, ClassifyConfig::default()))
+    pub(crate) fn table() -> &'static DecisionTable<'static> {
+        static T: OnceLock<DecisionTable<'static>> = OnceLock::new();
+        T.get_or_init(|| tiny7().decision_table())
     }
 
     /// A 40-target campaign: enough informative targets for the

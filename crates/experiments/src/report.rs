@@ -120,9 +120,11 @@ const CAMPAIGN_TARGETS: usize = 120;
 /// artifact-freshness test, so the committed `repro_paper_seed7.*`
 /// artifacts are checked against exactly the shipping pipeline.
 ///
-/// The default classifier and the poisoning campaign are built once per
-/// call, on first use, and handed to every section that reads them; a
-/// call that names none of those sections builds neither.
+/// The scenario's decision table and the poisoning campaign are built
+/// once per call, on first use, and handed to every section that reads
+/// them; a call that names none of those sections builds neither. The
+/// table classifies each of its columns on first read, so a call reads
+/// only the columns its sections fold over.
 ///
 /// Unknown names panic — callers validate against [`ALL_EXPERIMENTS`].
 pub fn assemble_report(
@@ -132,7 +134,6 @@ pub fn assemble_report(
     wanted: &[&str],
 ) -> (String, serde_json::Value) {
     use crate::exp_alternates::poisoning_campaign;
-    use ir_core::classify::{Classifier, ClassifyConfig};
     use std::cell::OnceCell;
     use std::fmt::Write as _;
 
@@ -159,9 +160,8 @@ pub fn assemble_report(
         }
     });
 
-    let classifier = OnceCell::new();
-    let classifier =
-        || classifier.get_or_init(|| Classifier::new(&s.inferred, ClassifyConfig::default()));
+    let table = OnceCell::new();
+    let table = || table.get_or_init(|| s.decision_table());
     let campaign = OnceCell::new();
     let campaign = || campaign.get_or_init(|| poisoning_campaign(s, CAMPAIGN_TARGETS));
 
@@ -194,20 +194,16 @@ pub fn assemble_report(
                 );
             }
             "table1" => section!(crate::exp_table1::run(s)),
-            "fig1" => section!(crate::exp_fig1::run(s)),
+            "fig1" => section!(crate::exp_fig1::run(s, table())),
             "table2" => section!(crate::exp_table2::run(s)),
             "alternates" => section!(crate::exp_alternates::run(s, campaign().as_deref())),
-            "fig2" => section!(crate::exp_fig2::run(s, classifier())),
-            "fig3" => section!(crate::exp_fig3::run(s, classifier())),
-            "table3" => section!(crate::exp_table3::run(s, classifier())),
-            "table4" => section!(crate::exp_table4::run(s, classifier())),
+            "fig2" => section!(crate::exp_fig2::run(s, table())),
+            "fig3" => section!(crate::exp_fig3::run(s, table())),
+            "table3" => section!(crate::exp_table3::run(s, table())),
+            "table4" => section!(crate::exp_table4::run(s, table())),
             "validation" => section!(crate::exp_validation::run(s, 10)),
             "informed" => {
-                section!(crate::exp_informed::run(
-                    s,
-                    campaign().as_deref(),
-                    classifier()
-                ))
+                section!(crate::exp_informed::run(s, campaign().as_deref(), table()))
             }
             "consistency" => section!(crate::exp_consistency::run(s)),
             "lg_augment" => section!(crate::exp_lg_augment::run(s, 40)),

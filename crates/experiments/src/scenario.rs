@@ -20,6 +20,7 @@
 use ir_audit::AuditReport;
 use ir_bgp::RoutingUniverse;
 use ir_core::dataset::{Decision, MeasuredPath};
+use ir_core::table::DecisionTable;
 use ir_dataplane::geo::GeoConfig;
 use ir_dataplane::{AddressPlan, GeoDb, OriginTable, TraceConfig};
 use ir_fault::{FaultConfig, FaultPlane};
@@ -314,6 +315,16 @@ impl Scenario {
             siblings: &self.siblings,
             feed: &self.feed,
         }
+    }
+
+    /// The campaign's decisions as a classified table over `inferred`.
+    pub fn decision_table(&self) -> DecisionTable<'_> {
+        DecisionTable::new(
+            &self.inferred,
+            self.refine_inputs(),
+            &self.measured,
+            &self.decisions,
+        )
     }
 
     /// ASes whose decisions the campaign observed (the paper observed

@@ -5,8 +5,9 @@
 //! cargo run --release --example content_paths
 //! ```
 
-use ir_core::classify::{Category, Classifier, ClassifyConfig};
-use ir_core::skew::{violations, SkewBy, SkewCurve};
+use ir_core::classify::{Breakdown, Category};
+use ir_core::refine::Variant;
+use ir_core::skew::SkewCurve;
 use ir_experiments::scenario::{Scenario, ScenarioConfig};
 
 fn main() {
@@ -25,15 +26,15 @@ fn main() {
         scenario.world.content.providers().len()
     );
 
-    // Figure 1: the refinement pipeline.
-    let fig1 = ir_experiments::exp_fig1::run(&scenario);
+    // Figure 1: the refinement pipeline, one column of the decision table
+    // per refinement.
+    let table = scenario.decision_table();
+    let fig1 = ir_experiments::exp_fig1::run(&scenario, &table);
     println!("{}", fig1.render());
 
     // Who do the violations point at? (Figure 2 / §5.)
-    let classifier = Classifier::new(&scenario.inferred, ClassifyConfig::default());
-    let vs = violations(&classifier, &scenario.decisions);
-    let by_dest = SkewCurve::build(&vs, SkewBy::Destination, None);
-    println!("violations: {} total; top destinations:", vs.len());
+    let by_dest = SkewCurve::build(&table.tally_by(Variant::Simple, |r| r.decision.dest), None);
+    println!("violations: {} total; top destinations:", by_dest.total);
     for (asn, n) in by_dest.ranked.iter().take(5) {
         let provider = scenario
             .world
@@ -45,17 +46,17 @@ fn main() {
             .unwrap_or_default();
         println!(
             "  {asn}{provider}: {n} ({:.1}%)",
-            100.0 * *n as f64 / vs.len() as f64
+            100.0 * *n as f64 / by_dest.total as f64
         );
     }
 
     // How often is each violation subtype seen?
+    let simple: Breakdown = table.column(Variant::Simple).iter().copied().collect();
     for c in [
         Category::NonBestShort,
         Category::BestLong,
         Category::NonBestLong,
     ] {
-        let n = vs.iter().filter(|v| v.category == c).count();
-        println!("  {}: {n}", c.label());
+        println!("  {}: {}", c.label(), simple.count(c));
     }
 }

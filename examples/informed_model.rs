@@ -9,8 +9,9 @@
 //! cargo run --release --example informed_model
 //! ```
 
-use ir_core::classify::{Category, Classifier, ClassifyConfig};
+use ir_core::classify::Category;
 use ir_core::nextmodel::InformedModel;
+use ir_core::refine::Variant;
 use ir_experiments::exp_alternates::poisoning_campaign;
 use ir_experiments::scenario::{Scenario, ScenarioConfig};
 
@@ -29,37 +30,33 @@ fn main() {
         discoveries.len()
     );
 
-    let classifier = Classifier::new(&s.inferred, ClassifyConfig::default());
-    let model = InformedModel::learn(&discoveries, &s.measured, &classifier, &s.world.orgs, 3);
+    let table = s.decision_table();
+    let model = InformedModel::learn(&discoveries, table.rows(Variant::Simple), &s.world.orgs, 3);
     println!(
         "learned {} (AS, neighbor) ranking pairs; detected {} domestic-preferring ASes",
         model.learned_pairs(),
         model.domestic_ases()
     );
 
-    // Show individual upgrades.
-    let mut shown = 0;
-    for m in &s.measured {
-        for d in m.decisions() {
-            let gr = classifier.classify(&d).category;
-            if gr == Category::BestShort {
-                continue;
-            }
-            let informed = model.classify(&classifier, &d, &m.path);
-            if informed == Category::BestShort && shown < 8 {
-                println!(
-                    "  {} -> {} toward {}: {} under GR, explained by the informed model",
-                    d.observer,
-                    d.next_hop,
-                    d.dest,
-                    gr.label()
-                );
-                shown += 1;
-            }
+    // Show individual upgrades, and count both models over every row.
+    let (mut shown, mut gr, mut informed) = (0, 0, 0);
+    for row in table.rows(Variant::Simple) {
+        let upgraded = model.category(&row) == Category::BestShort;
+        gr += usize::from(row.category == Category::BestShort);
+        informed += usize::from(upgraded);
+        if row.category != Category::BestShort && upgraded && shown < 8 {
+            let d = row.decision;
+            println!(
+                "  {} -> {} toward {}: {} under GR, explained by the informed model",
+                d.observer,
+                d.next_hop,
+                d.dest,
+                row.category.label()
+            );
+            shown += 1;
         }
     }
-
-    let (gr, informed, total) = model.evaluate(&classifier, &s.measured);
+    let total = s.decisions.len();
     println!(
         "\noverall: GR explains {gr}/{total} ({:.1}%), informed model {informed}/{total} ({:.1}%)",
         100.0 * gr as f64 / total as f64,

@@ -5,8 +5,9 @@
 //! which refinement helps) rather than absolute numbers: the substrate is
 //! a synthetic Internet, not the authors' 2015 measurement window.
 
-use ir_core::classify::{Classifier, ClassifyConfig};
+use ir_core::classify::Classifier;
 use ir_core::refine::Variant;
+use ir_core::table::DecisionTable;
 use ir_experiments::report::{assemble_report, ALL_EXPERIMENTS};
 use ir_experiments::scenario::{Scenario, ScenarioConfig};
 use std::sync::OnceLock;
@@ -16,8 +17,8 @@ fn scenario() -> &'static Scenario {
     S.get_or_init(|| Scenario::build(ScenarioConfig::tiny(7)))
 }
 
-fn classifier() -> Classifier<'static> {
-    Classifier::new(&scenario().inferred, ClassifyConfig::default())
+fn table() -> DecisionTable<'static> {
+    scenario().decision_table()
 }
 
 #[test]
@@ -35,7 +36,7 @@ fn dataset_statistics_have_paper_structure() {
 
 #[test]
 fn figure1_shapes() {
-    let f = ir_experiments::exp_fig1::run(scenario());
+    let f = ir_experiments::exp_fig1::run(scenario(), &table());
     let simple = f.bar(Variant::Simple).unwrap();
     let all1 = f.bar(Variant::All1).unwrap();
     let all2 = f.bar(Variant::All2).unwrap();
@@ -90,7 +91,7 @@ fn alternates_follow_gr_order_mostly() {
 
 #[test]
 fn figure2_violations_skew_to_content_destinations() {
-    let f = ir_experiments::exp_fig2::run(scenario(), &classifier());
+    let f = ir_experiments::exp_fig2::run(scenario(), &table());
     assert!(f.total_violations > 0);
     // Destination-side skew exceeds source-side skew (§5's key contrast).
     assert!(
@@ -112,7 +113,7 @@ fn figure2_violations_skew_to_content_destinations() {
 
 #[test]
 fn figure3_continental_paths_better_explained() {
-    let f = ir_experiments::exp_fig3::run(scenario(), &classifier());
+    let f = ir_experiments::exp_fig3::run(scenario(), &table());
     let cont = f.bar("Cont").unwrap();
     let non = f.bar("Non Cont").unwrap();
     assert!(cont.best_short > non.best_short);
@@ -120,16 +121,42 @@ fn figure3_continental_paths_better_explained() {
 
 #[test]
 fn table3_domestic_preference_has_signal() {
-    let t = ir_experiments::exp_table3::run(scenario(), &classifier());
+    let t = ir_experiments::exp_table3::run(scenario(), &table());
     assert!(t.overall_fraction > 0.05, "{:.3}", t.overall_fraction);
 }
 
 #[test]
 fn table4_cables_are_rare_but_deviant() {
-    let t = ir_experiments::exp_table4::run(scenario(), &classifier());
+    let t = ir_experiments::exp_table4::run(scenario(), &table());
     assert!(t.path_fraction < 0.25);
     if t.deviant_fraction > 0.0 {
         assert!(t.deviant_fraction > t.baseline_deviant_fraction);
+    }
+}
+
+/// Row `i` of the report's table is `s.decisions[i]` on the path that
+/// exposed it, and each column is what that variant's own classifier says
+/// of the decision.
+#[test]
+fn decision_table_rows_align_with_the_scenario() {
+    let s = scenario();
+    let table = s.decision_table();
+    for v in Variant::ALL {
+        let classifier = Classifier::new(&s.inferred, s.refine_inputs().config(v));
+        let column = table.column(v);
+        assert_eq!(column.len(), s.decisions.len(), "{}", v.label());
+        for (i, row) in table.rows(v).enumerate() {
+            let d = &s.decisions[i];
+            assert_eq!(
+                column[i],
+                classifier.classify(d).category,
+                "{} row {i}",
+                v.label()
+            );
+            assert_eq!(row.category, column[i]);
+            assert_eq!(row.decision, d);
+            assert_eq!(&row.path.decisions()[d.path_index], d, "row {i}'s path");
+        }
     }
 }
 

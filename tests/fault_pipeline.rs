@@ -18,7 +18,8 @@ use ir_fault::FaultConfig;
 fn artifacts(s: &Scenario) -> String {
     let t1 = serde_json::to_string(&ir_experiments::exp_table1::run(s)).expect("serialize table1");
     let t2 = serde_json::to_string(&ir_experiments::exp_table2::run(s)).expect("serialize table2");
-    let f1 = serde_json::to_string(&ir_experiments::exp_fig1::run(s)).expect("serialize fig1");
+    let f1 = ir_experiments::exp_fig1::run(s, &s.decision_table());
+    let f1 = serde_json::to_string(&f1).expect("serialize fig1");
     format!("{t1}\n{t2}\n{f1}\n{}", s.campaign.report)
 }
 
@@ -86,7 +87,7 @@ fn hostile_plane_degrades_instead_of_collapsing() {
             assert!(pct.is_finite() && (0.0..=100.0).contains(&pct));
         }
     }
-    let f1 = ir_experiments::exp_fig1::run(&s);
+    let f1 = ir_experiments::exp_fig1::run(&s, &s.decision_table());
     for v in [
         ir_core::refine::Variant::Simple,
         ir_core::refine::Variant::All1,
